@@ -10,6 +10,7 @@ Directed graphs are symmetrized before detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,77 +29,104 @@ class CommunityResult:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
-def _build_adj(n: int, edges: Iterable[tuple]) -> list[dict[int, float]]:
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    for edge in edges:
-        u, v = int(edge[0]), int(edge[1])
-        w = float(edge[2]) if len(edge) > 2 else 1.0
-        if u == v:
-            adj[u][u] = adj[u].get(u, 0.0) + w
-        else:
-            adj[u][v] = adj[u].get(v, 0.0) + w
-            adj[v][u] = adj[v].get(u, 0.0) + w
-    return adj
+# A level is a symmetric CSR adjacency as aligned (rows, cols, weights) arrays
+# sorted by row, a self-loop stored once.  Neighbours in a row keep the order
+# of their first entry and every weighted sum adds its terms in entry order,
+# so results repeat bit for bit.
+Level = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _degrees(adj: list[dict[int, float]]) -> np.ndarray:
-    k = np.zeros(len(adj))
-    for i, nbrs in enumerate(adj):
-        for j, w in nbrs.items():
-            k[i] += 2.0 * w if j == i else w
-    return k
+def _accumulate(n: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Level:
+    """Sum repeated (row, col) entries, in entry order, into an n-node level."""
+    uniq, first, inv = np.unique(rows.astype(np.int64) * n + cols,
+                                 return_index=True, return_inverse=True)
+    order = np.lexsort((first, uniq // n))
+    summed = np.bincount(inv, weights=w, minlength=len(uniq))
+    return (uniq // n)[order], (uniq % n)[order], summed[order]
+
+
+def _edge_array(edges: Iterable[tuple]) -> np.ndarray:
+    rows = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0) for e in edges]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def _build_level(n: int, edges: np.ndarray) -> Level:
+    """Undirected adjacency of (u, v, w) rows; parallel edges add up."""
+    if np.any((edges[:, :2] < 0) | (edges[:, :2] >= n)):
+        raise ValueError(f"edge endpoint outside of 0..{n - 1}")
+    src, dst = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    # edge e enters as (u, v) then (v, u); a self-loop enters once
+    keep = np.column_stack([np.ones(len(src), bool), src != dst]).ravel()
+    return _accumulate(n, np.column_stack([src, dst]).ravel()[keep],
+                       np.column_stack([dst, src]).ravel()[keep],
+                       np.repeat(edges[:, 2], 2)[keep])
+
+
+def _degrees(n: int, level: Level) -> np.ndarray:
+    rows, cols, w = level
+    return np.bincount(rows, weights=np.where(rows == cols, 2.0 * w, w), minlength=n)
 
 
 def modularity(n: int, edges: Iterable[tuple], labels: Sequence[int]) -> float:
     """Newman modularity of a labeling on an undirected weighted graph."""
-    adj = _build_adj(n, edges)
-    return _modularity_adj(adj, np.asarray(labels))
+    return _modularity(_build_level(n, _edge_array(edges)), np.asarray(labels))
 
 
-def _modularity_adj(adj: list[dict[int, float]], labels: np.ndarray) -> float:
-    k = _degrees(adj)
+def _modularity(level: Level, labels: np.ndarray) -> float:
+    k = _degrees(len(labels), level)
     two_m = float(k.sum())
     if two_m == 0.0:
         return 0.0
+    rows, cols, w = level
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    tot = np.bincount(inv, weights=k)
+    inner = inv[rows] == inv[cols]
+    inside = np.bincount(inv[rows[inner]], weights=np.where(
+        rows == cols, 2.0 * w, w)[inner], minlength=len(first))
+    order = np.argsort(first)
+    # Python float ``**`` (numpy's array square can round differently), summed
+    # in first-appearance order, so the result repeats bit for bit
     q = 0.0
-    tot: dict[int, float] = {}
-    inside: dict[int, float] = {}
-    for i, nbrs in enumerate(adj):
-        c = int(labels[i])
-        tot[c] = tot.get(c, 0.0) + k[i]
-        for j, w in nbrs.items():
-            if labels[j] == c:
-                inside[c] = inside.get(c, 0.0) + (2.0 * w if j == i else w)
-    for c, t in tot.items():
-        q += inside.get(c, 0.0) / two_m - (t / two_m) ** 2
+    for inside_c, tot_c in zip(inside[order].tolist(), tot[order].tolist()):
+        q += inside_c / two_m - (tot_c / two_m) ** 2
     return q
 
 
-def _one_level(adj: list[dict[int, float]], k: np.ndarray, two_m: float,
+def _one_level(level: Level, n: int, two_m: float,
                rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    n = len(adj)
+    rows, cols, w = level
+    ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    # a self-loop links a node to its own community at weight zero; scanning
+    # the node's own community never changes the choice
+    w_link = np.where(rows == cols, 0.0, w)
+    nbrs = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
+    wts = [w_link[a:b] for a, b in zip(ptr, ptr[1:])]
+    k_list = _degrees(n, level).tolist()
     labels = np.arange(n)
-    comm_tot = {i: float(k[i]) for i in range(n)}
+    comm_tot = list(k_list)
     improved = False
     moved = True
     while moved:
         moved = False
-        for node in rng.permutation(n):
-            node = int(node)
+        for node in rng.permutation(n).tolist():
             c_old = int(labels[node])
-            link: dict[int, float] = {}
-            for nb, w in adj[node].items():
-                if nb != node:
-                    link[int(labels[nb])] = link.get(int(labels[nb]), 0.0) + w
-            comm_tot[c_old] -= k[node]
-            best_c, best_gain = c_old, link.get(c_old, 0.0) - comm_tot[c_old] * k[node] / two_m
-            for c in sorted(link):
-                gain = link[c] - comm_tot[c] * k[node] / two_m
+            lab = labels[nbrs[node]]
+            cands = np.bincount(lab).nonzero()[0]
+            links = np.bincount(lab, weights=wts[node])[cands].tolist()
+            cands = cands.tolist()
+            k_node = k_list[node]
+            comm_tot[c_old] -= k_node
+            best_c = c_old
+            best_gain = (links[cands.index(c_old)] if c_old in cands else 0.0) \
+                - comm_tot[c_old] * k_node / two_m
+            for c, link in zip(cands, links):
+                gain = link - comm_tot[c] * k_node / two_m
+                # gains within 1e-12 tie, and the lower label wins a tie
                 if gain > best_gain + 1e-12 or (
-                    abs(gain - best_gain) <= 1e-12 and c < best_c
+                    c < best_c and abs(gain - best_gain) <= 1e-12
                 ):
                     best_c, best_gain = c, gain
-            comm_tot[best_c] = comm_tot.get(best_c, 0.0) + k[node]
+            comm_tot[best_c] += k_node
             labels[node] = best_c
             if best_c != c_old:
                 moved = True
@@ -106,24 +134,15 @@ def _one_level(adj: list[dict[int, float]], k: np.ndarray, two_m: float,
     return labels, improved
 
 
-def _aggregate(adj: list[dict[int, float]],
-               labels: np.ndarray) -> tuple[list[dict[int, float]], np.ndarray]:
-    comms = sorted(set(int(c) for c in labels))
-    remap = {c: i for i, c in enumerate(comms)}
-    new_labels = np.array([remap[int(c)] for c in labels])
-    new_adj: list[dict[int, float]] = [dict() for _ in comms]
-    for i, nbrs in enumerate(adj):
-        ci = int(new_labels[i])
-        for j, w in nbrs.items():
-            cj = int(new_labels[j])
-            if i == j:
-                new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w
-            elif ci == cj:
-                # each undirected edge is stored twice; keep self-loop weight single
-                new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w / 2.0
-            else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-    return new_adj, new_labels
+def _aggregate(level: Level, labels: np.ndarray) -> tuple[Level, np.ndarray]:
+    """Collapse communities into super-nodes numbered by ascending label."""
+    comms, new_labels = np.unique(labels, return_inverse=True)
+    rows, cols, w = level
+    ci, cj = new_labels[rows], new_labels[cols]
+    # an inner edge is stored in both directions; halve it so the
+    # super-node's self-loop carries its weight once
+    val = np.where((ci == cj) & (rows != cols), w / 2.0, w)
+    return _accumulate(len(comms), ci, cj, val), new_labels
 
 
 def louvain(n_nodes: int, edges: Iterable[tuple], seed: int = 0) -> CommunityResult:
@@ -132,46 +151,48 @@ def louvain(n_nodes: int, edges: Iterable[tuple], seed: int = 0) -> CommunityRes
     Deterministic for a fixed seed.  Nodes of an empty graph each form
     their own community.
     """
+    return _louvain(n_nodes, _edge_array(edges), seed)
+
+
+def _louvain(n_nodes: int, edges: np.ndarray, seed: int) -> CommunityResult:
     if n_nodes < 1:
         raise ValueError("graph needs at least one node")
-    edges = list(edges)
-    adj = _build_adj(n_nodes, edges)
-    k = _degrees(adj)
-    two_m = float(k.sum())
+    base = _build_level(n_nodes, edges)
+    two_m = float(_degrees(n_nodes, base).sum())
     if two_m == 0.0:
         return CommunityResult(np.arange(n_nodes), 0.0, ())
 
     rng = np.random.default_rng(seed)
     assignment = np.arange(n_nodes)
-    level_adj = adj
+    level, n_level = base, n_nodes
     history: list[float] = []
-    best_q = _modularity_adj(adj, assignment)
+    best_q = _modularity(base, assignment)
     while True:
-        labels, improved = _one_level(level_adj, _degrees(level_adj), two_m, rng)
+        labels, improved = _one_level(level, n_level, two_m, rng)
         if not improved:
             break
-        level_adj, compact = _aggregate(level_adj, labels)
+        level, compact = _aggregate(level, labels)
+        n_level = int(compact.max()) + 1
         assignment = compact[assignment]
-        q_now = _modularity_adj(adj, assignment)
+        q_now = _modularity(base, assignment)
         history.append(q_now)
         if q_now <= best_q + 1e-12:
             break
         best_q = q_now
 
     # canonical dense labels ordered by first appearance
-    remap: dict[int, int] = {}
-    final = np.empty(n_nodes, dtype=np.int64)
-    for i in range(n_nodes):
-        c = int(assignment[i])
-        if c not in remap:
-            remap[c] = len(remap)
-        final[i] = remap[c]
-    return CommunityResult(final, _modularity_adj(adj, final), tuple(history))
+    _, first, inv = np.unique(assignment, return_index=True, return_inverse=True)
+    final = np.argsort(np.argsort(first))[inv]
+    return CommunityResult(final, _modularity(base, final), tuple(history))
 
 
 def louvain_graph(graph: InferredGraph, seed: int = 0) -> CommunityResult:
     """Louvain on the symmetrized projection of a directed graph."""
-    return louvain(graph.n_users, graph.symmetrized_edges(), seed=seed)
+    n = graph.n_users
+    e = np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * graph.n_edges)
+    # one unit edge per linked unordered pair, in ascending order
+    key = np.unique(e.reshape(-1, 2).min(axis=1) * n + e.reshape(-1, 2).max(axis=1))
+    return _louvain(n, np.column_stack([key // n, key % n, np.ones(len(key))]), seed)
 
 
 def pairwise_f1(labels_pred: Sequence[int], labels_true: Sequence[int]) -> float:

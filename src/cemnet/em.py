@@ -236,45 +236,34 @@ def threshold_graph(
     pairs — ``("er", rho)`` or ``("sbm", p, q, groups)``; those pairs join
     the graph only when that prior itself exceeds 0.5.
     """
-    edges: list[tuple[int, int]] = []
-    scores: dict[tuple[int, int], float] = {}
-    hot = np.flatnonzero(q > 0.5)
-    for k in hot:
-        i, j = int(table.pairs[k, 0]), int(table.pairs[k, 1])
-        edges.append((i, j))
-        scores[(i, j)] = float(q[k])
+    hot = q > 0.5
+    src, dst, val = table.pairs[hot, 0], table.pairs[hot, 1], q[hot]
     if prior_spec is not None:
-        if prior_spec[0] == PRIOR_ER:
-            hot_prior = prior_spec[1] > 0.5
-            prior_of = lambda i, j: prior_spec[1]  # noqa: E731
-        else:
-            _, p_in, q_out, groups = prior_spec
-            hot_prior = max(p_in, q_out) > 0.5
-            prior_of = lambda i, j: p_in if groups[i] == groups[j] else q_out  # noqa: E731
-        if hot_prior:
-            active = set(map(tuple, table.pairs.tolist()))
-            for i in range(n_users):
-                for j in range(n_users):
-                    if i == j or (i, j) in active:
-                        continue
-                    val = prior_of(i, j)
-                    if val > 0.5:
-                        edges.append((i, j))
-                        scores[(i, j)] = float(val)
-    return InferredGraph(n_users, edges, scores)
+        prior = _prior_matrix(n_users, prior_spec)
+        mask = prior > 0.5
+        np.fill_diagonal(mask, False)
+        mask[table.pairs[:, 0], table.pairs[:, 1]] = False
+        i, j = np.nonzero(mask)
+        src, dst = np.concatenate([src, i]), np.concatenate([dst, j])
+        val = np.concatenate([val, prior[i, j]])
+    edges = list(zip(src.tolist(), dst.tolist()))
+    return InferredGraph(n_users, edges, dict(zip(edges, val.tolist())))
+
+
+def _prior_matrix(n_users: int, prior_spec: tuple) -> np.ndarray:
+    """Dense (n, n) prior edge probability of every ordered pair."""
+    if prior_spec[0] == PRIOR_ER:
+        return np.full((n_users, n_users), prior_spec[1], dtype=np.float64)
+    _, p_in, q_out, groups = prior_spec
+    g = np.asarray(groups)
+    return np.where(g[:, None] == g[None, :], p_in, q_out)
 
 
 def score_matrix(
     table: PairTable, q: np.ndarray, n_users: int, prior_spec: tuple
 ) -> np.ndarray:
     """Dense (n, n) score matrix: posterior for active pairs, prior elsewhere."""
-    if prior_spec[0] == PRIOR_ER:
-        out = np.full((n_users, n_users), prior_spec[1], dtype=np.float64)
-    else:
-        _, p_in, q_out, groups = prior_spec
-        g = np.asarray(groups)
-        same = g[:, None] == g[None, :]
-        out = np.where(same, p_in, q_out)
+    out = _prior_matrix(n_users, prior_spec)
     out[table.pairs[:, 0], table.pairs[:, 1]] = q
     np.fill_diagonal(out, 0.0)
     return out

@@ -65,11 +65,6 @@ class InferredGraph:
             return 1.0
         return self.scores.get((i, j), 1.0)
 
-    def symmetrized_edges(self) -> list[tuple[int, int]]:
-        """Undirected projection: unordered pairs linked in either direction."""
-        und = {(min(i, j), max(i, j)) for i, j in self.edges}
-        return sorted(und)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -142,10 +137,18 @@ def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
         for row, parts in enumerate(reader, start=2):
             if not parts:
                 continue
+            if len(parts) != 2:
+                raise GraphFormatError(f"{path}: row {row}: expected 2 fields")
             uid, lab = parts[0].strip(), parts[1].strip()
             if uid not in uid_index:
                 raise ValueError(f"{path}: row {row}: uid {uid!r} is not in the user set")
-            out[uid_index[uid]] = int(lab)
+            try:
+                community = int(lab)
+            except ValueError:
+                community = -1
+            if community < 0:
+                raise GraphFormatError(f"{path}: row {row}: bad community {lab!r}")
+            out[uid_index[uid]] = community
     missing = [users[k] for k, lab in enumerate(out) if lab < 0]
     if missing:
         raise ValueError(f"{path}: missing community labels for {missing[:5]}")

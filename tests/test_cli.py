@@ -130,6 +130,22 @@ def test_malformed_graph_is_usage_error(workdir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("row", ["u0001", "u0001,0,extra", "u0001,blue", "u0001,-1"])
+def test_malformed_labels_is_usage_error(workdir, tmp_path, capsys, row):
+    bad = tmp_path / "bad_labels.csv"
+    bad.write_text(f"uid,community\n{row}\n")
+    rc = main([
+        "evaluate", "--inferred", str(workdir / "truth.csv"),
+        "--truth", str(workdir / "truth.csv"),
+        "--trace", str(workdir / "trace.csv"),
+        "--truth-labels", str(bad),
+        "--out", str(tmp_path / "x.json"), "--threads", "1",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 2" in err
+
+
 def test_stats_and_feascheck(workdir):
     rc = main([
         "stats", "--graph", str(workdir / "truth.csv"),

@@ -246,6 +246,70 @@ def test_threshold_graph_prior_inclusion():
     assert g2.n_edges == 0
 
 
+def _threshold_reference(table, q, n, prior_spec):
+    """Per-ordered-pair definition of threshold_graph: edges and scores."""
+    active = {tuple(p): k for k, p in enumerate(table.pairs.tolist())}
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if (i, j) in active:
+                val = float(q[active[(i, j)]])
+            elif prior_spec is None:
+                continue
+            elif prior_spec[0] == "er":
+                val = prior_spec[1]
+            else:
+                _, p_in, q_out, groups = prior_spec
+                val = p_in if groups[i] == groups[j] else q_out
+            if val > 0.5:
+                out[(i, j)] = val
+    return out
+
+
+def test_threshold_graph_sbm_prior_hot_mixed_groups():
+    # groups {0, 1} and {2, 3}; hot intra prior, cold cross prior
+    st = make_state([(0, 1), (2, 0), (3, 1)], [1.0] * 3, [0.5] * 3, n_users=4)
+    spec = ("sbm", 0.7, 0.2, np.array([0, 0, 1, 1]))
+    g = em.threshold_graph(st.table, np.array([0.1, 0.9, 0.3]), 4, spec)
+    # (0, 1) is active with a low posterior, so the hot prior must not add it
+    assert g.edges == {(1, 0), (2, 3), (3, 2), (2, 0)}
+    assert all(i != j for i, j in g.edges)
+    assert g.score_of(1, 0) == 0.7 and g.score_of(2, 3) == 0.7
+    assert g.score_of(2, 0) == 0.9
+
+
+def test_threshold_graph_cold_prior_adds_nothing():
+    st = make_state([(0, 1)], [1.0], [0.5], n_users=3)
+    spec = ("sbm", 0.5, 0.3, np.array([0, 0, 0]))
+    g = em.threshold_graph(st.table, np.array([0.8]), 3, spec)
+    assert g.edges == {(0, 1)}
+
+
+def test_threshold_graph_matches_pairwise_reference(rng):
+    for trial in range(60):
+        n = int(rng.integers(2, 13))
+        all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        k = int(rng.integers(0, len(all_pairs) + 1))
+        pick = rng.permutation(len(all_pairs))[:k]
+        pairs = [all_pairs[x] for x in sorted(pick)]
+        st = make_state(pairs, [1.0] * k, [0.5] * k, n_users=n)
+        q = rng.uniform(size=k)
+        kind = trial % 3
+        if kind == 0:
+            spec = None
+        elif kind == 1:
+            spec = ("er", float(rng.uniform(0.3, 0.7)))
+        else:
+            spec = ("sbm", float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.3, 0.7)),
+                    rng.integers(0, 3, size=n))
+        g = em.threshold_graph(st.table, q, n, spec)
+        want = _threshold_reference(st.table, q, n, spec)
+        assert g.edges == set(want)
+        assert {e: g.score_of(*e) for e in g.edges} == want
+
+
 def test_score_matrix_layout():
     st = make_state([(0, 1)], [1.0], [0.5], n_users=3)
     s = em.score_matrix(st.table, np.array([0.9]), 3, ("er", 0.25))
