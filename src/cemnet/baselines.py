@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import InferredGraph
-from .trace import Episode, PairTable, pair_counts
+from .trace import Episode, PairTable, pair_counts, predecessor_slots
 
 log = logging.getLogger("cemnet.baselines")
 
@@ -80,43 +80,35 @@ def saito_em(
     """
     table = pair_counts(episodes, n_users)
     p_count = table.n_pairs
-    flat: list[int] = []
-    ptr = [0]
-    participation = np.zeros(n_users)
-    # per ordered pair: episodes where j activated simultaneously with i,
-    # so i's single chance at t_i + 1 was never tested
+    slots = predecessor_slots(episodes)
+    window_ids: list[np.ndarray] = []
+    window_len: list[np.ndarray] = []
     no_trial = np.zeros(p_count)
-    for ep in episodes:
-        users = ep.users
-        times = ep.times
-        k = len(users)
-        for u in users:
-            participation[u] += 1.0
-        for pos in range(1, k):
-            j = users[pos]
-            tj = times[pos]
-            window = [
-                users[a] for a in range(pos) if times[a] == tj - 1.0
-            ]
-            if window:
-                flat.extend(table.index[(i, j)] for i in window)
-                ptr.append(len(flat))
-            # trials require j susceptible at t_i + 1: simultaneous
-            # activations (t_i == t_j) present no chance at all
-            for a in range(pos):
-                if times[a] > tj - 1.0 and (users[a], j) in table.index:
-                    no_trial[table.index[(users[a], j)]] += 1.0
-        # pairs where j acted strictly before i never present a trial
-        # either; those episodes are subtracted via the reverse counts
-    flat_ids = np.array(flat, dtype=np.int64)
-    starts = np.array(ptr[:-1], dtype=np.int64)
-    row_of_slot = np.repeat(
-        np.arange(len(starts)), np.diff(np.array(ptr, dtype=np.int64))
-    )
+    for blk in slots.blocks():
+        src = blk.gather()
+        dst = np.repeat(slots.users[blk.stop], blk.row_len)
+        t_src = slots.times[src]
+        t_before = np.repeat(slots.times[blk.stop] - 1.0, blk.row_len)
+        # candidate parents of each reshare: members active one unit earlier
+        in_window = t_src == t_before
+        window_ids.append(table.ids(slots.users[src[in_window]], dst[in_window]))
+        window_len.append(np.add.reduceat(in_window, blk.row_ptr[:-1], dtype=np.intp))
+        # trials require j susceptible at t_i + 1: simultaneous activations
+        # (t_i == t_j) present no chance at all
+        late = t_src > t_before
+        no_trial += np.bincount(table.ids(slots.users[src[late]], dst[late]),
+                                minlength=p_count)
+    flat_ids = np.concatenate(window_ids)
+    per_row = np.concatenate(window_len)
+    per_row = per_row[per_row > 0]
+    starts = np.cumsum(per_row) - per_row
+    row_of_slot = np.repeat(np.arange(len(per_row)), per_row)
+    participation = np.bincount(slots.users, minlength=n_users).astype(np.float64)
 
-    m_rev = np.array(
-        [table.m_of(int(j), int(i)) for i, j in table.pairs], dtype=np.float64
-    )
+    # pairs where j acted strictly before i never present a trial either;
+    # those episodes are subtracted via the reverse counts
+    rev = table.ids(table.pairs[:, 1], table.pairs[:, 0])
+    m_rev = np.where(rev >= 0, table.m[rev], 0.0)
     # trials(i, j) = episodes containing i, minus those where j was already
     # infected when i acted (reverse order) or activated inside i's window
     # without being attributable (no_trial above).
@@ -150,12 +142,8 @@ def saito_em(
     if not converged:
         log.warning("saito EM hit iteration cap (%d)", max_iters)
 
-    edges = {
-        (int(table.pairs[k, 0]), int(table.pairs[k, 1]))
-        for k in np.flatnonzero(kappa > threshold)
-    }
-    scores = {e: float(kappa[table.index[e]]) for e in edges}
-    return SaitoResult(table, kappa, InferredGraph(n_users, edges, scores), it, converged)
+    scores = _scored_pairs(table, kappa, threshold)
+    return SaitoResult(table, kappa, InferredGraph(n_users, scores, scores), it, converged)
 
 
 @dataclass
@@ -189,11 +177,10 @@ def newman_em(
     """
     table = pair_counts(episodes, n_users)
     p_count = table.n_pairs
-    direct = np.zeros(p_count)
-    for ep in episodes:
-        author = ep.users[0]
-        for j in ep.users[1:]:
-            direct[table.index[(author, j)]] += 1.0
+    slots = predecessor_slots(episodes)
+    # each covering row's first slot is the author
+    author_ids = table.ids(slots.users[slots.start], slots.users[slots.stop])
+    direct = np.bincount(author_ids, minlength=p_count).astype(np.float64)
 
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
@@ -238,23 +225,24 @@ def newman_em(
     if not converged:
         log.warning("newman EM hit iteration cap (%d)", max_iters)
 
-    edges = {
-        (int(table.pairs[k, 0]), int(table.pairs[k, 1]))
-        for k in np.flatnonzero(q > threshold)
-    }
+    scores = _scored_pairs(table, q, threshold)
     if rho > threshold:
-        active = set(map(tuple, table.pairs.tolist()))
-        for i in range(n_users):
-            for j in range(n_users):
-                if i != j and (i, j) not in active:
-                    edges.add((i, j))
-    scores = {
-        e: float(q[table.index[e]]) if e in table.index else rho for e in edges
-    }
+        inactive = ~np.eye(n_users, dtype=bool)
+        inactive[table.pairs[:, 0], table.pairs[:, 1]] = False
+        src, dst = np.nonzero(inactive)
+        scores.update(dict.fromkeys(zip(src.tolist(), dst.tolist()), rho))
     return NewmanResult(
         table, direct, q, alpha, beta, rho,
-        InferredGraph(n_users, edges, scores), it, converged,
+        InferredGraph(n_users, scores, scores), it, converged,
     )
+
+
+def _scored_pairs(table: PairTable, values: np.ndarray,
+                  threshold: float) -> dict[tuple[int, int], float]:
+    """``{(i, j): value}`` for the active pairs whose value exceeds ``threshold``."""
+    hot = np.flatnonzero(values > threshold)
+    pairs = zip(table.pairs[hot, 0].tolist(), table.pairs[hot, 1].tolist())
+    return dict(zip(pairs, values[hot].tolist()))
 
 
 def _clamp(p: float) -> float:

@@ -83,12 +83,15 @@ def _load_trace(args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
-    from .simulate import SimConfig, simulate
+    from .simulate import ConfigError, SimConfig, simulate
 
     if args.config:
         if not os.path.exists(args.config):
             raise UsageError(f"config file not found: {args.config}")
-        config = SimConfig.from_json(args.config)
+        try:
+            config = SimConfig.from_json(args.config)
+        except ConfigError as exc:
+            raise UsageError(f"bad config {exc}") from exc
     else:
         config = SimConfig()
     if args.seed is not None:
@@ -108,7 +111,7 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
     if args.head:
         trace = trace.head(args.head)
-    prep = em.preprocess(trace, n_threads=args.threads)
+    prep = em.preprocess(trace)
     state, graph = em.run_cem(
         prep,
         args.prior,
@@ -124,9 +127,7 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
     if args.out_state:
         payload = state.to_json()
         payload["n_edges"] = graph.n_edges
-        payload["feasibility"] = check_feasibility(
-            graph, prep.episodes, n_threads=args.threads
-        ).fraction
+        payload["feasibility"] = check_feasibility(graph, prep.episodes).fraction
         _write_json(payload, args.out_state)
         outputs.append(args.out_state)
     if args.out_scores:
@@ -145,7 +146,7 @@ def _cmd_baseline(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
     if args.head:
         trace = trace.head(args.head)
-    prep = em.preprocess(trace, n_threads=args.threads)
+    prep = em.preprocess(trace)
     if args.method == "star":
         graph = baselines.star_graph(prep.episodes, trace.n_users)
     elif args.method == "chain":
@@ -169,8 +170,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     except FileNotFoundError as exc:
         raise UsageError(f"graph file not found: {exc.filename}") from exc
 
-    episodes = em.preprocess(trace, n_threads=args.threads).episodes
-    feas = check_feasibility(inferred, episodes, n_threads=args.threads)
+    episodes = em.preprocess(trace).episodes
+    feas = check_feasibility(inferred, episodes)
 
     scores = None
     if args.scores:
@@ -221,8 +222,8 @@ def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
         graph = read_graph_csv(args.graph, trace.users)
     except FileNotFoundError as exc:
         raise UsageError(f"graph file not found: {exc.filename}") from exc
-    episodes = em.preprocess(trace, n_threads=args.threads).episodes
-    report = check_feasibility(graph, episodes, n_threads=args.threads)
+    episodes = em.preprocess(trace).episodes
+    report = check_feasibility(graph, episodes)
     _write_json(report.to_json(), args.out)
     return [args.out]
 
@@ -230,8 +231,6 @@ def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
 def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
     if seed:
         p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker cap for pair-level computations")
     p.add_argument("--head", type=int, default=0, metavar="N",
                    help="use only the first N trace rows")
 

@@ -11,12 +11,13 @@ the existence of a time-respecting path from the author.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .graph import InferredGraph
-from .trace import Episode, PairTable
+from .trace import Episode, PairTable, predecessor_slots
 
 
 @dataclass(frozen=True)
@@ -26,31 +27,54 @@ class FeasibilityConstraint:
     pair_ids: tuple[int, ...]  # indices into the PairTable, all with target_user as dst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    constraints: tuple[FeasibilityConstraint, ...]
+    """Covering rows in CSR form: row ``r`` is ``pair_ids[row_ptr[r]:row_ptr[r + 1]]``.
+
+    Row ``r`` belongs to resharer ``targets[r]`` of episode ``episode_ids[r]``
+    and lists its predecessors' pair ids in episode order, the author first.
+    """
+
+    row_ptr: np.ndarray  # (R + 1,) int64
+    pair_ids: np.ndarray  # (S,) int32 indices into the PairTable (int64 past 2**31 pairs)
+    episode_ids: np.ndarray  # (R,) int64
+    targets: np.ndarray  # (R,) int64
     n_vars: int  # number of sigma variables = active pairs
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self.targets)
 
     def rows(self) -> list[tuple[int, ...]]:
-        return [c.pair_ids for c in self.constraints]
+        flat = self.pair_ids.tolist()
+        ptr = self.row_ptr.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+    @property
+    def constraints(self) -> tuple[FeasibilityConstraint, ...]:
+        return tuple(
+            FeasibilityConstraint(e, j, row)
+            for e, j, row in zip(self.episode_ids.tolist(), self.targets.tolist(),
+                                 self.rows())
+        )
 
 
 def build_constraints(
     episodes: Sequence[Episode], table: PairTable
 ) -> ConstraintSystem:
     """One covering row per (episode, non-author user) over active-pair ids."""
-    out: list[FeasibilityConstraint] = []
-    index = table.index
-    for eid, ep in enumerate(episodes):
-        users = ep.users
-        for pos in range(1, len(users)):
-            j = users[pos]
-            pair_ids = tuple(index[(users[a], j)] for a in range(pos))
-            out.append(FeasibilityConstraint(eid, j, pair_ids))
-    return ConstraintSystem(tuple(out), table.n_pairs)
+    slots = predecessor_slots(episodes)
+    row_ptr = slots.row_ptr
+    pair_ids = np.empty(int(row_ptr[-1]),
+                        dtype=np.int32 if table.n_pairs < 2**31 else np.int64)
+    at = 0
+    for blk in slots.blocks():
+        ids = table.ids_of_keys(blk.keys(table.n_users))
+        pair_ids[at:at + len(ids)] = ids
+        at += len(ids)
+    if len(pair_ids) and pair_ids.min() < 0:
+        raise ValueError("episodes hold a pair that is not in the pair table")
+    return ConstraintSystem(row_ptr, pair_ids, slots.episode_ids, slots.targets,
+                            table.n_pairs)
 
 
 @dataclass(frozen=True)
@@ -80,14 +104,10 @@ def _episode_feasible(graph: InferredGraph, ep: Episode) -> bool:
 
 
 def check_feasibility(
-    graph: InferredGraph, episodes: Sequence[Episode], *, n_threads: int = 1
+    graph: InferredGraph, episodes: Sequence[Episode]
 ) -> FeasibilityReport:
     """Fraction of episodes the graph can explain (local predecessor test)."""
-    if n_threads > 1 and len(episodes) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            flags = tuple(pool.map(lambda ep: _episode_feasible(graph, ep), episodes))
-    else:
-        flags = tuple(_episode_feasible(graph, ep) for ep in episodes)
+    flags = tuple(_episode_feasible(graph, ep) for ep in episodes)
     n_ok = sum(flags)
     total = len(episodes)
     fraction = n_ok / total if total else 1.0

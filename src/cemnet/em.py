@@ -343,12 +343,12 @@ class Preprocessed:
     users: tuple[str, ...]
 
 
-def preprocess(trace: Trace, *, retweeted_only: bool = True,
-               n_threads: int = 1) -> Preprocessed:
+def preprocess(trace: Trace, *, retweeted_only: bool = True) -> Preprocessed:
     episodes = build_episodes(trace, retweeted_only=retweeted_only)
-    table = pair_counts(episodes, trace.n_users, n_threads=n_threads)
+    table = pair_counts(episodes, trace.n_users)
     constraints = build_constraints(episodes, table)
-    reduced = lp.reduce_covering(table.n_pairs, constraints.rows())
+    reduced = lp.reduce_covering(table.n_pairs, constraints.row_ptr,
+                                 constraints.pair_ids)
     return Preprocessed(episodes, table, constraints, reduced,
                         trace.n_users, trace.users)
 

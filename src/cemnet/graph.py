@@ -101,7 +101,7 @@ def read_graph_csv(path: str | Path, users: Sequence[str]) -> InferredGraph:
             src, dst = parts[0].strip(), parts[1].strip()
             for tok in (src, dst):
                 if tok not in uid_index:
-                    raise ValueError(
+                    raise GraphFormatError(
                         f"{path}: row {row}: uid {tok!r} is not in the trace user set"
                     )
             edge = (uid_index[src], uid_index[dst])
@@ -141,7 +141,9 @@ def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
                 raise GraphFormatError(f"{path}: row {row}: expected 2 fields")
             uid, lab = parts[0].strip(), parts[1].strip()
             if uid not in uid_index:
-                raise ValueError(f"{path}: row {row}: uid {uid!r} is not in the user set")
+                raise GraphFormatError(
+                    f"{path}: row {row}: uid {uid!r} is not in the trace user set"
+                )
             try:
                 community = int(lab)
             except ValueError:
@@ -151,5 +153,5 @@ def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
             out[uid_index[uid]] = community
     missing = [users[k] for k, lab in enumerate(out) if lab < 0]
     if missing:
-        raise ValueError(f"{path}: missing community labels for {missing[:5]}")
+        raise GraphFormatError(f"{path}: missing community labels for {missing[:5]}")
     return out

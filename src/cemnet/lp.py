@@ -100,31 +100,61 @@ class ReducedCovering:
     components: tuple[_Component, ...]
 
 
-def reduce_covering(n_vars: int, rows: Sequence[tuple[int, ...]]) -> ReducedCovering:
-    forced = {row[0] for row in rows if len(row) == 1}
-    survivors = [
-        tuple(sorted(set(row)))
-        for row in rows
-        if not any(v in forced for v in row)
-    ]
-    survivors = sorted(set(survivors), key=lambda r: (len(r), r))
+def rows_to_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(row_ptr, cols)`` of tuple rows: row ``r`` is ``cols[row_ptr[r]:row_ptr[r + 1]]``."""
+    lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
+    row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=row_ptr[1:])
+    cols = np.fromiter((v for r in rows for v in r), dtype=np.int64,
+                       count=int(row_ptr[-1]))
+    return row_ptr, cols
+
+
+def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> ReducedCovering:
+    """Objective-independent reduction of the CSR covering rows ``(row_ptr, cols)``."""
+    row_ptr = np.asarray(row_ptr, dtype=np.int64)
+    cols = np.asarray(cols)
+    lens = np.diff(row_ptr)
+    if np.any(lens < 1):
+        raise ValueError("covering rows must not be empty")
+    forced = np.unique(cols[row_ptr[:-1][lens == 1]]).astype(np.int64)
+
+    # rows touching a forced variable are already covered
+    pinned = np.zeros(n_vars, dtype=bool)
+    pinned[forced] = True
+    live = ~np.logical_or.reduceat(pinned[cols], row_ptr[:-1])
+    live_len = lens[live]
+    row_of = np.repeat(np.arange(len(live_len)), live_len)
+    shift = np.repeat(row_ptr[:-1][live] - (np.cumsum(live_len) - live_len), live_len)
+    cols = cols[np.arange(len(row_of)) + shift].astype(np.int64)
+    # each live row as its sorted set of variables
+    order = np.lexsort((cols, row_of))
+    cols, row_of = cols[order], row_of[order]
+    fresh = np.ones(len(cols), dtype=bool)
+    fresh[1:] = (cols[1:] != cols[:-1]) | (row_of[1:] != row_of[:-1])
+    cols, row_of = cols[fresh], row_of[fresh]
+    # distinct rows in (length, lexicographic) order
+    _, starts, lens = np.unique(row_of, return_index=True, return_counts=True)
+    survivors: list[tuple[int, ...]] = []
+    for length in np.unique(lens).tolist():
+        block = cols[starts[lens == length][:, None] + np.arange(length)]
+        block = block[np.lexsort(block.T[::-1])]
+        repeat = np.zeros(len(block), dtype=bool)
+        repeat[1:] = (block[1:] == block[:-1]).all(axis=1)
+        survivors.extend(map(tuple, block[~repeat].tolist()))
 
     # superset rows are implied by their subsets
+    # (a kept subset's smallest variable lies in the row, so index by it)
     kept: list[tuple[int, ...]] = []
     kept_sets: list[frozenset[int]] = []
-    by_var: dict[int, list[int]] = {}
+    by_min: dict[int, list[int]] = {}
     for row in survivors:
         rowset = frozenset(row)
-        cands = set()
-        for v in row:
-            cands.update(by_var.get(v, ()))
-        if any(kept_sets[k] <= rowset for k in cands):
+        if any(kept_sets[k] <= rowset for v in row for k in by_min.get(v, ())):
             continue
-        idx = len(kept)
+        by_min.setdefault(row[0], []).append(len(kept))
         kept.append(row)
         kept_sets.append(rowset)
-        for v in row:
-            by_var.setdefault(v, []).append(idx)
 
     # connected components over shared variables
     parent: dict[int, int] = {}
@@ -159,9 +189,7 @@ def reduce_covering(n_vars: int, rows: Sequence[tuple[int, ...]]) -> ReducedCove
         components.append(
             _Component(np.array(var_ids, dtype=np.int64), comp_rows)
         )
-    return ReducedCovering(
-        n_vars, np.array(sorted(forced), dtype=np.int64), tuple(components)
-    )
+    return ReducedCovering(n_vars, forced, tuple(components))
 
 
 def solve_reduced(
@@ -247,7 +275,7 @@ def solve(problem: LpProblem, *, max_pivots: int | None = None) -> LpSolution:
     out the best-so-far feasible point is returned with an
     ``iteration-limit`` status.
     """
-    reduced = reduce_covering(problem.n_vars, problem.rows)
+    reduced = reduce_covering(problem.n_vars, *rows_to_csr(problem.rows))
     sol = solve_reduced(reduced, problem.objective, max_pivots=max_pivots)
     if sol.status == STATUS_OPTIMAL:
         worst = _worst_residual(problem.rows, sol.x)

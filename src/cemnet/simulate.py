@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,10 @@ log = logging.getLogger("cemnet.simulate")
 
 POST = 0
 REPOST = 1
+
+
+class ConfigError(ValueError):
+    """A simulation config file with unknown keys or invalid values."""
 
 
 @dataclass
@@ -55,10 +59,21 @@ class SimConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "SimConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = cls(**raw)
-        for pair_field in ("post_rate", "repost_rate"):
-            setattr(cfg, pair_field, tuple(getattr(cfg, pair_field)))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
+        try:
+            cfg = cls(**raw)
+            for pair_field in ("post_rate", "repost_rate"):
+                setattr(cfg, pair_field, tuple(getattr(cfg, pair_field)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         return cfg
 
     def to_json(self, path: str | Path) -> None:

@@ -14,12 +14,10 @@ from __future__ import annotations
 import csv as _csv
 import io
 import logging
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -94,9 +92,6 @@ class Trace:
         except KeyError:
             raise KeyError(f"unknown pid {pid!r}") from None
 
-    def row_of(self, pid: str) -> int:
-        return self._row_of_pid[pid]
-
     def head(self, n_rows: int) -> "Trace":
         """First ``n_rows`` rows as a new trace.
 
@@ -124,16 +119,20 @@ def _parse_timestamp(token: str, mode: list[str | None], row: int) -> float:
             raise TraceFormatError(f"row {row}: negative timestamp {token!r}")
         return float(value)
     try:
-        return datetime.fromisoformat(token.replace("Z", "+00:00")).timestamp()
+        stamp = datetime.fromisoformat(token.replace("Z", "+00:00"))
     except ValueError:
         raise TraceFormatError(f"row {row}: unparsable timestamp {token!r}") from None
+    if stamp.tzinfo is None:  # naive stamps are UTC, never host local time
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
 
 
 def parse_trace(source: str | Path | IO[str], *, drop_orphans: bool = False) -> Trace:
     """Parse a ``pid,t,uid,rid`` CSV stream into a :class:`Trace`.
 
     Timestamps are non-negative integers or RFC3339 strings, auto-detected
-    from the first row and required to be homogeneous.  A rid chain that
+    from the first row and required to be homogeneous; RFC3339 strings
+    without an offset are read as UTC.  A rid chain that
     does not resolve to a post in the trace is a hard error unless
     ``drop_orphans`` is set, in which case the offending rows are dropped
     with a warning.
@@ -211,6 +210,25 @@ def resolve_root(trace: Trace, pid: str, _memo: dict[str, str] | None = None) ->
     return root
 
 
+def _root_rows(trace: Trace, parent: np.ndarray) -> np.ndarray:
+    """Row of the original post behind every row, by pointer jumping.
+
+    ``parent`` holds the row each row reshares, -1 for originals.
+    """
+    root = np.where(parent < 0, np.arange(len(parent)), parent)
+    for _ in range(max(1, len(parent)).bit_length() + 1):
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    stuck = np.flatnonzero(parent[root] >= 0)
+    if len(stuck):
+        raise TraceFormatError(
+            f"rid cycle detected at pid {trace.records[stuck[0]].pid!r}"
+        )
+    return root
+
+
 def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> list[Episode]:
     """Group reposts by resolved root into chronologically ordered episodes.
 
@@ -219,31 +237,133 @@ def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> list[Episode
     same uid keep only the earliest; reshares by the root's own author are
     ignored since the author already heads the episode.
     """
-    memo: dict[str, str] = {}
-    # root pid -> uid index -> (t, row)
-    resharers: dict[str, dict[int, tuple[float, int]]] = {}
-    for row, rec in enumerate(trace.records):
-        if rec.rid is None:
-            continue
-        root = resolve_root(trace, rec.pid, memo)
-        uid = trace.uid_index[rec.uid]
-        entry = resharers.setdefault(root, {})
-        key = (rec.t, row)
-        if uid not in entry or key < entry[uid]:
-            entry[uid] = key
+    recs, n = trace.records, len(trace.records)
+    uid = np.fromiter((trace.uid_index[r.uid] for r in recs), dtype=np.int64, count=n)
+    t = np.fromiter((r.t for r in recs), dtype=np.float64, count=n)
+    parent = np.fromiter(
+        (-1 if r.rid is None else trace._row_of_pid[r.rid] for r in recs),
+        dtype=np.int64, count=n,
+    )
+    root = _root_rows(trace, parent)
+    rows = np.flatnonzero((parent >= 0) & (uid != uid[root]))
+    # earliest (t, row) per (root, uid), then chronological within each root
+    rows = rows[np.lexsort((rows, t[rows], uid[rows], root[rows]))]
+    earliest = np.ones(len(rows), dtype=bool)
+    earliest[1:] = (root[rows[1:]] != root[rows[:-1]]) | (uid[rows[1:]] != uid[rows[:-1]])
+    rows = rows[earliest]
+    rows = rows[np.lexsort((rows, t[rows], root[rows]))]
+
+    originals = np.flatnonzero(parent < 0)
+    # original k's resharers are rows[bounds[k]:bounds[k + 1]]
+    bounds = np.append(np.searchsorted(root[rows], originals), len(rows)).tolist()
+    res_users, res_times = uid[rows].tolist(), t[rows].tolist()
     episodes: list[Episode] = []
-    for pid in trace.originals:
-        root_rec = trace.record_of(pid)
-        author = trace.uid_index[root_rec.uid]
-        entry = resharers.get(pid, {})
-        entry.pop(author, None)
-        if not entry and retweeted_only:
+    for k, row in enumerate(originals.tolist()):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi and retweeted_only:
             continue
-        ordered = sorted(entry.items(), key=lambda kv: kv[1])
-        users = (author,) + tuple(uid for uid, _ in ordered)
-        times = (root_rec.t,) + tuple(t for _, (t, _) in ordered)
-        episodes.append(Episode(pid, users, times))
+        rec = trace.records[row]
+        episodes.append(Episode(rec.pid, (int(uid[row]),) + tuple(res_users[lo:hi]),
+                                (rec.t,) + tuple(res_times[lo:hi])))
     return episodes
+
+
+# slots per block: keeps the per-slot temporaries of one pass near 1 MB
+BLOCK_SLOTS = 1 << 15
+
+
+def key_dtype(n_users: int) -> type:
+    """Dtype of the pair keys ``i * n_users + j``: int32 while they fit."""
+    return np.int32 if n_users * n_users < 2**31 else np.int64
+
+
+@dataclass(frozen=True)
+class Slots:
+    """Every episode's predecessor slots, one CSR row per (episode, resharer).
+
+    ``users``/``times`` hold the episodes back to back.  Row ``r`` is the
+    resharer at flat index ``stop[r]`` of episode ``episode_ids[r]``; its
+    slots are the users ahead of it, ``users[start[r]:stop[r]]``, the author
+    first.  Rows follow episode order, then position, exactly like the
+    covering rows, so ``row_ptr`` is the covering rows' CSR pointer.
+    """
+
+    users: np.ndarray  # (U,) int32
+    times: np.ndarray  # (U,) float64
+    start: np.ndarray  # (R,) intp, flat index of the row's author
+    stop: np.ndarray  # (R,) intp, flat index of the row's resharer
+    episode_ids: np.ndarray  # (R,) int64
+
+    @property
+    def row_len(self) -> np.ndarray:
+        return self.stop - self.start
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        ptr = np.zeros(len(self.stop) + 1, dtype=np.int64)
+        np.cumsum(self.row_len, out=ptr[1:])
+        return ptr
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The resharer's uid per row."""
+        return self.users[self.stop].astype(np.int64)
+
+    def blocks(self) -> Iterator["Slots"]:
+        """The rows in order, in runs of at most ``BLOCK_SLOTS`` slots.
+
+        A row longer than that is a block of its own; without rows there
+        is one empty block.
+        """
+        ptr = self.row_ptr
+        lo = 0
+        while True:
+            hi = int(np.searchsorted(ptr, ptr[lo] + BLOCK_SLOTS, side="right")) - 1
+            hi = min(max(hi, lo + 1), len(self.stop))
+            yield Slots(self.users, self.times, self.start[lo:hi],
+                        self.stop[lo:hi], self.episode_ids[lo:hi])
+            if hi >= len(self.stop):
+                return
+            lo = hi
+
+    def gather(self) -> np.ndarray:
+        """Flat index into ``users``/``times`` of every slot, rows back to back."""
+        lens = self.row_len
+        out = np.ones(int(lens.sum()), dtype=np.intp)
+        if len(out):
+            # each row's run starts one step after the previous row's last slot
+            out[0] = self.start[0]
+            out[np.cumsum(lens[:-1])] = self.start[1:] - self.stop[:-1] + 1
+            np.cumsum(out, out=out)
+        return out
+
+    def keys(self, n_users: int) -> np.ndarray:
+        """``src * n_users + dst`` per slot, as :func:`key_dtype` ``(n_users)``."""
+        dtype = key_dtype(n_users)
+        out = np.empty(int(self.row_len.sum()), dtype=dtype)
+        at = 0
+        for blk in self.blocks():
+            part = self.users[blk.gather()].astype(dtype, copy=False)
+            part *= n_users
+            part += np.repeat(self.users[blk.stop].astype(dtype), blk.row_len)
+            out[at:at + len(part)] = part
+            at += len(part)
+        return out
+
+
+def predecessor_slots(episodes: Sequence[Episode]) -> Slots:
+    """Flatten the episodes and index their CSR-ordered predecessor slots."""
+    lens = np.fromiter((len(ep.users) for ep in episodes), dtype=np.intp,
+                       count=len(episodes))
+    users = np.fromiter((u for ep in episodes for u in ep.users), dtype=np.int32,
+                        count=int(lens.sum()))
+    times = np.fromiter((x for ep in episodes for x in ep.times), dtype=np.float64,
+                        count=len(users))
+    ep_start = np.cumsum(lens) - lens
+    ep_of = np.repeat(np.arange(len(episodes), dtype=np.int64), lens)
+    stop = np.flatnonzero(np.arange(len(users)) != ep_start[ep_of])
+    episode_ids = ep_of[stop]
+    return Slots(users, times, ep_start[episode_ids], stop, episode_ids)
 
 
 @dataclass
@@ -251,62 +371,65 @@ class PairTable:
     """Sparse per-ordered-pair storage for the active pairs of a trace.
 
     Rows are sorted lexicographically by ``(i, j)``.  ``m`` holds the
-    episode counts; ``sigma``/``q``/``w`` are mutable slots used by the EM
-    loop and start at zero.
+    episode counts; ``sigma``/``q`` are mutable slots used by the EM loop
+    and start at zero.
     """
 
     n_users: int
     pairs: np.ndarray  # (P, 2) int32
     m: np.ndarray  # (P,) float64
-    index: dict[tuple[int, int], int] = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(default=None, repr=False)
+    q: np.ndarray = field(default=None, repr=False)
 
-    @classmethod
-    def from_counts(cls, counts: Counter, n_users: int) -> "PairTable":
-        items = sorted(counts.items())
-        pairs = np.array([ij for ij, _ in items], dtype=np.int32).reshape(-1, 2)
-        m = np.array([c for _, c in items], dtype=np.float64)
-        index = {ij: k for k, (ij, _) in enumerate(items)}
-        zeros = np.zeros(len(items), dtype=np.float64)
-        return cls(n_users, pairs, m, index, zeros.copy(), zeros.copy(), zeros.copy())
+    def __post_init__(self):
+        if self.sigma is None:
+            self.sigma = np.zeros(len(self.m))
+        if self.q is None:
+            self.q = np.zeros(len(self.m))
+        self._keys = self.pairs[:, 0].astype(np.int64) * self.n_users + self.pairs[:, 1]
 
     @property
     def n_pairs(self) -> int:
         return len(self.m)
 
+    def ids(self, src, dst) -> np.ndarray:
+        """Row of each pair ``(src, dst)`` in the table, -1 where it is absent."""
+        keys = (np.asarray(src, dtype=np.int64) * self.n_users
+                + np.asarray(dst, dtype=np.int64))
+        return self.ids_of_keys(keys)
+
+    def ids_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`ids` for keys ``src * n_users + dst``, as :meth:`Slots.keys` makes them."""
+        if not len(self._keys):
+            return np.full(np.shape(keys), -1, dtype=np.int64)
+        flat = np.ravel(keys)
+        # numpy's binary search narrows from the previous hit, so sorted
+        # queries run about twice as fast
+        order = np.argsort(flat)
+        at = np.empty(len(flat), dtype=np.intp)
+        at[order] = np.searchsorted(self._keys, flat[order])
+        np.minimum(at, len(self._keys) - 1, out=at)
+        at[self._keys[at] != flat] = -1
+        return at.reshape(np.shape(keys))
+
     def m_of(self, i: int, j: int) -> float:
-        k = self.index.get((i, j))
-        return 0.0 if k is None else float(self.m[k])
+        k = int(self.ids(i, j))
+        return 0.0 if k < 0 else float(self.m[k])
 
 
-def _pair_counter(episodes: Iterable[Episode]) -> Counter:
-    counts: Counter = Counter()
-    for ep in episodes:
-        users = ep.users
-        k = len(users)
-        for a in range(k - 1):
-            ua = users[a]
-            for b in range(a + 1, k):
-                counts[(ua, users[b])] += 1
-    return counts
-
-
-def pair_counts(
-    episodes: Sequence[Episode], n_users: int, *, n_threads: int = 1
-) -> PairTable:
+def pair_counts(episodes: Sequence[Episode], n_users: int) -> PairTable:
     """Count, per ordered user pair, the episodes where ``i`` precedes ``j``."""
-    if n_threads > 1 and len(episodes) > 1:
-        chunks = [episodes[k::n_threads] for k in range(n_threads)]
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(_pair_counter, chunks))
-        counts: Counter = Counter()
-        for part in parts:
-            counts.update(part)
-    else:
-        counts = _pair_counter(episodes)
-    return PairTable.from_counts(counts, n_users)
+    keys = predecessor_slots(episodes).keys(n_users)
+    # np.unique would sort a copy; sorting in place keeps one key array
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    del fresh
+    counts = np.diff(np.append(starts, len(keys)))
+    pairs = np.empty((len(starts), 2), dtype=np.int32)
+    pairs[:, 0], pairs[:, 1] = np.divmod(keys[starts], n_users)
+    return PairTable(n_users, pairs, counts.astype(np.float64))
 
 
 def trace_to_csv(trace: Trace, path: str | Path) -> None:

@@ -226,8 +226,7 @@ def test_c09_closed_form_fixed_points():
         m = float(rng.integers(0, 40))
         sigma = float(rng.uniform())
         pairs = np.array([[0, 1]], dtype=np.int32)
-        table = PairTable(2, pairs, np.array([m]), {(0, 1): 0},
-                          np.array([sigma]), np.zeros(1), np.zeros(1))
+        table = PairTable(2, pairs, np.array([m]), np.array([sigma]))
         params = em.ParamSet("er", alpha, beta, rho=prior_val)
         state = em.EmState(params, table, None, 2)
         got = em.update_q_er(state)[0]
@@ -242,9 +241,7 @@ def test_c09_closed_form_fixed_points():
 
     # hand-computed two-pair parameter updates
     pairs = np.array([[0, 1], [1, 0]], dtype=np.int32)
-    table = PairTable(2, pairs, np.array([2.0, 2.0]),
-                      {(0, 1): 0, (1, 0): 1},
-                      np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
+    table = PairTable(2, pairs, np.array([2.0, 2.0]), np.array([1.0, 0.0]))
     state = em.EmState(em.ParamSet("er", 0.8, 0.2, rho=0.5), table, None, 2)
     alpha, beta = em.update_alpha_beta(state, np.array([1.0, 0.0]))
     assert alpha == em.clamp(1.0) and beta == em.clamp(0.0)
@@ -290,7 +287,7 @@ def test_c11_determinism_byte_identical(tmp_path):
         ]) == 0
         assert cli_main([
             "infer", "--trace", str(d / "trace.csv"), "--prior", "sbm",
-            "--lambda", "1.0", "--seed", "7", "--threads", "1",
+            "--lambda", "1.0", "--seed", "7",
             "--out-graph", str(d / "graph.csv"),
             "--out-state", str(d / "state.json"),
         ]) == 0
@@ -298,7 +295,7 @@ def test_c11_determinism_byte_identical(tmp_path):
             "evaluate", "--inferred", str(d / "graph.csv"),
             "--truth", str(d / "truth.csv"),
             "--trace", str(d / "trace.csv"),
-            "--out", str(d / "report.json"), "--threads", "1",
+            "--out", str(d / "report.json"),
         ]) == 0
         paths[tag] = d
     for name in ("trace.csv", "truth.csv", "labels.csv", "graph.csv",

@@ -52,7 +52,7 @@ def test_saito_single_parent_in_window():
     # author at t, resharer at t + 1: the one explained trial earns full credit
     eps = [Episode("r", (0, 1), (5.0, 6.0))]
     res = bl.saito_em(eps, 2, max_iters=50)
-    k = res.table.index[(0, 1)]
+    k = res.table.ids(0, 1)
     assert res.kappa[k] == pytest.approx(1.0)
     assert res.graph.edges == {(0, 1)}
 
@@ -68,8 +68,8 @@ def test_saito_symmetric_two_parents():
     eps = [Episode(f"r{i}", (0, 1, 2), (5.0, 5.0, 6.0)) for i in range(3)]
     for iters in (1, 2, 5, 30):
         res = bl.saito_em(eps, 3, max_iters=iters, init_kappa=0.5)
-        ka = res.kappa[res.table.index[(0, 2)]]
-        kb = res.kappa[res.table.index[(1, 2)]]
+        ka = res.kappa[res.table.ids(0, 2)]
+        kb = res.kappa[res.table.ids(1, 2)]
         assert ka == kb
 
 
@@ -78,7 +78,7 @@ def test_saito_failure_opportunities_dilute():
     eps = [Episode("r0", (0, 1), (5.0, 6.0))]
     eps += [Episode(f"r{k}", (0, 2), (5.0, 6.0)) for k in range(1, 5)]
     res = bl.saito_em(eps, 3, max_iters=100)
-    k01 = res.table.index[(0, 1)]
+    k01 = res.table.ids(0, 1)
     assert res.kappa[k01] == pytest.approx(1.0 / 5.0, abs=1e-6)
     assert (0, 1) not in res.graph.edges
 
@@ -101,7 +101,7 @@ def test_newman_direct_evidence_pair():
     eps = build_episodes(t)
     res = bl.newman_em(eps, t.n_users, seed=3)
     a, b = t.uid_index["A"], t.uid_index["B"]
-    assert res.q[res.table.index[(a, b)]] > 0.5
+    assert res.q[res.table.ids(a, b)] > 0.5
     assert (a, b) in res.graph.edges
 
 
@@ -119,9 +119,9 @@ def test_newman_no_direct_evidence_pair():
     eps = build_episodes(t)
     res = bl.newman_em(eps, t.n_users, seed=3)
     i, j = t.uid_index["I"], t.uid_index["J"]
-    direct = res.direct[res.table.index[(i, j)]]
+    direct = res.direct[res.table.ids(i, j)]
     assert direct == 0.0
-    assert res.q[res.table.index[(i, j)]] < 0.5
+    assert res.q[res.table.ids(i, j)] < 0.5
     a = t.uid_index["A"]
     assert (a, i) in res.graph.edges
 
@@ -146,3 +146,21 @@ def test_baselines_on_synthetic_trace():
     assert saito.graph.n_edges <= 0.05 * out.truth_graph.n_edges
     newman = bl.newman_em(eps, out.trace.n_users, seed=1)
     assert check_feasibility(newman.graph, eps).fraction < 0.90
+
+
+def test_slot_blocks_do_not_change_baselines(monkeypatch):
+    from cemnet import trace as trace_mod
+
+    tr = simulate(SimConfig(n_users=30, n_blocks=2, n_events=4000, seed=2)).trace
+    eps = build_episodes(tr)
+
+    def run():
+        saito = bl.saito_em(eps, tr.n_users, seed=1)
+        newman = bl.newman_em(eps, tr.n_users, seed=1)
+        return saito.kappa, saito.graph.edges, newman.direct, newman.q, newman.graph.edges
+
+    whole = run()
+    monkeypatch.setattr(trace_mod, "BLOCK_SLOTS", 5)
+    split = run()
+    for a, b in zip(whole, split):
+        assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b

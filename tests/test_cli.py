@@ -34,7 +34,7 @@ def test_simulate_outputs_and_manifest(workdir):
 def test_infer_roundtrip_and_determinism(workdir):
     args = [
         "infer", "--trace", str(workdir / "trace.csv"), "--prior", "sbm",
-        "--lambda", "1.0", "--seed", "7", "--threads", "1",
+        "--lambda", "1.0", "--seed", "7",
         "--out-state", str(workdir / "state.json"),
         "--out-scores", str(workdir / "scores.csv"),
     ]
@@ -54,7 +54,7 @@ def test_baseline_methods(workdir):
         rc = main([
             "baseline", "--method", method,
             "--trace", str(workdir / "trace.csv"),
-            "--out-graph", str(out), "--threads", "1",
+            "--out-graph", str(out),
         ])
         assert rc == 0
         assert out.exists()
@@ -68,7 +68,7 @@ def test_evaluate_report(workdir):
         "--scores", str(workdir / "scores.csv"),
         "--trace", str(workdir / "trace.csv"),
         "--truth-labels", str(workdir / "labels.csv"),
-        "--out", str(workdir / "report.json"), "--threads", "1",
+        "--out", str(workdir / "report.json"),
     ])
     assert rc == 0
     report = json.loads((workdir / "report.json").read_text())
@@ -84,7 +84,7 @@ def test_evaluate_report(workdir):
         "--scores", str(workdir / "scores.csv"),
         "--trace", str(workdir / "trace.csv"),
         "--truth-labels", str(workdir / "labels.csv"),
-        "--out", str(workdir / "report2.json"), "--threads", "1",
+        "--out", str(workdir / "report2.json"),
     ])
     assert (workdir / "report2.json").read_bytes() == first
 
@@ -98,8 +98,9 @@ def test_evaluate_names_offending_uid(workdir, capsys):
         "--trace", str(workdir / "trace.csv"),
         "--out", str(workdir / "never.json"),
     ])
-    assert rc == 1
-    assert "ghost" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ghost" in err and str(bad) in err and "row 2" in err
 
 
 def test_missing_file_is_usage_error(workdir, capsys):
@@ -139,7 +140,7 @@ def test_malformed_labels_is_usage_error(workdir, tmp_path, capsys, row):
         "--truth", str(workdir / "truth.csv"),
         "--trace", str(workdir / "trace.csv"),
         "--truth-labels", str(bad),
-        "--out", str(tmp_path / "x.json"), "--threads", "1",
+        "--out", str(tmp_path / "x.json"),
     ])
     assert rc == 2
     err = capsys.readouterr().err
@@ -170,7 +171,7 @@ def test_dump_lp_flag(workdir):
         "infer", "--trace", str(workdir / "trace.csv"), "--prior", "er",
         "--seed", "3", "--max-iters", "2",
         "--dump-lp", str(workdir / "problem.lp"),
-        "--out-graph", str(workdir / "g3.csv"), "--threads", "1",
+        "--out-graph", str(workdir / "g3.csv"),
     ])
     assert rc == 0
     assert "Maximize" in (workdir / "problem.lp").read_text()[:200]
@@ -183,3 +184,18 @@ def test_version_exits_zero():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_simulate_unknown_config_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"n_user": 5}\n')
+    rc = main([
+        "simulate", "--config", str(config),
+        "--out-trace", str(tmp_path / "t.csv"),
+        "--out-truth", str(tmp_path / "g.csv"),
+        "--out-labels", str(tmp_path / "l.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n_user" in err and str(config) in err
+    assert not (tmp_path / "t.csv").exists()

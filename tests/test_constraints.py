@@ -1,5 +1,9 @@
-import numpy as np
+from collections import Counter
 
+import numpy as np
+import pytest
+
+from cemnet import trace as trace_mod
 from cemnet.constraints import build_constraints, check_feasibility
 from cemnet.graph import InferredGraph
 from cemnet.trace import Episode, build_episodes, pair_counts
@@ -36,7 +40,7 @@ def test_constraints_two_user_episode():
     table = pair_counts(eps, 2)
     system = build_constraints(eps, table)
     assert len(system) == 1
-    assert system.constraints[0].pair_ids == (table.index[(0, 1)],)
+    assert system.constraints[0].pair_ids == (table.ids(0, 1),)
 
 
 def test_constraints_sizes_by_position():
@@ -152,14 +156,57 @@ def test_empty_episode_list_is_vacuously_feasible():
     assert rep.fraction == 1.0
 
 
-def test_check_feasibility_threaded_matches(rng):
-    eps = random_episodes(rng, n_episodes=40)
-    edges = [
-        (i, j) for i in range(8) for j in range(8)
-        if i != j and rng.uniform() < 0.2
-    ]
-    graph = InferredGraph(8, edges)
-    serial = check_feasibility(graph, eps, n_threads=1)
-    threaded = check_feasibility(graph, eps, n_threads=4)
-    assert serial.per_episode == threaded.per_episode
-    assert serial.fraction == threaded.fraction
+
+def _reference_counts_and_rows(episodes):
+    """Tuple/Counter pair counts and covering rows, pair by pair."""
+    counts = Counter()
+    for ep in episodes:
+        for a in range(len(ep.users)):
+            for b in range(a + 1, len(ep.users)):
+                counts[(ep.users[a], ep.users[b])] += 1
+    ordered = sorted(counts)
+    index = {ij: k for k, ij in enumerate(ordered)}
+    rows = [(e, ep.users[b], tuple(index[(ep.users[a], ep.users[b])] for a in range(b)))
+            for e, ep in enumerate(episodes) for b in range(1, len(ep.users))]
+    return ordered, [counts[ij] for ij in ordered], rows
+
+
+def _mixed_episodes(rng, n_users, n_episodes):
+    """Random episodes of length 1 to 7, so length-1 and length-2 ones occur.
+
+    Users come from a pool of 10 that includes the largest uid, so pairs
+    repeat across episodes and the largest keys occur.
+    """
+    pool = np.unique(np.append(rng.choice(n_users, size=9, replace=False), n_users - 1))
+    out = []
+    for e in range(n_episodes):
+        k = int(rng.integers(1, 8))
+        users = rng.choice(pool, size=k, replace=False)
+        out.append(Episode(f"r{e}", tuple(int(u) for u in users),
+                           tuple(float(x) for x in range(k))))
+    return out
+
+
+@pytest.mark.parametrize("block_slots", [None, 4])
+@pytest.mark.parametrize("n_users", [10, 40, 50_000])
+def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_slots):
+    """50_000 users push the pair keys past int32 (the int64 branch); four
+    slots per block split rows across blocks and leave long rows alone."""
+    if block_slots is not None:
+        monkeypatch.setattr(trace_mod, "BLOCK_SLOTS", block_slots)
+    for _ in range(10):
+        eps = _mixed_episodes(rng, n_users, int(rng.integers(0, 30)))
+        pairs, m, rows = _reference_counts_and_rows(eps)
+        table = pair_counts(eps, n_users)
+        assert table.pairs.dtype == np.int32 and table.pairs.shape == (len(pairs), 2)
+        assert [tuple(p) for p in table.pairs.tolist()] == pairs
+        assert table.m.tolist() == m
+        system = build_constraints(eps, table)
+        assert len(system) == len(rows)
+        assert [(c.episode_id, c.target_user, c.pair_ids)
+                for c in system.constraints] == rows
+        assert system.rows() == [r for _, _, r in rows]
+        if pairs:
+            src, dst = np.array(pairs).T
+            assert table.ids(src, dst).tolist() == list(range(len(pairs)))
+            assert table.ids(dst[:1] + n_users, src[:1]).tolist() == [-1]

@@ -15,11 +15,8 @@ def make_state(pairs, m, sigma, *, prior="er", alpha=0.8, beta=0.2,
     pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
     n = n_users or int(pairs.max()) + 1 if len(pairs) else (n_users or 2)
     zeros = np.zeros(len(pairs))
-    table = PairTable(
-        n, pairs, np.array(m, dtype=float),
-        {tuple(p): k for k, p in enumerate(pairs.tolist())},
-        np.array(sigma, dtype=float), zeros.copy(), zeros.copy(),
-    )
+    table = PairTable(n, pairs, np.array(m, dtype=float),
+                      np.array(sigma, dtype=float), zeros.copy())
     params = em.ParamSet(prior=prior, alpha=alpha, beta=beta, rho=rho,
                          p_in=p_in, q_out=q_out, lam=lam, beta_fixed=beta_fixed)
     groups = None if groups is None else np.asarray(groups)

@@ -1,15 +1,18 @@
-"""Pinned output digests for Louvain and CEM-sbm.
+"""Pinned output digests for Louvain, CEM-sbm and preprocessing.
 
-The digests were recorded from the dict-of-dicts Louvain and the loop
-``threshold_graph`` that preceded the array versions.  Any change to labels,
-modularity bits, edges or scores fails here, so a rewrite of either function
-must reproduce the old outputs byte for byte, not merely as well.
+The Louvain and CEM digests were recorded from the dict-of-dicts Louvain and
+the loop ``threshold_graph`` that preceded the array versions; the
+preprocessing digests from the tuple/Counter/dict code that preceded the CSR
+arrays.  Any change to labels, modularity bits, edges, scores, episodes,
+pair counts, covering rows or their reduction fails here, so a rewrite must
+reproduce the old outputs byte for byte, not merely as well.
 """
 
 import hashlib
 
 import numpy as np
 
+from cemnet import baselines
 from cemnet import community as cm
 from cemnet import em
 from cemnet.simulate import SimConfig, simulate
@@ -124,3 +127,98 @@ def test_louvain_matches_recorded_digests():
 
 def test_run_cem_sbm_matches_recorded_digest(t1):
     assert cem_digests(t1) == CEM_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# preprocessing and the baselines that share it: episodes, the pair table,
+# the covering rows in order, the reduced covering, and the Saito kappa and
+# Newman q bits
+
+
+def _preprocess_traces(t1):
+    small = simulate(SimConfig(n_users=40, n_blocks=3, n_events=6000, seed=5)).trace
+    default = simulate(SimConfig()).trace.head(20_000)
+    # sparse and wide: the covering reduction leaves dozens of components
+    wide = simulate(SimConfig(n_users=150, n_blocks=3, p_intra=0.03, q_inter=0.004,
+                              n_events=20_000, seed=3)).trace
+    return {"t1": t1, "sim40": small, "default20k": default, "wide150": wide}
+
+
+def _episodes_digest(episodes) -> str:
+    h = hashlib.sha256()
+    for ep in episodes:
+        h.update(ep.root_pid.encode() + b"\0")
+        h.update(np.array(ep.users, dtype=np.int64).tobytes())
+        h.update(np.array(ep.times, dtype=np.float64).tobytes())
+    return h.hexdigest()[:32]
+
+
+def _covering_digest(system) -> str:
+    rows = system.rows()
+    row_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    flat = np.array([v for r in rows for v in r], dtype=np.int64)
+    meta = np.array([(c.episode_id, c.target_user) for c in system.constraints],
+                    dtype=np.int64).reshape(-1, 2)
+    return _sha(row_ptr, flat, meta, np.int64(system.n_vars))
+
+
+def _reduced_digest(reduced) -> str:
+    h = hashlib.sha256()
+    h.update(np.int64(reduced.n_vars).tobytes())
+    h.update(np.asarray(reduced.forced_ones, dtype=np.int64).tobytes())
+    for comp in reduced.components:
+        h.update(b"|" + np.asarray(comp.var_ids, dtype=np.int64).tobytes())
+        for row in comp.rows:
+            h.update(b";" + np.array(row, dtype=np.int64).tobytes())
+    return h.hexdigest()[:32]
+
+
+def preprocess_digests(t1) -> dict[str, str]:
+    out = {}
+    for name, tr in _preprocess_traces(t1).items():
+        prep = em.preprocess(tr)
+        n = prep.n_users
+        out[f"{name}:episodes"] = _episodes_digest(prep.episodes)
+        out[f"{name}:table"] = _sha(prep.table.pairs.astype(np.int64), prep.table.m)
+        out[f"{name}:covering"] = _covering_digest(prep.constraints)
+        out[f"{name}:reduced"] = _reduced_digest(prep.reduced)
+        saito = baselines.saito_em(prep.episodes, n, seed=7)
+        out[f"{name}:saito"] = _sha(saito.kappa, np.int64(saito.iterations))
+        newman = baselines.newman_em(prep.episodes, n, seed=7)
+        out[f"{name}:newman"] = _sha(
+            newman.q, newman.direct,
+            np.array([newman.alpha, newman.beta, newman.rho]),
+            np.int64(newman.iterations))
+    return out
+
+
+PREPROCESS_GOLDEN = {
+    "t1:episodes": "fe6a4f39cde9d75a41544dd29d2febd7",
+    "t1:table": "54fc7e3362ca14fee0fcacb7f499aafd",
+    "t1:covering": "82cb3f8665d3c72b8c4a36898e76c133",
+    "t1:reduced": "d710b27d1694dc7ebd90a6d535ec934f",
+    "t1:saito": "0f0dfb1d45a07dcb7a9a664552d06322",
+    "t1:newman": "ebddd4bd159ca51473d839be2a405b0d",
+    "sim40:episodes": "62e3cf4546a025f80a56d3d3c0fb9a1a",
+    "sim40:table": "5587ec7ca8e608a27656fd5ba13c531e",
+    "sim40:covering": "6a55ca0f4a63387ecb90f348820bd07f",
+    "sim40:reduced": "c253404158e0e86796be694ea4138128",
+    "sim40:saito": "98aeaa38f204dc8fc373e5c472e76093",
+    "sim40:newman": "dde6723a1da7775beb4e9dcf68b58a6d",
+    "default20k:episodes": "7e8e2e4f5c13b6807c316294aaa43f16",
+    "default20k:table": "29c6c6dd9df4040cedc63a32c9b4d304",
+    "default20k:covering": "b38cafce9cd6e6457c85d7d14b69d59e",
+    "default20k:reduced": "a3eb16ea946596a373be7b95dd5e692f",
+    "default20k:saito": "3d07b41fde0d45d34b6b594d8661081a",
+    "default20k:newman": "ea62cfa89ff48b4acc30251bfe4612e2",
+    "wide150:episodes": "ecaf37fd048f38cf8f76d91038cc37b0",
+    "wide150:table": "d1c53118c3b641988183444a90b2c71e",
+    "wide150:covering": "d3ebd995219dce4050ae2d8e55ea8b58",
+    "wide150:reduced": "54092869d3719856f94bae0c8d964e91",
+    "wide150:saito": "0e6fd3873bcaba89627539f15c16b416",
+    "wide150:newman": "fdf05b96dda433355bf9db6eb17cf7da",
+}
+
+
+def test_preprocessing_matches_recorded_digests(t1):
+    assert preprocess_digests(t1) == PREPROCESS_GOLDEN

@@ -147,7 +147,7 @@ def test_iteration_limit_returns_feasible_point():
 
 def test_structural_reduction_reuse(rng):
     problem = _random_instance(rng)
-    reduced = lp.reduce_covering(problem.n_vars, problem.rows)
+    reduced = lp.reduce_covering(problem.n_vars, *lp.rows_to_csr(problem.rows))
     for _ in range(5):
         c = rng.uniform(-3, 3, size=problem.n_vars)
         a = lp.solve_reduced(reduced, c)
@@ -168,3 +168,44 @@ def test_dump_problem(tmp_path):
     lp.dump_problem(problem, path)
     text = path.read_text()
     assert "Maximize" in text and "x0 + x1 >= 1" in text and "Bounds" in text
+
+
+def _reference_reduce(n_vars, rows):
+    """The reduction on tuple rows, one row at a time."""
+    forced = {row[0] for row in rows if len(row) == 1}
+    survivors = sorted({tuple(sorted(set(r))) for r in rows if not forced & set(r)},
+                       key=lambda r: (len(r), r))
+    kept = []
+    for row in survivors:
+        if not any(set(k) <= set(row) for k in kept):
+            kept.append(row)
+    comps = []  # [vars, row ids] merged whenever a row touches them
+    for ridx, row in enumerate(kept):
+        hit = [c for c in comps if c[0] & set(row)]
+        merged = [set(row), [ridx]]
+        for c in hit:
+            merged[0] |= c[0]
+            merged[1] += c[1]
+            comps.remove(c)
+        comps.append(merged)
+    out = []
+    for var_set, row_ids in sorted(comps, key=lambda c: min(c[0])):
+        var_ids = sorted(var_set)
+        local = {v: i for i, v in enumerate(var_ids)}
+        out.append((var_ids, [tuple(local[v] for v in kept[k]) for k in sorted(row_ids)]))
+    return sorted(forced), out
+
+
+def test_reduce_covering_matches_reference(rng):
+    """Singletons, repeated rows, repeated variables within a row, supersets."""
+    for _ in range(200):
+        n = int(rng.integers(1, 14))
+        rows = [tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, 5))))
+                for _ in range(int(rng.integers(0, 3 * n)))]
+        rows += [rows[k] for k in rng.integers(0, len(rows), size=len(rows) // 3)] if rows else []
+        reduced = lp.reduce_covering(n, *lp.rows_to_csr(rows))
+        forced, comps = _reference_reduce(n, rows)
+        assert reduced.n_vars == n
+        assert reduced.forced_ones.dtype == np.int64
+        assert reduced.forced_ones.tolist() == forced
+        assert [(c.var_ids.tolist(), list(c.rows)) for c in reduced.components] == comps

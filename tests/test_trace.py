@@ -184,14 +184,6 @@ def test_pair_counts_order_insensitive(rng):
     assert np.array_equal(t_fwd.m, t_rev.m)
 
 
-def test_pair_counts_threaded_matches(rng):
-    eps = random_episodes(rng, n_episodes=40)
-    one = pair_counts(eps, 8, n_threads=1)
-    four = pair_counts(eps, 8, n_threads=4)
-    assert np.array_equal(one.pairs, four.pairs)
-    assert np.array_equal(one.m, four.m)
-
-
 def test_episode_is_permutation_with_author_first(t1):
     for ep in build_episodes(t1):
         assert len(set(ep.users)) == len(ep.users)
@@ -203,3 +195,71 @@ def test_head_prefix(t1):
     h = t1.head(2)
     assert len(h.records) == 2
     assert t1.head(100) is t1
+
+
+def test_build_episodes_cycle_detected():
+    records = [
+        TraceRecord("p0", 0.0, "u0", None),
+        TraceRecord("a", 1.0, "u1", "b"),
+        TraceRecord("b", 2.0, "u2", "a"),
+    ]
+    with pytest.raises(TraceFormatError, match="cycle"):
+        build_episodes(Trace(records))
+
+
+def _reference_episodes(trace, retweeted_only=True):
+    """Per-row dict grouping over resolve_root, the definition of an episode."""
+    memo: dict = {}
+    resharers: dict = {}
+    for row, rec in enumerate(trace.records):
+        if rec.rid is None:
+            continue
+        entry = resharers.setdefault(resolve_root(trace, rec.pid, memo), {})
+        uid, key = trace.uid_index[rec.uid], (rec.t, row)
+        if uid not in entry or key < entry[uid]:
+            entry[uid] = key
+    out = []
+    for pid in trace.originals:
+        root = trace.record_of(pid)
+        author = trace.uid_index[root.uid]
+        entry = resharers.get(pid, {})
+        entry.pop(author, None)
+        if not entry and retweeted_only:
+            continue
+        ordered = sorted(entry.items(), key=lambda kv: kv[1])
+        out.append(Episode(pid, (author,) + tuple(u for u, _ in ordered),
+                           (root.t,) + tuple(t for _, (t, _) in ordered)))
+    return out
+
+
+@pytest.mark.parametrize("retweeted_only", [True, False])
+def test_build_episodes_matches_reference(rng, retweeted_only):
+    """Random forests of reshare chains with tied times, repeat and author reshares."""
+    for _ in range(30):
+        n_rows = int(rng.integers(1, 120))
+        records = []
+        for row in range(n_rows):
+            t = float(rng.integers(0, n_rows // 3 + 1))  # unordered, with ties
+            uid = f"u{int(rng.integers(0, 9))}"
+            rid = None if row == 0 or rng.uniform() < 0.2 else \
+                f"p{int(rng.integers(0, row))}"
+            records.append(TraceRecord(f"p{row}", t, uid, rid))
+        trace = Trace(records)
+        assert build_episodes(trace, retweeted_only=retweeted_only) == \
+            _reference_episodes(trace, retweeted_only)
+
+
+def test_naive_rfc3339_is_utc_under_any_host_timezone(monkeypatch):
+    import time
+
+    if not hasattr(time, "tzset"):
+        pytest.skip("time.tzset is POSIX only")
+    text = "pid,t,uid,rid\nP1,2024-01-01T00:00:00,U1,-1\nP2,2024-01-01T00:00:30Z,U2,P1\n"
+    seen = []
+    for tz in ("UTC", "Asia/Tokyo", "America/New_York"):
+        monkeypatch.setenv("TZ", tz)
+        time.tzset()
+        seen.append([r.t for r in trace_from_string(text).records])
+    monkeypatch.undo()
+    time.tzset()
+    assert seen == [[1704067200.0, 1704067230.0]] * 3
