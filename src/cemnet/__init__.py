@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .constraints import (  # noqa: F401
     ConstraintSystem,
-    FeasibilityConstraint,
     FeasibilityReport,
     build_constraints,
     check_feasibility,

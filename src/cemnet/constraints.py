@@ -20,13 +20,6 @@ from .graph import InferredGraph
 from .trace import Episode, PairTable, predecessor_slots
 
 
-@dataclass(frozen=True)
-class FeasibilityConstraint:
-    episode_id: int
-    target_user: int
-    pair_ids: tuple[int, ...]  # indices into the PairTable, all with target_user as dst
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """Covering rows in CSR form: row ``r`` is ``pair_ids[row_ptr[r]:row_ptr[r + 1]]``.
@@ -43,19 +36,6 @@ class ConstraintSystem:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def rows(self) -> list[tuple[int, ...]]:
-        flat = self.pair_ids.tolist()
-        ptr = self.row_ptr.tolist()
-        return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
-
-    @property
-    def constraints(self) -> tuple[FeasibilityConstraint, ...]:
-        return tuple(
-            FeasibilityConstraint(e, j, row)
-            for e, j, row in zip(self.episode_ids.tolist(), self.targets.tolist(),
-                                 self.rows())
-        )
 
 
 def build_constraints(

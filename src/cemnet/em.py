@@ -446,9 +446,8 @@ def run_cem(
         # LP objective uses the previous iteration's utilization rates
         _, coeffs = build_w(state, q_new)
         if dump_lp_path and it == 1:
-            lp.dump_problem(
-                lp.LpProblem(coeffs, tuple(prep.constraints.rows())), dump_lp_path
-            )
+            lp.dump_problem(coeffs, prep.constraints.row_ptr,
+                            prep.constraints.pair_ids, dump_lp_path)
         sol = lp.solve_reduced(prep.reduced, coeffs)
         if sol.status != lp.STATUS_OPTIMAL:
             raise RuntimeError(f"sigma LP failed with status {sol.status!r}")

@@ -6,9 +6,11 @@ coefficients are +1, which permits an exactness-preserving reduction before
 pivoting: variables with positive objective go to their upper bound,
 singleton rows force their variable to one, duplicate and superset rows are
 redundant, and the remainder splits into independent components (rows never
-share variables across reshare targets).  Each component is solved with a
-primal revised simplex on the bounded variables, Dantzig pricing with a
-Bland fallback, warm-started from a greedy cover.
+share variables across reshare targets), each held as a dense bool incidence
+matrix.  Per objective, every component's open rows and free columns are
+solved with a primal revised simplex on the bounded variables, Dantzig
+pricing with a Bland fallback, warm-started from a greedy cover; the result
+must cover every component row to within ``FEAS_TOL``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -33,31 +34,7 @@ GHOST_TOL = 1e-8
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
-STATUS_INFEASIBLE = "infeasible"  # unreachable for covering rows (x = 1 covers)
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """maximize ``objective @ x`` s.t. per-row ``sum x >= 1`` and ``0 <= x <= 1``."""
-
-    objective: np.ndarray
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "objective", np.asarray(self.objective, dtype=np.float64)
-        )
-        n = self.n_vars
-        for r, row in enumerate(self.rows):
-            if len(row) == 0:
-                raise ValueError(f"row {r} has no variables")
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValueError(f"row {r}: variable {v} out of range")
-
-    @property
-    def n_vars(self) -> int:
-        return int(self.objective.shape[0])
+STATUS_INFEASIBLE = "infeasible"  # a row left short of one: numerical failure
 
 
 @dataclass(frozen=True)
@@ -68,21 +45,6 @@ class LpSolution:
     n_pivots: int = 0
 
 
-def greedy_cover_warm_start(problem: LpProblem) -> np.ndarray:
-    """Feasible binary point: per unsatisfied row pick its best-coefficient member."""
-    x = np.zeros(problem.n_vars, dtype=np.float64)
-    c = problem.objective
-    for row in problem.rows:
-        if any(x[v] > 0.5 for v in row):
-            continue
-        best = row[0]
-        for v in row[1:]:
-            if c[v] > c[best]:
-                best = v
-        x[best] = 1.0
-    return x
-
-
 # ---------------------------------------------------------------------------
 # objective-independent structural reduction (reusable across EM iterations)
 
@@ -90,7 +52,7 @@ def greedy_cover_warm_start(problem: LpProblem) -> np.ndarray:
 @dataclass(frozen=True)
 class _Component:
     var_ids: np.ndarray  # global variable ids, ascending
-    rows: tuple[tuple[int, ...], ...]  # local variable indices
+    rows: np.ndarray  # bool incidence, kept rows x len(var_ids), read-only
 
 
 @dataclass(frozen=True)
@@ -100,16 +62,6 @@ class ReducedCovering:
     components: tuple[_Component, ...]
 
 
-def rows_to_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(row_ptr, cols)`` of tuple rows: row ``r`` is ``cols[row_ptr[r]:row_ptr[r + 1]]``."""
-    lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
-    row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lens, out=row_ptr[1:])
-    cols = np.fromiter((v for r in rows for v in r), dtype=np.int64,
-                       count=int(row_ptr[-1]))
-    return row_ptr, cols
-
-
 def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> ReducedCovering:
     """Objective-independent reduction of the CSR covering rows ``(row_ptr, cols)``."""
     row_ptr = np.asarray(row_ptr, dtype=np.int64)
@@ -117,6 +69,8 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> Reduc
     lens = np.diff(row_ptr)
     if np.any(lens < 1):
         raise ValueError("covering rows must not be empty")
+    if len(cols) and (cols.min() < 0 or cols.max() >= n_vars):
+        raise ValueError(f"variable id out of range 0..{n_vars - 1}")
     forced = np.unique(cols[row_ptr[:-1][lens == 1]]).astype(np.int64)
 
     # rows touching a forced variable are already covered
@@ -180,15 +134,13 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> Reduc
 
     components = []
     for root in sorted(groups, key=lambda r: min(min(kept[k]) for k in groups[r])):
-        row_ids = groups[root]
-        var_ids = sorted({v for k in row_ids for v in kept[k]})
-        local = {v: i for i, v in enumerate(var_ids)}
-        comp_rows = tuple(
-            tuple(local[v] for v in kept[k]) for k in sorted(row_ids)
-        )
-        components.append(
-            _Component(np.array(var_ids, dtype=np.int64), comp_rows)
-        )
+        row_ids = sorted(groups[root])
+        var_ids = np.array(sorted({v for k in row_ids for v in kept[k]}), dtype=np.int64)
+        rows = np.zeros((len(row_ids), len(var_ids)), dtype=bool)
+        for r, k in enumerate(row_ids):
+            rows[r, np.searchsorted(var_ids, kept[k])] = True
+        rows.flags.writeable = False
+        components.append(_Component(var_ids, rows))
     return ReducedCovering(n_vars, forced, tuple(components))
 
 
@@ -198,7 +150,13 @@ def solve_reduced(
     *,
     max_pivots: int | None = None,
 ) -> LpSolution:
-    """Solve a structurally reduced covering LP for one objective vector."""
+    """Optimal basic solution of a reduced covering LP for one objective vector.
+
+    Deterministic under the fixed pivot rule.  When the pivot budget runs
+    out, the best-so-far feasible point comes back with an
+    ``iteration-limit`` status; a solution that leaves a row short of one
+    comes back ``infeasible``.
+    """
     c = np.asarray(objective, dtype=np.float64)
     x = np.zeros(reduced.n_vars, dtype=np.float64)
     x[c > 0.0] = 1.0
@@ -208,51 +166,32 @@ def solve_reduced(
     status = STATUS_OPTIMAL
     pivots = 0
     for comp in reduced.components:
-        covered = [any(x[comp.var_ids[v]] > 0.5 for v in row) for row in comp.rows]
-        rows = [row for row, done in zip(comp.rows, covered) if not done]
-        if not rows:
+        free = x[comp.var_ids] < 0.5
+        open_rows = ~comp.rows[:, ~free].any(axis=1)
+        if not open_rows.any():
             continue
-        free_mask = x[comp.var_ids] < 0.5
-        free_local = np.flatnonzero(free_mask)
-        remap = {int(v): i for i, v in enumerate(free_local)}
-        local_rows = [tuple(remap[v] for v in row) for row in rows]
-        local_c = c[comp.var_ids[free_local]]
-
+        R = comp.rows[np.ix_(open_rows, free)]
+        local_c = c[comp.var_ids[free]]
         # variables with identical row support are interchangeable: keep the
-        # best-coefficient representative (exactness-preserving, and exact
-        # duplicate columns would make simplex bases singular)
-        support: dict[tuple[int, ...], int] = {}
-        member_rows: dict[int, list[int]] = {}
-        for r, row in enumerate(local_rows):
-            for v in row:
-                member_rows.setdefault(v, []).append(r)
-        keep = np.zeros(len(local_c), dtype=bool)
-        for v in range(len(local_c)):
-            if v not in member_rows:
-                continue  # cost <= 0 and unconstrained: stays at zero
-            key = tuple(member_rows[v])
-            known = support.get(key)
-            if known is None or local_c[v] > local_c[known]:
-                support[key] = v
-        for v in support.values():
-            keep[v] = True
-        kept_ids = np.flatnonzero(keep)
-        remap2 = {int(v): i for i, v in enumerate(kept_ids)}
-        solver_rows = [
-            tuple(sorted(remap2[v] for v in row if keep[v])) for row in local_rows
-        ]
-        solver_c = local_c[kept_ids]
+        # first best-coefficient one (exactness-preserving, and duplicate
+        # columns would make simplex bases singular); variables in no open
+        # row have cost <= 0 and stay at zero
+        order = np.lexsort((-local_c, *R))
+        grouped = R[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+        keep = order[first & grouped.any(axis=0)]
+        keep.sort()
+        R, solver_c = R[:, keep], local_c[keep]
 
-        x0 = _greedy_local(solver_rows, solver_c)
+        x0 = _greedy_local(R, solver_c)
         try:
-            xs, st, piv = _simplex_bounded(solver_rows, solver_c, x0, max_pivots)
+            xs, st, piv = _simplex_bounded(R, solver_c, x0, max_pivots)
         except _NumericalTrouble as trouble:
             # restart conservatively with aggressive refactorization
             log.warning("restarting simplex in safe mode (%s)", trouble)
             try:
-                xs, st, piv = _simplex_bounded(
-                    solver_rows, solver_c, x0, max_pivots, safe=True
-                )
+                xs, st, piv = _simplex_bounded(R, solver_c, x0, max_pivots, safe=True)
             except _NumericalTrouble:
                 # degrade honestly: the greedy cover is feasible
                 log.error("simplex failed twice; returning the greedy cover")
@@ -260,50 +199,27 @@ def solve_reduced(
         pivots += piv
         if st != STATUS_OPTIMAL:
             status = st
-        full = np.zeros(len(local_c))
-        full[kept_ids] = xs
-        x[comp.var_ids[free_local]] = full
+        local_x = np.zeros(len(local_c))
+        local_x[keep] = xs
+        x[comp.var_ids[free]] = local_x
 
     np.clip(x, 0.0, 1.0, out=x)
+    worst = max((1.0 - float((comp.rows @ x[comp.var_ids]).min())
+                 for comp in reduced.components), default=0.0)
+    if worst > FEAS_TOL:
+        log.error("covering residual %.3e exceeds tolerance", worst)
+        status = STATUS_INFEASIBLE
     return LpSolution(x, float(np.dot(c, x)), status, pivots)
 
 
-def solve(problem: LpProblem, *, max_pivots: int | None = None) -> LpSolution:
-    """Optimal basic solution of the covering LP.
-
-    Deterministic under the fixed pivot rule; when the pivot budget runs
-    out the best-so-far feasible point is returned with an
-    ``iteration-limit`` status.
-    """
-    reduced = reduce_covering(problem.n_vars, *rows_to_csr(problem.rows))
-    sol = solve_reduced(reduced, problem.objective, max_pivots=max_pivots)
-    if sol.status == STATUS_OPTIMAL:
-        worst = _worst_residual(problem.rows, sol.x)
-        if worst > FEAS_TOL:
-            log.error("covering residual %.3e exceeds tolerance", worst)
-            sol = LpSolution(sol.x, sol.objective, STATUS_INFEASIBLE, sol.n_pivots)
-    return sol
-
-
-def _worst_residual(rows: Sequence[tuple[int, ...]], x: np.ndarray) -> float:
-    worst = 0.0
-    for row in rows:
-        slack = 1.0 - sum(x[v] for v in row)
-        if slack > worst:
-            worst = slack
-    return worst
-
-
-def _greedy_local(rows: list[tuple[int, ...]], c: np.ndarray) -> np.ndarray:
+def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Binary cover of the bool rows ``R``: each row not yet covered takes its
+    best-coefficient variable, the lowest index on ties."""
     x = np.zeros(len(c), dtype=np.float64)
-    for row in rows:
-        if any(x[v] > 0.5 for v in row):
-            continue
-        best = row[0]
-        for v in row[1:]:
-            if c[v] > c[best]:
-                best = v
-        x[best] = 1.0
+    for row in R:
+        if not (x[row] > 0.5).any():
+            members = np.flatnonzero(row)
+            x[members[np.argmax(c[members])]] = 1.0
     return x
 
 
@@ -316,13 +232,15 @@ class _NumericalTrouble(RuntimeError):
 
 
 def _simplex_bounded(
-    rows: list[tuple[int, ...]],
+    R: np.ndarray,
     c: np.ndarray,
     x0: np.ndarray,
     max_pivots: int | None,
     safe: bool = False,
 ) -> tuple[np.ndarray, str, int]:
     """maximize c@x s.t. R x - s = 1, 0 <= x <= 1, s >= 0, warm-started at x0.
+
+    ``R`` is the bool incidence of the open rows over the kept columns.
 
     The surplus columns form the initial basis (B = -I), so the binary warm
     start is immediately basic-feasible.  Entering columns are priced with
@@ -333,10 +251,8 @@ def _simplex_bounded(
     degenerate covering instances; ``safe`` mode additionally refactorizes
     aggressively and demands bigger pivots.
     """
-    m, n = len(rows), len(c)
-    R = np.zeros((m, n), dtype=np.float64)
-    for r, row in enumerate(rows):
-        R[r, list(row)] = 1.0
+    R = R.astype(np.float64)
+    m, n = R.shape
 
     ncol = n + m
     cost = np.concatenate([c, np.zeros(m)])
@@ -483,20 +399,23 @@ def _refactorize(R, basis, x, n, m):
     return B_inv, x
 
 
-def dump_problem(problem: LpProblem, path: str | Path) -> None:
-    """Write the LP in the conventional text form (rows/columns listing)."""
-    c = problem.objective
+def dump_problem(objective: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray,
+                 path: str | Path) -> None:
+    """Write the LP over the CSR covering rows in the conventional text form."""
+    c = np.asarray(objective, dtype=np.float64)
+    flat = np.asarray(cols).tolist()
+    ptr = np.asarray(row_ptr).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("Maximize\n obj:")
-        for v in range(problem.n_vars):
+        for v in range(len(c)):
             fh.write(f" {c[v]:+.17g} x{v}")
             if (v + 1) % 8 == 0:
                 fh.write("\n     ")
         fh.write("\nSubject To\n")
-        for r, row in enumerate(problem.rows):
-            terms = " + ".join(f"x{v}" for v in row)
+        for r, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            terms = " + ".join(f"x{v}" for v in flat[a:b])
             fh.write(f" r{r}: {terms} >= 1\n")
         fh.write("Bounds\n")
-        for v in range(problem.n_vars):
+        for v in range(len(c)):
             fh.write(f" 0 <= x{v} <= 1\n")
         fh.write("End\n")

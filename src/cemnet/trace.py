@@ -71,9 +71,18 @@ class Trace:
             if rec.uid not in seen:
                 seen[rec.uid] = len(seen)
         for row, rec in enumerate(self.records):
-            if rec.rid is not None and rec.rid not in by_pid:
+            if rec.rid is None:
+                continue
+            if rec.rid not in by_pid:
                 raise TraceFormatError(
                     f"row {row + 1}: rid {rec.rid!r} does not match any pid in the trace"
+                )
+            # checking each parent suffices: no repost then precedes its root
+            parent_t = self.records[by_pid[rec.rid]].t
+            if rec.t < parent_t:
+                raise TraceFormatError(
+                    f"row {row + 1}: repost {rec.pid!r} at t={rec.t!r} precedes "
+                    f"its parent {rec.rid!r} at t={parent_t!r}"
                 )
         self.users: tuple[str, ...] = tuple(seen)
         self.uid_index: dict[str, int] = seen

@@ -196,16 +196,17 @@ def test_c08_lp_oracle_equivalence():
         c = rng.uniform(-5, 5, size=n)
         if rng.uniform() < 0.5:
             c = -np.abs(c)
-        problem = lp.LpProblem(c, tuple(rows))
-        sol = lp.solve(problem)
+        row_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+        cols = np.array([v for r in rows for v in r], dtype=np.int64)
+        sol = lp.solve_reduced(lp.reduce_covering(n, row_ptr, cols), c)
         assert sol.status == lp.STATUS_OPTIMAL
-        for row in problem.rows:
+        for row in rows:
             assert sum(sol.x[v] for v in row) >= 1.0 - 1e-9
         best = -np.inf
         for bits in itertools.product((0.0, 1.0), repeat=n):
             x = np.array(bits)
-            if all(sum(x[v] for v in row) >= 1.0 for row in problem.rows):
-                best = max(best, float(problem.objective @ x))
+            if all(sum(x[v] for v in row) >= 1.0 for row in rows):
+                best = max(best, float(c @ x))
         assert sol.objective >= best - 1e-9
         if np.all(np.minimum(np.abs(sol.x), np.abs(sol.x - 1.0)) < 1e-9):
             assert abs(sol.objective - best) <= 1e-9

@@ -121,6 +121,17 @@ def test_malformed_trace_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_repost_before_its_parent_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "early.csv"
+    bad.write_text("pid,t,uid,rid\np1,10,a,-1\np2,5,b,p1\np3,12,c,p2\n")
+    rc = main(["infer", "--trace", str(bad), "--prior", "er",
+               "--out-graph", str(tmp_path / "g.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'p2'" in err and "'p1'" in err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_malformed_graph_is_usage_error(workdir, tmp_path):
     bad = tmp_path / "bad_graph.csv"
     bad.write_text("nope,header\n1,2\n")

@@ -10,15 +10,19 @@ from cemnet.trace import Episode, build_episodes, pair_counts
 from conftest import random_episodes
 
 
+def _rows(system):
+    """``(episode_id, target, pair_ids)`` per covering row."""
+    ptr = system.row_ptr.tolist()
+    return [(int(e), int(j), tuple(system.pair_ids[a:b].tolist()))
+            for e, j, a, b in zip(system.episode_ids, system.targets, ptr, ptr[1:])]
+
+
 def _named_rows(trace, episodes, system, table):
     pairs = [tuple(p) for p in table.pairs.tolist()]
     out = []
-    for c in system.constraints:
-        members = {
-            (trace.users[pairs[k][0]], trace.users[pairs[k][1]])
-            for k in c.pair_ids
-        }
-        out.append((c.episode_id, trace.users[c.target_user], members))
+    for e, j, row in _rows(system):
+        members = {(trace.users[pairs[k][0]], trace.users[pairs[k][1]]) for k in row}
+        out.append((e, trace.users[j], members))
     return out
 
 
@@ -40,7 +44,7 @@ def test_constraints_two_user_episode():
     table = pair_counts(eps, 2)
     system = build_constraints(eps, table)
     assert len(system) == 1
-    assert system.constraints[0].pair_ids == (table.ids(0, 1),)
+    assert _rows(system)[0][2] == (table.ids(0, 1),)
 
 
 def test_constraints_sizes_by_position():
@@ -49,7 +53,7 @@ def test_constraints_sizes_by_position():
     table = pair_counts(eps, k)
     system = build_constraints(eps, table)
     assert len(system) == k - 1
-    assert [len(c.pair_ids) for c in system.constraints] == list(range(1, k))
+    assert np.diff(system.row_ptr).tolist() == list(range(1, k))
 
 
 def test_constraint_count_identity(rng):
@@ -136,10 +140,9 @@ def test_binary_sigma_cover_is_fully_feasible(rng):
         eps = random_episodes(rng)
         table = pair_counts(eps, 8)
         system = build_constraints(eps, table)
-        problem = lp.LpProblem(
-            rng.uniform(-1, 1, size=table.n_pairs), tuple(system.rows())
-        )
-        x = lp.greedy_cover_warm_start(problem)
+        R = np.zeros((len(system), table.n_pairs), dtype=bool)
+        R[np.repeat(np.arange(len(system)), np.diff(system.row_ptr)), system.pair_ids] = True
+        x = lp._greedy_local(R, rng.uniform(-1, 1, size=table.n_pairs))
         edges = [tuple(table.pairs[k]) for k in np.flatnonzero(x > 0.5)]
         graph = InferredGraph(8, edges)
         assert check_feasibility(graph, eps).fraction == 1.0
@@ -203,9 +206,7 @@ def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_s
         assert table.m.tolist() == m
         system = build_constraints(eps, table)
         assert len(system) == len(rows)
-        assert [(c.episode_id, c.target_user, c.pair_ids)
-                for c in system.constraints] == rows
-        assert system.rows() == [r for _, _, r in rows]
+        assert _rows(system) == rows
         if pairs:
             src, dst = np.array(pairs).T
             assert table.ids(src, dst).tolist() == list(range(len(pairs)))

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cemnet import em
+from cemnet import em, lp
 from cemnet.constraints import check_feasibility
 from cemnet.trace import PairTable, build_episodes
 
@@ -395,6 +395,15 @@ def test_run_cem_rejects_unknown_prior(t1):
         em.run_cem(t1, "powerlaw", 1.0)
     with pytest.raises(ValueError):
         em.run_cem(t1, "er", 1.0, max_iters=0)
+
+
+def test_run_cem_raises_when_the_lp_degrades(t1, monkeypatch):
+    def broken(R, c, x0, max_pivots, safe=False):
+        raise lp._NumericalTrouble("injected")
+
+    monkeypatch.setattr(lp, "_simplex_bounded", broken)
+    with pytest.raises(RuntimeError, match="iteration-limit"):
+        em.run_cem(t1, "er", 1.0, seed=0)
 
 
 def test_run_cem_trace_without_reposts():

@@ -154,12 +154,9 @@ def _episodes_digest(episodes) -> str:
 
 
 def _covering_digest(system) -> str:
-    rows = system.rows()
-    row_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
-    flat = np.array([v for r in rows for v in r], dtype=np.int64)
-    meta = np.array([(c.episode_id, c.target_user) for c in system.constraints],
-                    dtype=np.int64).reshape(-1, 2)
-    return _sha(row_ptr, flat, meta, np.int64(system.n_vars))
+    meta = np.column_stack([system.episode_ids, system.targets]).astype(np.int64)
+    return _sha(system.row_ptr.astype(np.int64), system.pair_ids.astype(np.int64),
+                meta, np.int64(system.n_vars))
 
 
 def _reduced_digest(reduced) -> str:
@@ -169,7 +166,7 @@ def _reduced_digest(reduced) -> str:
     for comp in reduced.components:
         h.update(b"|" + np.asarray(comp.var_ids, dtype=np.int64).tobytes())
         for row in comp.rows:
-            h.update(b";" + np.array(row, dtype=np.int64).tobytes())
+            h.update(b";" + np.flatnonzero(row).astype(np.int64).tobytes())
     return h.hexdigest()[:32]
 
 

@@ -1,10 +1,34 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from cemnet import lp
+
+
+def _csr(rows):
+    """``(row_ptr, cols)`` of tuple rows."""
+    row_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    cols = np.array([v for r in rows for v in r], dtype=np.int64)
+    return row_ptr, cols
+
+
+def _dense(n, rows):
+    R = np.zeros((len(rows), n), dtype=bool)
+    for r, row in enumerate(rows):
+        R[r, list(row)] = True
+    return R
+
+
+def _solve(c, rows, **kw):
+    c = np.asarray(c, dtype=np.float64)
+    return lp.solve_reduced(lp.reduce_covering(len(c), *_csr(rows)), c, **kw)
+
+
+def _covers(x, rows):
+    return all(sum(x[v] for v in row) >= 1.0 - 1e-9 for row in rows)
 
 
 def _random_instance(rng, max_vars=12):
@@ -17,39 +41,31 @@ def _random_instance(rng, max_vars=12):
     c = rng.uniform(-5, 5, size=n)
     if rng.uniform() < 0.5:
         c = -np.abs(c)  # the shifted-objective regime: all coefficients <= 0
-    return lp.LpProblem(c, tuple(rows))
+    return c, rows
 
 
-def _best_binary(problem):
+def _best_binary(c, rows):
     best = -np.inf
-    n = problem.n_vars
-    for bits in itertools.product((0.0, 1.0), repeat=n):
+    for bits in itertools.product((0.0, 1.0), repeat=len(c)):
         x = np.array(bits)
-        if all(sum(x[v] for v in row) >= 1.0 for row in problem.rows):
-            best = max(best, float(problem.objective @ x))
+        if all(sum(x[v] for v in row) >= 1.0 for row in rows):
+            best = max(best, float(c @ x))
     return best
 
 
-def _scipy_optimum(problem):
-    n = problem.n_vars
-    if problem.rows:
-        a_ub = np.zeros((len(problem.rows), n))
-        for r, row in enumerate(problem.rows):
-            a_ub[r, list(row)] = -1.0
-        b_ub = -np.ones(len(problem.rows))
+def _scipy_optimum(c, rows):
+    n = len(c)
+    if rows:
+        a_ub, b_ub = -_dense(n, rows).astype(float), -np.ones(len(rows))
     else:
         a_ub, b_ub = None, None
-    res = linprog(
-        -problem.objective, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * n,
-        method="highs",
-    )
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * n, method="highs")
     assert res.status == 0
     return -res.fun
 
 
 def test_spec_example_min_cover_regime():
-    problem = lp.LpProblem(np.array([-1.0, -1.0, -1.0]), ((0,), (1, 2)))
-    sol = lp.solve(problem)
+    sol = _solve([-1.0, -1.0, -1.0], [(0,), (1, 2)])
     assert sol.status == lp.STATUS_OPTIMAL
     assert sol.x[0] == 1.0
     assert sorted(sol.x[1:]) == [0.0, 1.0]
@@ -57,48 +73,48 @@ def test_spec_example_min_cover_regime():
 
 
 def test_spec_example_monotone_objective():
-    problem = lp.LpProblem(np.ones(4), ((0, 1), (2, 3)))
-    sol = lp.solve(problem)
+    sol = _solve(np.ones(4), [(0, 1), (2, 3)])
     assert np.array_equal(sol.x, np.ones(4))
     assert sol.objective == 4.0
 
 
 def test_spec_example_box_only():
-    problem = lp.LpProblem(np.array([2.0, -3.0]), ())
-    sol = lp.solve(problem)
+    sol = _solve([2.0, -3.0], [])
     assert np.array_equal(sol.x, np.array([1.0, 0.0]))
     assert sol.objective == 2.0
 
 
 def test_greedy_spec_examples():
     # second row already covered by the first pick
-    x = lp.greedy_cover_warm_start(lp.LpProblem(np.array([0.0, 5.0]), ((0,), (0, 1))))
+    x = lp._greedy_local(_dense(2, [(0,), (0, 1)]), np.array([0.0, 5.0]))
     assert np.array_equal(x, np.array([1.0, 0.0]))
     # empty row set
-    x = lp.greedy_cover_warm_start(lp.LpProblem(np.array([1.0, -1.0]), ()))
+    x = lp._greedy_local(_dense(2, []), np.array([1.0, -1.0]))
     assert np.array_equal(x, np.zeros(2))
     # argmax within the row
-    x = lp.greedy_cover_warm_start(lp.LpProblem(np.array([-1.0, -2.0]), ((0, 1),)))
+    x = lp._greedy_local(_dense(2, [(0, 1)]), np.array([-1.0, -2.0]))
     assert np.array_equal(x, np.array([1.0, 0.0]))
+    # the lowest index wins a tie
+    x = lp._greedy_local(_dense(3, [(0, 1, 2)]), np.array([-2.0, -1.0, -1.0]))
+    assert np.array_equal(x, np.array([0.0, 1.0, 0.0]))
 
 
 def test_greedy_always_feasible(rng):
     for _ in range(50):
-        problem = _random_instance(rng)
-        x = lp.greedy_cover_warm_start(problem)
-        assert all(sum(x[v] for v in row) >= 1.0 for row in problem.rows)
+        c, rows = _random_instance(rng)
+        x = lp._greedy_local(_dense(len(c), rows), c)
+        assert _covers(x, rows)
         assert set(np.unique(x)) <= {0.0, 1.0}
 
 
 def test_solution_dominates_binary_enumeration(rng):
     for _ in range(80):
-        problem = _random_instance(rng, max_vars=8)
-        sol = lp.solve(problem)
+        c, rows = _random_instance(rng, max_vars=8)
+        sol = _solve(c, rows)
         assert sol.status == lp.STATUS_OPTIMAL
-        for row in problem.rows:
-            assert sum(sol.x[v] for v in row) >= 1.0 - 1e-9
+        assert _covers(sol.x, rows)
         assert np.all(sol.x >= -1e-12) and np.all(sol.x <= 1.0 + 1e-12)
-        best = _best_binary(problem)
+        best = _best_binary(c, rows)
         assert sol.objective >= best - 1e-9
         integral = np.all(np.minimum(np.abs(sol.x), np.abs(sol.x - 1.0)) < 1e-9)
         if integral:
@@ -107,67 +123,127 @@ def test_solution_dominates_binary_enumeration(rng):
 
 def test_matches_external_solver(rng):
     for _ in range(60):
-        problem = _random_instance(rng)
-        sol = lp.solve(problem)
-        assert sol.objective == pytest.approx(_scipy_optimum(problem), abs=1e-7)
+        c, rows = _random_instance(rng)
+        sol = _solve(c, rows)
+        assert sol.objective == pytest.approx(_scipy_optimum(c, rows), abs=1e-7)
 
 
 def test_fractional_optimum_odd_cycle():
     # pairwise covering on a triangle: LP optimum is the half vector
-    problem = lp.LpProblem(-np.ones(3), ((0, 1), (1, 2), (0, 2)))
-    sol = lp.solve(problem)
+    rows = [(0, 1), (1, 2), (0, 2)]
+    sol = _solve(-np.ones(3), rows)
     assert sol.objective == pytest.approx(-1.5, abs=1e-9)
-    assert _best_binary(problem) == -2.0
+    assert _best_binary(-np.ones(3), rows) == -2.0
 
 
 def test_determinism_bitwise(rng):
     for _ in range(10):
-        problem = _random_instance(rng)
-        a = lp.solve(problem)
-        b = lp.solve(problem)
+        c, rows = _random_instance(rng)
+        a = _solve(c, rows)
+        b = _solve(c, rows)
         assert np.array_equal(a.x, b.x)
         assert a.objective == b.objective
 
 
+# greedy picks the per-row argmax (three cheap singles); the shared
+# variable is the optimum, reachable only by pivoting
+PIVOT_C = np.array([-2.5, -1.0, -1.0, -1.0])
+PIVOT_ROWS = [(0, 1), (0, 2), (0, 3)]
+
+
 def test_iteration_limit_returns_feasible_point():
-    # greedy picks the per-row argmax (three cheap singles); the shared
-    # variable is the optimum, reachable only by pivoting
-    problem = lp.LpProblem(
-        np.array([-2.5, -1.0, -1.0, -1.0]), ((0, 1), (0, 2), (0, 3))
-    )
-    capped = lp.solve(problem, max_pivots=0)
+    capped = _solve(PIVOT_C, PIVOT_ROWS, max_pivots=0)
     assert capped.status == lp.STATUS_ITERATION_LIMIT
     assert capped.objective == -3.0
-    for row in problem.rows:
-        assert sum(capped.x[v] for v in row) >= 1.0 - 1e-9
-    full = lp.solve(problem)
+    assert _covers(capped.x, PIVOT_ROWS)
+    full = _solve(PIVOT_C, PIVOT_ROWS)
     assert full.status == lp.STATUS_OPTIMAL
     assert full.objective == -2.5
 
 
 def test_structural_reduction_reuse(rng):
-    problem = _random_instance(rng)
-    reduced = lp.reduce_covering(problem.n_vars, *lp.rows_to_csr(problem.rows))
+    """One reduction serves many objectives and is not changed by them."""
+    c, rows = _random_instance(rng)
+    reduced = lp.reduce_covering(len(c), *_csr(rows))
+    for comp in reduced.components:
+        assert not comp.rows.flags.writeable
     for _ in range(5):
-        c = rng.uniform(-3, 3, size=problem.n_vars)
+        c = rng.uniform(-3, 3, size=len(c))
         a = lp.solve_reduced(reduced, c)
-        b = lp.solve(lp.LpProblem(c, problem.rows))
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
+        b = _solve(c, rows)
+        assert np.array_equal(a.x, b.x) and a.status == b.status
+        assert a.objective == pytest.approx(_scipy_optimum(c, rows), abs=1e-7)
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError, match="no variables"):
-        lp.LpProblem(np.ones(2), ((),))
+    with pytest.raises(ValueError, match="empty"):
+        lp.reduce_covering(2, [0, 0], [])
     with pytest.raises(ValueError, match="out of range"):
-        lp.LpProblem(np.ones(2), ((5,),))
+        lp.reduce_covering(2, [0, 1], [5])
+    # a negative id would otherwise index from the end and pin the last variable
+    with pytest.raises(ValueError, match="out of range"):
+        lp.reduce_covering(3, [0, 1, 3], [-1, 0, 1])
 
 
 def test_dump_problem(tmp_path):
-    problem = lp.LpProblem(np.array([-1.0, 0.5]), ((0, 1),))
     path = tmp_path / "problem.lp"
-    lp.dump_problem(problem, path)
+    lp.dump_problem(np.array([-1.0, 0.5]), *_csr([(0, 1)]), path)
     text = path.read_text()
     assert "Maximize" in text and "x0 + x1 >= 1" in text and "Bounds" in text
+
+
+def _trouble_once(monkeypatch):
+    real = lp._simplex_bounded
+    calls = []
+
+    def flaky(R, c, x0, max_pivots, safe=False):
+        calls.append(safe)
+        if len(calls) == 1:
+            raise lp._NumericalTrouble("injected")
+        return real(R, c, x0, max_pivots, safe=safe)
+
+    monkeypatch.setattr(lp, "_simplex_bounded", flaky)
+    return calls
+
+
+def _trouble_always(monkeypatch):
+    def broken(R, c, x0, max_pivots, safe=False):
+        raise lp._NumericalTrouble("injected")
+
+    monkeypatch.setattr(lp, "_simplex_bounded", broken)
+
+
+def test_numerical_trouble_restarts_in_safe_mode(monkeypatch, caplog):
+    untouched = _solve(PIVOT_C, PIVOT_ROWS)
+    calls = _trouble_once(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
+        sol = _solve(PIVOT_C, PIVOT_ROWS)
+    assert calls == [False, True]
+    assert "safe mode" in caplog.text
+    assert sol.status == lp.STATUS_OPTIMAL
+    assert np.array_equal(sol.x, untouched.x)
+
+
+def test_numerical_trouble_twice_returns_greedy_cover(monkeypatch, caplog):
+    _trouble_always(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
+        sol = _solve(PIVOT_C, PIVOT_ROWS)
+    assert "returning the greedy cover" in caplog.text
+    assert sol.status == lp.STATUS_ITERATION_LIMIT
+    assert sol.n_pivots == 0
+    assert np.array_equal(sol.x, lp._greedy_local(_dense(4, PIVOT_ROWS), PIVOT_C))
+    assert _covers(sol.x, PIVOT_ROWS)
+
+
+def test_residual_check_flags_uncovered_rows(monkeypatch, caplog):
+    def short(R, c, x0, max_pivots, safe=False):
+        return np.zeros(len(c)), lp.STATUS_OPTIMAL, 0
+
+    monkeypatch.setattr(lp, "_simplex_bounded", short)
+    with caplog.at_level(logging.ERROR, logger="cemnet.lp"):
+        sol = _solve(PIVOT_C, PIVOT_ROWS)
+    assert sol.status == lp.STATUS_INFEASIBLE
+    assert "residual" in caplog.text
 
 
 def _reference_reduce(n_vars, rows):
@@ -203,9 +279,12 @@ def test_reduce_covering_matches_reference(rng):
         rows = [tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, 5))))
                 for _ in range(int(rng.integers(0, 3 * n)))]
         rows += [rows[k] for k in rng.integers(0, len(rows), size=len(rows) // 3)] if rows else []
-        reduced = lp.reduce_covering(n, *lp.rows_to_csr(rows))
+        reduced = lp.reduce_covering(n, *_csr(rows))
         forced, comps = _reference_reduce(n, rows)
         assert reduced.n_vars == n
         assert reduced.forced_ones.dtype == np.int64
         assert reduced.forced_ones.tolist() == forced
-        assert [(c.var_ids.tolist(), list(c.rows)) for c in reduced.components] == comps
+        for c in reduced.components:
+            assert c.rows.dtype == bool and c.rows.shape[1] == len(c.var_ids)
+        assert [(c.var_ids.tolist(), [tuple(np.flatnonzero(r).tolist()) for r in c.rows])
+                for c in reduced.components] == comps

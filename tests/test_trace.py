@@ -37,6 +37,17 @@ def test_parse_missing_rid_reference():
         trace_from_string(bad)
 
 
+EARLY_REPOST = "pid,t,uid,rid\np1,10,a,-1\np2,5,b,p1\np3,12,c,p2\n"
+
+
+def test_parse_rejects_repost_before_its_parent():
+    with pytest.raises(TraceFormatError, match="row 2: repost 'p2'.*parent 'p1'"):
+        parse_trace(io.StringIO(EARLY_REPOST))
+    # a repost at its parent's time is fine
+    tr = parse_trace(io.StringIO("pid,t,uid,rid\np1,10,a,-1\np2,10,b,p1\n"))
+    assert [ep.times for ep in build_episodes(tr)] == [(10.0, 10.0)]
+
+
 def test_parse_duplicate_pid():
     bad = "pid,t,uid,rid\nP1,10,U1,-1\nP1,20,U2,-1\n"
     with pytest.raises(TraceFormatError, match="duplicate pid"):
@@ -91,13 +102,16 @@ def test_resolve_root_deep_chain():
 
 
 def test_resolve_root_cycle_detected():
+    # equal times: a cycle with any earlier repost fails the parent-time check
     records = [
         TraceRecord("a", 1.0, "u1", "b"),
-        TraceRecord("b", 2.0, "u2", "a"),
+        TraceRecord("b", 1.0, "u2", "a"),
     ]
     t = Trace(records)
     with pytest.raises(TraceFormatError, match="cycle"):
         resolve_root(t, "a")
+    with pytest.raises(TraceFormatError, match="precedes"):
+        Trace([records[0], TraceRecord("b", 2.0, "u2", "a")])
 
 
 def test_build_episodes_t1(t1):
@@ -201,7 +215,7 @@ def test_build_episodes_cycle_detected():
     records = [
         TraceRecord("p0", 0.0, "u0", None),
         TraceRecord("a", 1.0, "u1", "b"),
-        TraceRecord("b", 2.0, "u2", "a"),
+        TraceRecord("b", 1.0, "u2", "a"),
     ]
     with pytest.raises(TraceFormatError, match="cycle"):
         build_episodes(Trace(records))
@@ -241,8 +255,11 @@ def test_build_episodes_matches_reference(rng, retweeted_only):
         for row in range(n_rows):
             t = float(rng.integers(0, n_rows // 3 + 1))  # unordered, with ties
             uid = f"u{int(rng.integers(0, 9))}"
-            rid = None if row == 0 or rng.uniform() < 0.2 else \
-                f"p{int(rng.integers(0, row))}"
+            parent = None if row == 0 or rng.uniform() < 0.2 else int(rng.integers(0, row))
+            rid = None
+            if parent is not None:
+                rid = f"p{parent}"
+                t = max(t, records[parent].t)  # never before the reshared post
             records.append(TraceRecord(f"p{row}", t, uid, rid))
         trace = Trace(records)
         assert build_episodes(trace, retweeted_only=retweeted_only) == \
