@@ -28,22 +28,16 @@ _PROB_FLOOR = 1e-12
 
 def star_graph(episodes: Sequence[Episode], n_users: int) -> InferredGraph:
     """Directed edge from each episode author to every other participant."""
-    edges = set()
-    for ep in episodes:
-        author = ep.users[0]
-        for j in ep.users[1:]:
-            edges.add((author, j))
-    return InferredGraph(n_users, edges)
+    slots = predecessor_slots(episodes)
+    return InferredGraph(n_users, np.column_stack(
+        [slots.users[slots.start], slots.users[slots.stop]]))
 
 
 def chain_graph(episodes: Sequence[Episode], n_users: int) -> InferredGraph:
     """Directed path along each episode's chronological order."""
-    edges = set()
-    for ep in episodes:
-        users = ep.users
-        for a in range(len(users) - 1):
-            edges.add((users[a], users[a + 1]))
-    return InferredGraph(n_users, edges)
+    slots = predecessor_slots(episodes)
+    return InferredGraph(n_users, np.column_stack(
+        [slots.users[slots.stop - 1], slots.users[slots.stop]]))
 
 
 @dataclass
@@ -142,8 +136,9 @@ def saito_em(
     if not converged:
         log.warning("saito EM hit iteration cap (%d)", max_iters)
 
-    scores = _scored_pairs(table, kappa, threshold)
-    return SaitoResult(table, kappa, InferredGraph(n_users, scores, scores), it, converged)
+    hot = kappa > threshold
+    graph = InferredGraph(n_users, table.pairs[hot], kappa[hot])
+    return SaitoResult(table, kappa, graph, it, converged)
 
 
 @dataclass
@@ -225,24 +220,18 @@ def newman_em(
     if not converged:
         log.warning("newman EM hit iteration cap (%d)", max_iters)
 
-    scores = _scored_pairs(table, q, threshold)
+    hot = q > threshold
+    edges, scores = table.pairs[hot], q[hot]
     if rho > threshold:
         inactive = ~np.eye(n_users, dtype=bool)
         inactive[table.pairs[:, 0], table.pairs[:, 1]] = False
         src, dst = np.nonzero(inactive)
-        scores.update(dict.fromkeys(zip(src.tolist(), dst.tolist()), rho))
+        edges = np.concatenate([edges, np.column_stack([src, dst])])
+        scores = np.concatenate([scores, np.full(len(src), rho)])
     return NewmanResult(
         table, direct, q, alpha, beta, rho,
-        InferredGraph(n_users, scores, scores), it, converged,
+        InferredGraph(n_users, edges, scores), it, converged,
     )
-
-
-def _scored_pairs(table: PairTable, values: np.ndarray,
-                  threshold: float) -> dict[tuple[int, int], float]:
-    """``{(i, j): value}`` for the active pairs whose value exceeds ``threshold``."""
-    hot = np.flatnonzero(values > threshold)
-    pairs = zip(table.pairs[hot, 0].tolist(), table.pairs[hot, 1].tolist())
-    return dict(zip(pairs, values[hot].tolist()))
 
 
 def _clamp(p: float) -> float:

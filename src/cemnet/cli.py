@@ -132,11 +132,7 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
         outputs.append(args.out_state)
     if args.out_scores:
         # posterior for every active pair, not only thresholded edges
-        scored = InferredGraph(
-            trace.n_users,
-            (tuple(p) for p in prep.table.pairs),
-            {tuple(p): float(q) for p, q in zip(prep.table.pairs.tolist(), prep.table.q)},
-        )
+        scored = InferredGraph(trace.n_users, prep.table.pairs, prep.table.q)
         write_graph_csv(scored, trace.users, args.out_scores)
         outputs.append(args.out_scores)
     return outputs
@@ -177,8 +173,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     if args.scores:
         scored = read_graph_csv(args.scores, users)
         scores = np.zeros((len(users), len(users)))
-        for (i, j) in scored.edges:
-            scores[i, j] = scored.score_of(i, j)
+        scores[scored.src, scored.dst] = 1.0 if scored.score is None else scored.score
     report = metrics.classification_scores(
         inferred, truth, scores=scores, feasibility=feas.fraction
     )

@@ -10,7 +10,6 @@ Directed graphs are symmetrized before detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,9 +188,9 @@ def _louvain(n_nodes: int, edges: np.ndarray, seed: int) -> CommunityResult:
 def louvain_graph(graph: InferredGraph, seed: int = 0) -> CommunityResult:
     """Louvain on the symmetrized projection of a directed graph."""
     n = graph.n_users
-    e = np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * graph.n_edges)
     # one unit edge per linked unordered pair, in ascending order
-    key = np.unique(e.reshape(-1, 2).min(axis=1) * n + e.reshape(-1, 2).max(axis=1))
+    key = np.unique(np.minimum(graph.src, graph.dst) * n
+                    + np.maximum(graph.src, graph.dst))
     return _louvain(n, np.column_stack([key // n, key % n, np.ones(len(key))]), seed)
 
 
@@ -232,7 +231,7 @@ def estimate_block_densities(
     _, counts = np.unique(lab, return_counts=True)
     intra_pairs = int((counts * (counts - 1)).sum())
     inter_pairs = n * (n - 1) - intra_pairs
-    intra_edges = sum(1 for i, j in graph.edges if lab[i] == lab[j])
+    intra_edges = int(np.count_nonzero(lab[graph.src] == lab[graph.dst]))
     inter_edges = graph.n_edges - intra_edges
     p_hat = intra_edges / intra_pairs if intra_pairs else None
     q_hat = inter_edges / inter_pairs if inter_pairs else None

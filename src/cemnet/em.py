@@ -246,8 +246,7 @@ def threshold_graph(
         i, j = np.nonzero(mask)
         src, dst = np.concatenate([src, i]), np.concatenate([dst, j])
         val = np.concatenate([val, prior[i, j]])
-    edges = list(zip(src.tolist(), dst.tolist()))
-    return InferredGraph(n_users, edges, dict(zip(edges, val.tolist())))
+    return InferredGraph(n_users, np.column_stack([src, dst]), val)
 
 
 def _prior_matrix(n_users: int, prior_spec: tuple) -> np.ndarray:

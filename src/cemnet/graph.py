@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv as _csv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -14,68 +16,123 @@ class GraphFormatError(ValueError):
 class InferredGraph:
     """Immutable directed edge set over ``n_users`` nodes, no self-loops.
 
-    ``scores`` optionally attaches a per-edge score (posterior probability
-    for EM methods, 1.0 for heuristics).
+    The edges are held as ``src``/``dst`` int64 arrays sorted by the key
+    ``src * n_users + dst``, one entry per edge.  ``score`` optionally
+    attaches a per-edge score aligned with them (posterior probability for
+    EM methods, 1.0 for heuristics).  ``edges``, ``scores``, ``in_sets`` and
+    ``out_adj`` are tuple/dict views built on first read.
+
+    ``edges`` is an (E, 2) integer array or an iterable of ``(i, j)``
+    pairs; ``scores`` is aligned with it.  A repeated edge keeps the score
+    of its last occurrence.
     """
 
     def __init__(
         self,
         n_users: int,
-        edges: Iterable[tuple[int, int]],
-        scores: Mapping[tuple[int, int], float] | None = None,
+        edges: np.ndarray | Iterable[tuple[int, int]],
+        scores: Sequence[float] | np.ndarray | None = None,
     ):
         self.n_users = n_users
-        self.edges: frozenset[tuple[int, int]] = frozenset(edges)
-        for i, j in self.edges:
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 2)
+        src, dst = e[:, 0], e[:, 1]
+        bad = (src == dst) | (src < 0) | (dst < 0) | (src >= n_users) | (dst >= n_users)
+        if bad.any():
+            i, j = e[int(np.argmax(bad))].tolist()
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < n_users and 0 <= j < n_users):
-                raise ValueError(f"edge ({i}, {j}) outside of 0..{n_users - 1}")
-        self.scores = dict(scores) if scores is not None else None
+            raise ValueError(f"edge ({i}, {j}) outside of 0..{n_users - 1}")
+        keys = src * n_users + dst
+        order = np.argsort(keys)
+        if len(order):
+            # one entry per key, its last occurrence (the largest position)
+            starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+            order = np.maximum.reduceat(order, starts)
+        self._keys = keys[order]
+        self.src = src[order]
+        self.dst = dst[order]
+        self.score = None
+        if scores is not None:
+            score = np.asarray(scores, dtype=np.float64).reshape(-1)
+            if len(score) != len(keys):
+                raise ValueError(f"{len(score)} scores for {len(keys)} edges")
+            self.score = score[order]
+        for arr in (self._keys, self.src, self.dst, self.score):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._edges: frozenset[tuple[int, int]] | None = None
+        self._scores: dict[tuple[int, int], float] | None = None
         self._in_sets: dict[int, set[int]] | None = None
         self._out_adj: list[list[int]] | None = None
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self._keys)
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
-        return edge in self.edges
+        return self._find(*edge) >= 0
+
+    def _find(self, i: int, j: int) -> int:
+        """Position of edge (i, j) in the arrays, or -1."""
+        if not (0 <= i < self.n_users and 0 <= j < self.n_users):
+            return -1
+        key = i * self.n_users + j
+        k = int(np.searchsorted(self._keys, key))
+        return k if k < len(self._keys) and self._keys[k] == key else -1
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
+
+    @property
+    def scores(self) -> dict[tuple[int, int], float] | None:
+        if self._scores is None and self.score is not None:
+            self._scores = dict(zip(self.sorted_edges(), self.score.tolist()))
+        return self._scores
 
     @property
     def in_sets(self) -> dict[int, set[int]]:
+        """``{j: {i, ...}}`` over the nodes with at least one in-edge."""
         if self._in_sets is None:
-            ins: dict[int, set[int]] = {}
-            for i, j in self.edges:
-                ins.setdefault(j, set()).add(i)
-            self._in_sets = ins
+            order = np.argsort(self.dst, kind="stable")
+            dst = self.dst[order]
+            src = self.src[order].tolist()
+            starts = np.flatnonzero(np.diff(dst, prepend=-1))
+            bounds = np.r_[starts, len(dst)].tolist()
+            self._in_sets = {
+                j: set(src[lo:hi])
+                for j, lo, hi in zip(dst[starts].tolist(), bounds[:-1], bounds[1:])
+            }
         return self._in_sets
 
     @property
     def out_adj(self) -> list[list[int]]:
+        """Out-neighbours of every node, ascending."""
         if self._out_adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_users)]
-            for i, j in sorted(self.edges):
-                adj[i].append(j)
-            self._out_adj = adj
+            ptr = np.searchsorted(self.src, np.arange(self.n_users + 1)).tolist()
+            dst = self.dst.tolist()
+            self._out_adj = [dst[ptr[i]:ptr[i + 1]] for i in range(self.n_users)]
         return self._out_adj
 
     def score_of(self, i: int, j: int) -> float:
-        if self.scores is None:
-            return 1.0
-        return self.scores.get((i, j), 1.0)
+        """The edge's score; 1.0 without scores or for a non-edge."""
+        k = -1 if self.score is None else self._find(i, j)
+        return float(self.score[k]) if k >= 0 else 1.0
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(zip(self.src.tolist(), self.dst.tolist()))
 
 
 def write_graph_csv(
     graph: InferredGraph, users: Sequence[str], path: str | Path
 ) -> None:
     """Edge list ``src,dst,q`` with original uid tokens, sorted for stable bytes."""
-    rows = sorted(
-        (users[i], users[j], graph.score_of(i, j)) for i, j in graph.edges
-    )
+    score = graph.score if graph.score is not None else np.ones(graph.n_edges)
+    rows = sorted(zip([users[i] for i in graph.src.tolist()],
+                      [users[j] for j in graph.dst.tolist()], score.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(["src", "dst", "q"])
@@ -113,7 +170,9 @@ def read_graph_csv(path: str | Path, users: Sequence[str]) -> InferredGraph:
                     raise GraphFormatError(
                         f"{path}: row {row}: bad score {parts[2]!r}"
                     ) from None
-    return InferredGraph(len(users), edges, scores or None)
+    # a repeated row keeps the last score it was given
+    return InferredGraph(len(users), edges,
+                         [scores.get(e, 1.0) for e in edges] if scores else None)
 
 
 def write_labels_csv(

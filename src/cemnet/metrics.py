@@ -42,22 +42,19 @@ class EvalReport:
 
 def _adjacency(graph: InferredGraph) -> np.ndarray:
     a = np.zeros((graph.n_users, graph.n_users), dtype=bool)
-    for i, j in graph.edges:
-        a[i, j] = True
+    a[graph.src, graph.dst] = True
     return a
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of equal values sharing the mean of its ranks."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # sorted positions where a run of equal values starts and where it ends
+    start = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    end = np.r_[start[1:], len(values)] - 1
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 
@@ -209,10 +206,8 @@ def graph_stats(graph: InferredGraph) -> GraphStats:
     """
     n = graph.n_users
     adj = graph.out_adj
-    out_deg = np.array([len(a) for a in adj])
-    in_deg = np.zeros(n, dtype=np.int64)
-    for _, j in graph.edges:
-        in_deg[j] += 1
+    out_deg = np.bincount(graph.src, minlength=n)
+    in_deg = np.bincount(graph.dst, minlength=n)
 
     diameter = 0
     total = 0

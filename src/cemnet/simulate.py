@@ -161,7 +161,7 @@ def run_diffusion(
     n = config.n_users
     cap = config.feed_capacity
     followers: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(graph.edges):
+    for i, j in graph.sorted_edges():
         followers[i].append(j)
 
     feeds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -259,7 +259,7 @@ def rewire_edges(graph: InferredGraph, fraction: float, seed: int = 0) -> Inferr
     nominal truth, mimicking partially deleted or out-of-band connections.
     """
     rng = np.random.default_rng(seed)
-    edges = sorted(graph.edges)
+    edges = graph.sorted_edges()
     n_swap = int(round(fraction * len(edges)))
     idx = rng.choice(len(edges), size=n_swap, replace=False)
     chosen = {edges[k] for k in idx}

@@ -16,6 +16,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -364,10 +365,10 @@ def predecessor_slots(episodes: Sequence[Episode]) -> Slots:
     """Flatten the episodes and index their CSR-ordered predecessor slots."""
     lens = np.fromiter((len(ep.users) for ep in episodes), dtype=np.intp,
                        count=len(episodes))
-    users = np.fromiter((u for ep in episodes for u in ep.users), dtype=np.int32,
-                        count=int(lens.sum()))
-    times = np.fromiter((x for ep in episodes for x in ep.times), dtype=np.float64,
-                        count=len(users))
+    users = np.fromiter(chain.from_iterable(ep.users for ep in episodes),
+                        dtype=np.int32, count=int(lens.sum()))
+    times = np.fromiter(chain.from_iterable(ep.times for ep in episodes),
+                        dtype=np.float64, count=len(users))
     ep_start = np.cumsum(lens) - lens
     ep_of = np.repeat(np.arange(len(episodes), dtype=np.int64), lens)
     stop = np.flatnonzero(np.arange(len(users)) != ep_start[ep_of])

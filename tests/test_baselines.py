@@ -21,6 +21,7 @@ def test_star_on_toy_trace(t1):
 def test_star_single_episode():
     eps = [Episode("r", (0, 1, 2), (1.0, 2.0, 3.0))]
     assert bl.star_graph(eps, 3).edges == {(0, 1), (0, 2)}
+    assert bl.star_graph([], 3).n_edges == bl.chain_graph([], 3).n_edges == 0
 
 
 def test_chain_on_toy_trace(t1):
@@ -46,6 +47,11 @@ def test_star_chain_always_feasible_and_within_active_pairs(rng):
             g = builder(eps, 8)
             assert check_feasibility(g, eps).fraction == 1.0
             assert g.edges <= active
+        # the tuple-set loops the slot arrays replaced
+        star = {(ep.users[0], j) for ep in eps for j in ep.users[1:]}
+        chain = {(a, b) for ep in eps for a, b in zip(ep.users, ep.users[1:])}
+        assert bl.star_graph(eps, 8).edges == star
+        assert bl.chain_graph(eps, 8).edges == chain
 
 
 def test_saito_single_parent_in_window():

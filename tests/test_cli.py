@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,6 +48,46 @@ def test_infer_roundtrip_and_determinism(workdir):
     assert state["feasibility"] == 1.0
     assert (workdir / "scores.csv").exists()
 
+
+
+OUTPUT_GOLDEN = {
+    "graph.csv": "95396437f4c1ebd0804516bd09532584",
+    "scores.csv": "7d3a11bd04f772c63a4291f4875f1785",
+    "report.json": "f18d3fb5473c6a96c8bee9d2723de52e",
+    "stats.json": "896981806f12d704455a7005301db31b",
+    "star.csv": "7225252a78e22459c0d7760deed43946",
+    "chain.csv": "3aecf46ce7420baa0aa737f127670406",
+    "saito.csv": "09e10daa5abfa2caee06721719c55218",
+    "newman.csv": "c7ecd11dec7ffd595da6c93e3bf4c7dd",
+}
+
+
+def test_output_bytes_match_recorded_digests(workdir, tmp_path):
+    """Graph, scores, baseline and report files byte for byte.
+
+    The digests were recorded from the tuple-and-dict graph that preceded
+    the array-backed one.
+    """
+    trace = str(workdir / "trace.csv")
+    out = {name: str(tmp_path / name) for name in (
+        "graph.csv", "scores.csv", "report.json", "stats.json",
+        "star.csv", "chain.csv", "saito.csv", "newman.csv")}
+    assert main(["infer", "--trace", trace, "--prior", "er", "--seed", "7",
+                 "--out-graph", out["graph.csv"],
+                 "--out-scores", out["scores.csv"]]) == 0
+    assert main(["evaluate", "--inferred", out["graph.csv"],
+                 "--truth", str(workdir / "truth.csv"),
+                 "--scores", out["scores.csv"], "--trace", trace,
+                 "--truth-labels", str(workdir / "labels.csv"),
+                 "--out", out["report.json"]]) == 0
+    assert main(["stats", "--graph", str(workdir / "truth.csv"), "--trace", trace,
+                 "--out", out["stats.json"]]) == 0
+    for method in ("star", "chain", "saito", "newman"):
+        assert main(["baseline", "--method", method, "--trace", trace,
+                     "--out-graph", out[f"{method}.csv"]]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:32]
+               for name in out}
+    assert digests == OUTPUT_GOLDEN
 
 def test_baseline_methods(workdir):
     for method in ("star", "chain", "saito", "newman"):

@@ -219,3 +219,81 @@ PREPROCESS_GOLDEN = {
 
 def test_preprocessing_matches_recorded_digests(t1):
     assert preprocess_digests(t1) == PREPROCESS_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# graphs: the thresholded posterior under each prior shape, and the edges
+# and scores of the four baselines, on the preprocessing traces
+
+
+def _graph_digest(graph) -> str:
+    edges = graph.sorted_edges()
+    return _sha(np.array(edges, dtype=np.int64).reshape(-1, 2),
+                np.array([graph.score_of(i, j) for i, j in edges], dtype=np.float64),
+                np.int64(graph.n_edges))
+
+
+def graph_digests(t1) -> dict[str, str]:
+    out = {}
+    for name, tr in _preprocess_traces(t1).items():
+        prep = em.preprocess(tr)
+        n = prep.n_users
+        rng = np.random.default_rng(41)
+        q = rng.uniform(size=prep.table.n_pairs)
+        groups = rng.integers(0, 3, size=n)
+        specs = {
+            "none": None,
+            "er_cold": ("er", 0.3),
+            "er_hot": ("er", 0.7),
+            "sbm": ("sbm", 0.8, 0.1, groups),
+        }
+        for key, spec in specs.items():
+            graph = em.threshold_graph(prep.table, q, n, spec)
+            out[f"{name}:threshold:{key}"] = _graph_digest(graph)
+        out[f"{name}:star"] = _graph_digest(baselines.star_graph(prep.episodes, n))
+        out[f"{name}:chain"] = _graph_digest(baselines.chain_graph(prep.episodes, n))
+        saito = baselines.saito_em(prep.episodes, n, seed=7)
+        out[f"{name}:saito_graph"] = _graph_digest(saito.graph)
+        newman = baselines.newman_em(prep.episodes, n, seed=7)
+        out[f"{name}:newman_graph"] = _graph_digest(newman.graph)
+    return out
+
+
+GRAPH_GOLDEN = {
+    "t1:threshold:none": "6c49762f6dbee50cfc43dcdb3e5d4b8b",
+    "t1:threshold:er_cold": "6c49762f6dbee50cfc43dcdb3e5d4b8b",
+    "t1:threshold:er_hot": "83cd33e90750b66eb5b22762338742dd",
+    "t1:threshold:sbm": "6c49762f6dbee50cfc43dcdb3e5d4b8b",
+    "t1:star": "372337beccfe7f12afcb541ec4f01cd0",
+    "t1:chain": "2958b49522a2863d6685ad415e44fdad",
+    "t1:saito_graph": "af5570f5a1810b7af78caf4bc70a660f",
+    "t1:newman_graph": "9ba9adb0034d127f09e1a40723969f79",
+    "sim40:threshold:none": "34b7a52698a3cf5c78a350be0f45a6fd",
+    "sim40:threshold:er_cold": "34b7a52698a3cf5c78a350be0f45a6fd",
+    "sim40:threshold:er_hot": "01ba61ac005684f67be0489377c9a251",
+    "sim40:threshold:sbm": "2459041783a27ba232461f0396396feb",
+    "sim40:star": "252425192523f4e111a7d7bdae795b19",
+    "sim40:chain": "16b7810ef13c23857f0d6c9ec8411d6c",
+    "sim40:saito_graph": "af5570f5a1810b7af78caf4bc70a660f",
+    "sim40:newman_graph": "dc969bba91f096a67f7e1536c05f97b9",
+    "default20k:threshold:none": "3c46814dcdf4b299376f4e012a5a7d3d",
+    "default20k:threshold:er_cold": "3c46814dcdf4b299376f4e012a5a7d3d",
+    "default20k:threshold:er_hot": "1fb0c43bcf53b1c008ad2d03c4419c21",
+    "default20k:threshold:sbm": "11c26efa2e5a5c7182caac04e63230f4",
+    "default20k:star": "641c23f89472731c3d05adc809601bd3",
+    "default20k:chain": "c6213370152f3b9a9693084d0fc1a5dc",
+    "default20k:saito_graph": "af5570f5a1810b7af78caf4bc70a660f",
+    "default20k:newman_graph": "9ec4ffa456b49f90c3a01db98acabcbe",
+    "wide150:threshold:none": "9be9f117e787ef4c4ebb1fef0126a3a9",
+    "wide150:threshold:er_cold": "9be9f117e787ef4c4ebb1fef0126a3a9",
+    "wide150:threshold:er_hot": "9861cb9d8d2055d601385e208bae6e26",
+    "wide150:threshold:sbm": "601541f463b7a0066165199c6dbb39f4",
+    "wide150:star": "0776fb1a7920607430b2d2b1394a7912",
+    "wide150:chain": "3ce5f429bdd77bd68324de3c8c22c23a",
+    "wide150:saito_graph": "89e380ea1c35c35b357ab39d1acc4d80",
+    "wide150:newman_graph": "ea5727a969404c8840d41666a85a2bdc",
+}
+
+
+def test_graphs_match_recorded_digests(t1):
+    assert graph_digests(t1) == GRAPH_GOLDEN

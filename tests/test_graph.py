@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+
+from cemnet.graph import InferredGraph, read_graph_csv
+
+
+def _reference_views(n, pairs, scores):
+    """Edges, scores, in-sets and out-lists as the tuple/dict graph built them."""
+    edges = set(pairs)
+    score_of = dict(zip(pairs, scores))  # a repeated edge keeps its last score
+    ins: dict[int, set[int]] = {}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted(edges):
+        ins.setdefault(j, set()).add(i)
+        adj[i].append(j)
+    return edges, score_of, ins, adj
+
+
+def test_array_and_tuple_construction_agree(rng):
+    for trial in range(40):
+        n = int(rng.integers(1, 30))
+        n_pairs = int(rng.integers(0, 3 * n * n // 2 + 1))
+        src = rng.integers(0, n, size=n_pairs)
+        dst = rng.integers(0, n, size=n_pairs)
+        keep = src != dst
+        arr = np.column_stack([src[keep], dst[keep]])
+        if trial % 2:
+            arr = arr.astype(np.int32)
+        pairs = [tuple(p) for p in arr.tolist()]
+        vals = rng.uniform(size=len(pairs))
+        edges, score_of, ins, adj = _reference_views(n, pairs, vals.tolist())
+        for g in (InferredGraph(n, arr, vals), InferredGraph(n, pairs, vals.tolist()),
+                  InferredGraph(n, iter(pairs), list(vals))):
+            assert g.edges == edges
+            assert g.scores == score_of
+            assert g.n_edges == len(edges)
+            assert g.in_sets == ins
+            assert g.out_adj == adj
+            assert g.sorted_edges() == sorted(edges)
+            assert all(g.score_of(i, j) == score_of[i, j] for i, j in edges)
+            assert all(e in g for e in edges)
+        plain = InferredGraph(n, arr)
+        assert plain.edges == edges and plain.scores is None
+        assert all(plain.score_of(i, j) == 1.0 for i, j in edges)
+
+
+def test_non_edges():
+    g = InferredGraph(3, np.array([[0, 1]]), np.array([0.25]))
+    assert (0, 1) in g and (1, 0) not in g and (5, 0) not in g and (0, -1) not in g
+    assert g.score_of(0, 1) == 0.25
+    assert g.score_of(1, 0) == 1.0  # a non-edge reads 1.0, as without scores
+    empty = InferredGraph(4, [])
+    assert empty.n_edges == 0 and empty.edges == frozenset()
+    assert empty.in_sets == {} and empty.out_adj == [[], [], [], []]
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (2, 2)], "self-loop on node 2"),
+    ([(0, 1), (-1, 2)], r"edge \(-1, 2\) outside of 0\.\.3"),
+    ([(1, -2)], r"edge \(1, -2\) outside of 0\.\.3"),
+    ([(0, 4), (1, 2)], r"edge \(0, 4\) outside of 0\.\.3"),
+    ([(4, 4)], "self-loop on node 4"),
+])
+def test_bad_edges_are_named(edges, message):
+    with pytest.raises(ValueError, match=message):
+        InferredGraph(4, edges)
+    with pytest.raises(ValueError, match=message):
+        InferredGraph(4, np.array(edges))
+
+
+def test_scores_must_align():
+    with pytest.raises(ValueError, match="2 scores for 3 edges"):
+        InferredGraph(4, [(0, 1), (1, 2), (2, 3)], [0.5, 0.5])
+
+
+def test_duplicate_edge_keeps_last_score():
+    g = InferredGraph(3, [(0, 1), (1, 2), (0, 1), (2, 0), (0, 1)],
+                      [0.2, 0.5, 0.9, 0.4, 0.7])
+    assert g.n_edges == 3
+    assert g.scores == {(0, 1): 0.7, (1, 2): 0.5, (2, 0): 0.4}
+
+
+def test_csv_repeated_row_keeps_last_given_score(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("src,dst,q\na,b,0.2\nb,c,0.5\na,b,0.3\na,b\nc,a\n")
+    g = read_graph_csv(path, ["a", "b", "c"])
+    assert g.n_edges == 3
+    assert {e: g.score_of(*e) for e in g.edges} == {(0, 1): 0.3, (1, 2): 0.5, (2, 0): 1.0}
+    unscored = tmp_path / "u.csv"
+    unscored.write_text("src,dst\na,b\n")
+    assert read_graph_csv(unscored, ["a", "b"]).scores is None

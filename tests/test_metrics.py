@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cemnet.graph import InferredGraph
-from cemnet.metrics import classification_scores, graph_stats, roc_auc
+from cemnet.metrics import _midranks, classification_scores, graph_stats, roc_auc
 
 
 def _random_graph(rng, n, density):
@@ -192,3 +192,96 @@ def test_scores_shape_validation():
         classification_scores(
             InferredGraph(3, []), InferredGraph(3, []), scores=np.zeros((2, 2))
         )
+
+
+def _midranks_loop(values):
+    """The per-run while loop that ``_midranks`` replaced, kept as the reference."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _auc_loop(labels, scores):
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    ranks = _midranks_loop(np.asarray(scores, dtype=np.float64))
+    return (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _rank_cases():
+    rng = np.random.default_rng(7)
+    # a fitted score matrix: few prior values for unordered pairs, a posterior
+    # for each active pair, many of them at the same fixed points
+    prior_ties = rng.choice([0.004, 0.03, 0.61], size=4000)
+    active = rng.uniform(size=4000) < 0.1
+    prior_ties[active] = rng.choice([1e-9, 0.5, 1.0 - 1e-9, *rng.uniform(size=50)],
+                                    size=int(active.sum()))
+    return {
+        "empty": np.array([]),
+        "single": np.array([0.3]),
+        "all_tied": np.full(257, 0.25),
+        "two_values": np.array([1.0, 0.0, 1.0, 0.0, 0.0]),
+        "signed_zeros": np.array([0.0, -0.0, 2.0, 0.0, -1.0]),
+        "prior_ties": prior_ties,
+        "random": rng.uniform(size=5000),
+        "indicator": (rng.uniform(size=999) < 0.2).astype(np.float64),
+        "nans": np.array([0.5, np.nan, 0.1, np.nan, 0.5, 0.1]),  # each NaN its own run
+    }
+
+
+@pytest.mark.parametrize("name", list(_rank_cases()))
+def test_midranks_match_loop_and_scipy(name):
+    stats = pytest.importorskip("scipy.stats")
+    values = _rank_cases()[name]
+    ranks = _midranks(values)
+    assert ranks.dtype == np.float64 and ranks.shape == values.shape
+    assert ranks.tobytes() == _midranks_loop(values).tobytes()
+    if not np.isnan(values).any():  # rankdata propagates NaN
+        np.testing.assert_array_equal(ranks, stats.rankdata(values, method="average"))
+
+
+@pytest.mark.parametrize("name", list(_rank_cases()))
+def test_roc_auc_matches_loop_bitwise(name):
+    values = _rank_cases()[name]
+    rng = np.random.default_rng(len(values))
+    for frac in (0.05, 0.5):
+        labels = rng.uniform(size=len(values)) < frac
+        got = roc_auc(labels, values)
+        if labels.all() or not labels.any():
+            assert np.isnan(got)
+            continue
+        want = _auc_loop(labels, values)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if len(values) > 1 and np.all(values == values[0]):
+        assert roc_auc(np.arange(len(values)) % 2 == 0, values) == 0.5
+
+
+def test_graph_stats_match_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    for n, density in ((1, 0.0), (2, 1.0), (12, 0.05), (30, 0.04), (40, 0.1),
+                       (60, 0.02), (25, 0.5)):
+        g = _random_graph(rng, n, density)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.sorted_edges())
+        st = graph_stats(g)
+        lengths = [d for src, dist in nx.all_pairs_shortest_path_length(ref)
+                   for dst, d in dist.items() if dst != src]
+        assert st.n_edges == ref.number_of_edges()
+        assert st.diameter == max(lengths, default=0)
+        assert st.avg_shortest_path == (sum(lengths) / len(lengths) if lengths else None)
+        sccs = sorted(len(c) for c in nx.strongly_connected_components(ref))
+        biggest = max((s for s in sccs if s >= 2), default=0)
+        assert st.max_scc_size == biggest
+        assert st.max_scc_pct == (100.0 * biggest / n if biggest else 0.0)
+        assert st.max_out_degree == max((d for _, d in ref.out_degree), default=0)
+        assert st.max_in_degree == max((d for _, d in ref.in_degree), default=0)
