@@ -18,12 +18,11 @@ from .em import (  # noqa: F401
 )
 from .graph import InferredGraph  # noqa: F401
 from .trace import (  # noqa: F401
-    Episode,
+    Episodes,
     PairTable,
     Trace,
     TraceRecord,
     build_episodes,
     pair_counts,
     parse_trace,
-    resolve_root,
 )

@@ -14,26 +14,24 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .graph import InferredGraph
-from .trace import Episode, PairTable, pair_counts, predecessor_slots
+from .trace import Episodes, PairTable, pair_counts, predecessor_slots
 
 log = logging.getLogger("cemnet.baselines")
 
 _PROB_FLOOR = 1e-12
 
 
-def star_graph(episodes: Sequence[Episode], n_users: int) -> InferredGraph:
+def star_graph(episodes: Episodes, n_users: int) -> InferredGraph:
     """Directed edge from each episode author to every other participant."""
     slots = predecessor_slots(episodes)
     return InferredGraph(n_users, np.column_stack(
         [slots.users[slots.start], slots.users[slots.stop]]))
 
 
-def chain_graph(episodes: Sequence[Episode], n_users: int) -> InferredGraph:
+def chain_graph(episodes: Episodes, n_users: int) -> InferredGraph:
     """Directed path along each episode's chronological order."""
     slots = predecessor_slots(episodes)
     return InferredGraph(n_users, np.column_stack(
@@ -50,7 +48,7 @@ class SaitoResult:
 
 
 def saito_em(
-    episodes: Sequence[Episode],
+    episodes: Episodes,
     n_users: int,
     *,
     max_iters: int = 100,
@@ -155,7 +153,7 @@ class NewmanResult:
 
 
 def newman_em(
-    episodes: Sequence[Episode],
+    episodes: Episodes,
     n_users: int,
     *,
     max_iters: int = 100,

@@ -12,12 +12,10 @@ the existence of a time-respecting path from the author.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .graph import InferredGraph
-from .trace import Episode, PairTable, predecessor_slots
+from .trace import Episodes, PairTable, predecessor_slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +36,7 @@ class ConstraintSystem:
         return len(self.targets)
 
 
-def build_constraints(
-    episodes: Sequence[Episode], table: PairTable
-) -> ConstraintSystem:
+def build_constraints(episodes: Episodes, table: PairTable) -> ConstraintSystem:
     """One covering row per (episode, non-author user) over active-pair ids."""
     slots = predecessor_slots(episodes)
     row_ptr = slots.row_ptr
@@ -72,10 +68,9 @@ class FeasibilityReport:
         }
 
 
-def _episode_feasible(graph: InferredGraph, ep: Episode) -> bool:
-    ins = graph.in_sets
-    seen = {ep.users[0]}
-    for j in ep.users[1:]:
+def _episode_feasible(ins: dict[int, set[int]], users: list[int]) -> bool:
+    seen = {users[0]}
+    for j in users[1:]:
         preds = ins.get(j)
         if preds is None or seen.isdisjoint(preds):
             return False
@@ -83,11 +78,11 @@ def _episode_feasible(graph: InferredGraph, ep: Episode) -> bool:
     return True
 
 
-def check_feasibility(
-    graph: InferredGraph, episodes: Sequence[Episode]
-) -> FeasibilityReport:
+def check_feasibility(graph: InferredGraph, episodes: Episodes) -> FeasibilityReport:
     """Fraction of episodes the graph can explain (local predecessor test)."""
-    flags = tuple(_episode_feasible(graph, ep) for ep in episodes)
+    ins = graph.in_sets
+    users, ptr = episodes.users.tolist(), episodes.ptr.tolist()
+    flags = tuple(_episode_feasible(ins, users[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
     n_ok = sum(flags)
     total = len(episodes)
     fraction = n_ok / total if total else 1.0

@@ -30,7 +30,7 @@ from . import lp
 from .community import louvain_graph
 from .constraints import ConstraintSystem, build_constraints
 from .graph import InferredGraph
-from .trace import Episode, PairTable, Trace, build_episodes, pair_counts
+from .trace import Episodes, PairTable, Trace, build_episodes, pair_counts
 
 log = logging.getLogger("cemnet.em")
 
@@ -334,7 +334,7 @@ def _delta_q_sq_inactive_sbm(
 class Preprocessed:
     """Trace derivatives shared by all inference runs on one input."""
 
-    episodes: list[Episode]
+    episodes: Episodes
     table: PairTable
     constraints: ConstraintSystem
     reduced: lp.ReducedCovering

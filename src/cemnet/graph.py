@@ -8,6 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .trace import read_utf8
+
 
 class GraphFormatError(ValueError):
     """Structurally malformed graph or label CSV (header, arity, values)."""
@@ -145,7 +147,7 @@ def read_graph_csv(path: str | Path, users: Sequence[str]) -> InferredGraph:
     uid_index = {u: k for k, u in enumerate(users)}
     edges: list[tuple[int, int]] = []
     scores: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with read_utf8(path, GraphFormatError, f"{path}: ") as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
@@ -188,7 +190,7 @@ def write_labels_csv(
 def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
     uid_index = {u: k for k, u in enumerate(users)}
     out = [-1] * len(users)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with read_utf8(path, GraphFormatError, f"{path}: ") as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["uid", "community"]:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import InferredGraph
-from .trace import Trace, TraceRecord
+from .trace import ORIGINAL_RID, Trace
 
 log = logging.getLogger("cemnet.simulate")
 
@@ -166,7 +166,7 @@ def run_diffusion(
 
     feeds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     reposted_roots: list[set[int]] = [set() for _ in range(n)]
-    records: list[TraceRecord] = []
+    rows: list[tuple[int, int, int]] = []  # (tick, user, parent row or -1)
     uid_tok = [f"u{i:04d}" for i in range(n)]
 
     def push(target: int, entry: tuple[int, int]) -> None:
@@ -185,7 +185,7 @@ def run_diffusion(
         if kinds[idx] == POST:
             pid = next_pid
             next_pid += 1
-            records.append(TraceRecord(f"p{pid:07d}", float(tick), uid_tok[u], None))
+            rows.append((tick, u, -1))
             reposted_roots[u].add(pid)
             for v in followers[u]:
                 push(v, (pid, pid))
@@ -203,9 +203,7 @@ def run_diffusion(
                     continue
             pid = next_pid
             next_pid += 1
-            records.append(
-                TraceRecord(f"p{pid:07d}", float(tick), uid_tok[u], f"p{epid:07d}")
-            )
+            rows.append((tick, u, epid))
             reposted_roots[u].add(eroot)
             for v in followers[u]:
                 push(v, (pid, eroot))
@@ -215,7 +213,11 @@ def run_diffusion(
         "diffusion: %d posts, %d reposts, %d skipped repost events",
         n_posts, n_reposts, n_skipped,
     )
-    trace = Trace(records)
+    # a post's number is its row
+    ticks, posters, parents = np.array(rows, dtype=np.int64).reshape(-1, 3).T.tolist()
+    pids = [f"p{k:07d}" for k in range(len(rows))]
+    trace = Trace.from_columns(pids, ticks, [uid_tok[u] for u in posters],
+                               [ORIGINAL_RID if k < 0 else pids[k] for k in parents])
     if trace.n_users != n:
         silent = sorted(set(uid_tok) - set(trace.users))
         log.warning(

@@ -16,7 +16,8 @@ import io
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -39,68 +40,80 @@ class TraceRecord:
     rid: str | None  # None for original posts
 
 
-@dataclass(frozen=True)
-class Episode:
-    """Time-ordered participants of one original post.
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A validated trace, one array per column.
 
-    ``users[0]`` is the author; the remaining entries are the resharers in
-    chronological order (ties broken by trace row order).  A uid appears at
-    most once.
+    Row ``r`` is post ``pid[r]`` by user ``users[uid[r]]`` at ``t[r]``.  It
+    reshares row ``parent[r]``, or is an original post where that is -1, and
+    ``root[r]`` is the row of the original post behind it.  uids are interned
+    in first-seen order.  :meth:`from_columns` and :func:`parse_trace`
+    validate; the constructor takes the arrays as they are.
     """
 
-    root_pid: str
-    users: tuple[int, ...]
-    times: tuple[float, ...]
+    pid: np.ndarray  # (n,) object, str
+    t: np.ndarray  # (n,) float64
+    uid: np.ndarray  # (n,) int32
+    parent: np.ndarray  # (n,) int64
+    root: np.ndarray  # (n,) int64
+    users: tuple[str, ...]
+    uid_index: dict[str, int]
 
-    def __len__(self) -> int:
-        return len(self.users)
+    @classmethod
+    def from_columns(cls, pid: Sequence[str], t: Sequence[float], uid: Sequence[str],
+                     rid: Sequence[str], lines: Sequence[int] | None = None) -> "Trace":
+        """Validate and intern token columns, ``ORIGINAL_RID`` marking originals.
 
-
-class Trace:
-    """Parsed trace with uids/pids interned to dense integer indices."""
-
-    def __init__(self, records: Sequence[TraceRecord]):
-        if not records:
+        Errors name row ``r`` by its file line ``lines[r]`` (``r + 2`` by default).
+        """
+        n = len(pid)
+        if not n:
             raise TraceFormatError("empty trace")
-        self.records: tuple[TraceRecord, ...] = tuple(records)
-        seen: dict[str, int] = {}
-        by_pid: dict[str, int] = {}
-        for row, rec in enumerate(self.records):
-            if rec.pid in by_pid:
-                raise TraceFormatError(f"duplicate pid {rec.pid!r} at row {row + 1}")
-            by_pid[rec.pid] = row
-            if rec.uid not in seen:
-                seen[rec.uid] = len(seen)
-        for row, rec in enumerate(self.records):
-            if rec.rid is None:
-                continue
-            if rec.rid not in by_pid:
+        line = range(2, n + 2) if lines is None else lines
+        pid, names = np.array(pid, dtype=object), list(pid)
+        t = np.asarray(t, dtype=np.float64)
+        if len(set(names)) < n:
+            r = np.setdiff1d(np.arange(n), np.unique(pid, return_index=True)[1])[0]
+            raise TraceFormatError(f"duplicate pid {pid[r]!r} at row {line[r]}")
+        parent = _parent_rows(names, rid)
+        # checking each parent suffices: no repost then precedes its root
+        early = (parent >= 0) & (t < t[np.maximum(parent, 0)])
+        bad = np.flatnonzero((parent == -2) | early)
+        if len(bad):
+            r = bad[0]
+            if parent[r] == -2:
                 raise TraceFormatError(
-                    f"row {row + 1}: rid {rec.rid!r} does not match any pid in the trace"
+                    f"row {line[r]}: rid {rid[r]!r} does not match any pid in the trace"
                 )
-            # checking each parent suffices: no repost then precedes its root
-            parent_t = self.records[by_pid[rec.rid]].t
-            if rec.t < parent_t:
-                raise TraceFormatError(
-                    f"row {row + 1}: repost {rec.pid!r} at t={rec.t!r} precedes "
-                    f"its parent {rec.rid!r} at t={parent_t!r}"
-                )
-        self.users: tuple[str, ...] = tuple(seen)
-        self.uid_index: dict[str, int] = seen
-        self._row_of_pid = by_pid
-        self.originals: tuple[str, ...] = tuple(
-            r.pid for r in self.records if r.rid is None
-        )
+            raise TraceFormatError(
+                f"row {line[r]}: repost {pid[r]!r} at t={float(t[r])!r} precedes "
+                f"its parent {rid[r]!r} at t={float(t[parent[r]])!r}"
+            )
+        root = _root_rows(parent)
+        stuck = np.flatnonzero(parent[root] >= 0)
+        if len(stuck):
+            raise TraceFormatError(f"rid cycle detected at pid {pid[stuck[0]]!r}")
+        users = tuple(dict.fromkeys(uid))
+        index = {u: k for k, u in enumerate(users)}
+        uid = np.fromiter(map(index.__getitem__, uid), dtype=np.int32, count=n)
+        return cls(pid, t, uid, parent, root, users, index)
 
     @property
     def n_users(self) -> int:
         return len(self.users)
 
-    def record_of(self, pid: str) -> TraceRecord:
-        try:
-            return self.records[self._row_of_pid[pid]]
-        except KeyError:
-            raise KeyError(f"unknown pid {pid!r}") from None
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """The rows as :class:`TraceRecord` tuples, built on first read."""
+        rid = np.where(self.parent < 0, None, self.pid[self.parent]).tolist()
+        return tuple(map(TraceRecord, self.pid.tolist(), self.t.tolist(), self.uid_tokens(), rid))
+
+    def uid_tokens(self) -> list[str]:
+        return np.array(self.users, dtype=object)[self.uid].tolist()
+
+    def rid_tokens(self) -> list[str]:
+        """Each row's rid as written in the file, ``ORIGINAL_RID`` for originals."""
+        return np.where(self.parent < 0, ORIGINAL_RID, self.pid[self.parent]).tolist()
 
     def head(self, n_rows: int) -> "Trace":
         """First ``n_rows`` rows as a new trace.
@@ -108,13 +121,35 @@ class Trace:
         Rows are time-ordered and reposts always point backwards, so any
         prefix is closed under rid resolution.
         """
-        if n_rows >= len(self.records):
+        if n_rows >= len(self.pid):
             return self
-        return Trace(self.records[:n_rows])
+        return Trace.from_columns(self.pid[:n_rows], self.t[:n_rows],
+                                  self.uid_tokens()[:n_rows], self.rid_tokens()[:n_rows])
+
+
+def _parent_rows(pid: list[str], rid: Sequence[str]) -> np.ndarray:
+    """The row each row reshares: -1 for originals, -2 for a rid that is no pid."""
+    row_of = dict(zip(pid, range(len(pid))))
+    row_of[ORIGINAL_RID] = -1
+    return np.fromiter(map(row_of.get, rid, repeat(-2)), dtype=np.int64, count=len(rid))
+
+
+def _root_rows(parent: np.ndarray) -> np.ndarray:
+    """The row each row's parent chain ends at, by pointer jumping.
+
+    Chains end at a row with ``parent < 0``; a row on or behind a cycle
+    ends on the cycle, where ``parent >= 0``.
+    """
+    root = np.where(parent < 0, np.arange(len(parent)), parent)
+    for _ in range(max(1, len(parent)).bit_length() + 1):
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    return root
 
 
 def _parse_timestamp(token: str, mode: list[str | None], row: int) -> float:
-    token = token.strip()
     if mode[0] is None:
         mode[0] = "int" if token.lstrip("+-").isdigit() else "rfc3339"
     if mode[0] == "int":
@@ -127,7 +162,10 @@ def _parse_timestamp(token: str, mode: list[str | None], row: int) -> float:
             ) from None
         if value < 0:
             raise TraceFormatError(f"row {row}: negative timestamp {token!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise TraceFormatError(f"row {row}: timestamp {token!r} is out of range") from None
     try:
         stamp = datetime.fromisoformat(token.replace("Z", "+00:00"))
     except ValueError:
@@ -135,6 +173,16 @@ def _parse_timestamp(token: str, mode: list[str | None], row: int) -> float:
     if stamp.tzinfo is None:  # naive stamps are UTC, never host local time
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp()
+
+
+def read_utf8(path: str | Path, error: type[ValueError], prefix: str = "") -> io.StringIO:
+    """``path``'s text as a :mod:`csv` stream; a byte that is not UTF-8 raises ``error``."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{prefix}row {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
 
 def parse_trace(source: str | Path | IO[str], *, drop_orphans: bool = False) -> Trace:
@@ -145,101 +193,70 @@ def parse_trace(source: str | Path | IO[str], *, drop_orphans: bool = False) -> 
     without an offset are read as UTC.  A rid chain that
     does not resolve to a post in the trace is a hard error unless
     ``drop_orphans`` is set, in which case the offending rows are dropped
-    with a warning.
+    with a warning.  Every error names the file line (the header is line 1).
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_trace(fh, drop_orphans=drop_orphans)
+        return parse_trace(read_utf8(source, TraceFormatError), drop_orphans=drop_orphans)
     reader = _csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise TraceFormatError("empty trace")
-    if [h.strip() for h in header] != ["pid", "t", "uid", "rid"]:
-        raise TraceFormatError(f"bad header {header!r}, expected pid,t,uid,rid")
     mode: list[str | None] = [None]
-    records: list[TraceRecord] = []
-    for row, parts in enumerate(reader, start=2):
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise TraceFormatError(f"row {row}: expected 4 fields, got {len(parts)}")
-        pid, t_token, uid, rid = (p.strip() for p in parts)
-        if not pid or not uid:
-            raise TraceFormatError(f"row {row}: empty pid or uid")
-        t = _parse_timestamp(t_token, mode, row)
-        records.append(
-            TraceRecord(pid, t, uid, None if rid == ORIGINAL_RID else rid)
-        )
-    if not records:
-        raise TraceFormatError("empty trace")
+    pid, t, uid, rid, lines = [], [], [], [], []  # columns, and each row's file line
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise TraceFormatError("empty trace")
+        if [h.strip() for h in header] != ["pid", "t", "uid", "rid"]:
+            raise TraceFormatError(f"bad header {header!r}, expected pid,t,uid,rid")
+        for parts in reader:
+            if not parts:
+                continue
+            row = reader.line_num
+            if len(parts) != 4:
+                raise TraceFormatError(f"row {row}: expected 4 fields, got {len(parts)}")
+            p, stamp, u, r = map(str.strip, parts)
+            if not p or not u:
+                raise TraceFormatError(f"row {row}: empty pid or uid")
+            pid.append(p)
+            t.append(_parse_timestamp(stamp, mode, row))
+            uid.append(u)
+            rid.append(r)
+            lines.append(row)
+    except _csv.Error as exc:
+        raise TraceFormatError(f"row {reader.line_num}: {exc}") from None
     if drop_orphans:
-        records = _drop_orphans(records)
-    return Trace(records)
+        keep = _kept_rows(pid, rid)
+        pid, t, uid, rid, lines = ([col[k] for k in keep] for col in (pid, t, uid, rid, lines))
+    return Trace.from_columns(pid, t, uid, rid, lines)
 
 
-def _drop_orphans(records: list[TraceRecord]) -> list[TraceRecord]:
-    """Drop records whose rid chain leaves the trace (and their dependants)."""
-    known = {r.pid for r in records}
-    kept: list[TraceRecord] = []
-    dropped: set[str] = set()
-    for rec in records:
-        if rec.rid is not None and (rec.rid not in known or rec.rid in dropped):
-            dropped.add(rec.pid)
-            log.warning("dropping orphan repost %s (rid %s)", rec.pid, rec.rid)
-            continue
-        kept.append(rec)
-    # a drop can orphan later rows that were already checked against `known`
-    if dropped:
-        again = [r for r in kept if r.rid in dropped]
-        while again:
-            for rec in again:
-                dropped.add(rec.pid)
-                log.warning("dropping orphan repost %s (rid %s)", rec.pid, rec.rid)
-            kept = [r for r in kept if r.pid not in dropped]
-            again = [r for r in kept if r.rid in dropped]
-    return kept
+def _kept_rows(pid: list[str], rid: list[str]) -> list[int]:
+    """Rows whose rid chain stays in the trace; each other row is logged."""
+    parent = _parent_rows(pid, rid)
+    orphan = parent[_root_rows(parent)] == -2
+    for r in np.flatnonzero(orphan).tolist():
+        log.warning("dropping orphan repost %s (rid %s)", pid[r], rid[r])
+    return np.flatnonzero(~orphan).tolist()
 
 
-def resolve_root(trace: Trace, pid: str, _memo: dict[str, str] | None = None) -> str:
-    """Follow the rid chain from ``pid`` to the original post it reshares."""
-    memo = _memo if _memo is not None else {}
-    path: list[str] = []
-    cur = pid
-    while cur not in memo:
-        rec = trace.record_of(cur)
-        if rec.rid is None:
-            memo[cur] = cur
-            break
-        path.append(cur)
-        cur = rec.rid
-        if cur in path:
-            raise TraceFormatError(f"rid cycle detected at pid {cur!r}")
-    root = memo[cur] if cur in memo else cur
-    for p in path:
-        memo[p] = root
-    return root
+@dataclass(frozen=True, eq=False)
+class Episodes:
+    """Time-ordered participants of every episode, back to back (CSR).
 
-
-def _root_rows(trace: Trace, parent: np.ndarray) -> np.ndarray:
-    """Row of the original post behind every row, by pointer jumping.
-
-    ``parent`` holds the row each row reshares, -1 for originals.
+    Episode ``e`` is the original post ``root_pids[e]``; its participants are
+    ``users[ptr[e]:ptr[e + 1]]`` at ``times[ptr[e]:ptr[e + 1]]``: the author
+    first, then the resharers in chronological order (ties broken by trace
+    row order).  A uid appears at most once per episode.
     """
-    root = np.where(parent < 0, np.arange(len(parent)), parent)
-    for _ in range(max(1, len(parent)).bit_length() + 1):
-        nxt = root[root]
-        if np.array_equal(nxt, root):
-            break
-        root = nxt
-    stuck = np.flatnonzero(parent[root] >= 0)
-    if len(stuck):
-        raise TraceFormatError(
-            f"rid cycle detected at pid {trace.records[stuck[0]].pid!r}"
-        )
-    return root
+
+    ptr: np.ndarray  # (E + 1,) int64
+    users: np.ndarray  # (U,) int32
+    times: np.ndarray  # (U,) float64
+    root_pids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
 
 
-def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> list[Episode]:
+def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> Episodes:
     """Group reposts by resolved root into chronologically ordered episodes.
 
     With ``retweeted_only`` (the standard preprocessing) originals that were
@@ -247,14 +264,7 @@ def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> list[Episode
     same uid keep only the earliest; reshares by the root's own author are
     ignored since the author already heads the episode.
     """
-    recs, n = trace.records, len(trace.records)
-    uid = np.fromiter((trace.uid_index[r.uid] for r in recs), dtype=np.int64, count=n)
-    t = np.fromiter((r.t for r in recs), dtype=np.float64, count=n)
-    parent = np.fromiter(
-        (-1 if r.rid is None else trace._row_of_pid[r.rid] for r in recs),
-        dtype=np.int64, count=n,
-    )
-    root = _root_rows(trace, parent)
+    uid, t, parent, root = trace.uid, trace.t, trace.parent, trace.root
     rows = np.flatnonzero((parent >= 0) & (uid != uid[root]))
     # earliest (t, row) per (root, uid), then chronological within each root
     rows = rows[np.lexsort((rows, t[rows], uid[rows], root[rows]))]
@@ -264,18 +274,15 @@ def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> list[Episode
     rows = rows[np.lexsort((rows, t[rows], root[rows]))]
 
     originals = np.flatnonzero(parent < 0)
-    # original k's resharers are rows[bounds[k]:bounds[k + 1]]
-    bounds = np.append(np.searchsorted(root[rows], originals), len(rows)).tolist()
-    res_users, res_times = uid[rows].tolist(), t[rows].tolist()
-    episodes: list[Episode] = []
-    for k, row in enumerate(originals.tolist()):
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo == hi and retweeted_only:
-            continue
-        rec = trace.records[row]
-        episodes.append(Episode(rec.pid, (int(uid[row]),) + tuple(res_users[lo:hi]),
-                                (rec.t,) + tuple(res_times[lo:hi])))
-    return episodes
+    n_shares = np.diff(np.append(np.searchsorted(root[rows], originals), len(rows)))
+    if retweeted_only:
+        originals, n_shares = originals[n_shares > 0], n_shares[n_shares > 0]
+    # each author ahead of its resharers: a stable sort by root
+    flat = np.concatenate([originals, rows])
+    flat = flat[np.argsort(root[flat], kind="stable")]
+    ptr = np.zeros(len(originals) + 1, dtype=np.int64)
+    np.cumsum(n_shares + 1, out=ptr[1:])
+    return Episodes(ptr, uid[flat], t[flat], tuple(trace.pid[originals].tolist()))
 
 
 # slots per block: keeps the per-slot temporaries of one pass near 1 MB
@@ -291,10 +298,10 @@ def key_dtype(n_users: int) -> type:
 class Slots:
     """Every episode's predecessor slots, one CSR row per (episode, resharer).
 
-    ``users``/``times`` hold the episodes back to back.  Row ``r`` is the
-    resharer at flat index ``stop[r]`` of episode ``episode_ids[r]``; its
-    slots are the users ahead of it, ``users[start[r]:stop[r]]``, the author
-    first.  Rows follow episode order, then position, exactly like the
+    ``users``/``times`` are the :class:`Episodes` arrays themselves.  Row ``r``
+    is the resharer at flat index ``stop[r]`` of episode ``episode_ids[r]``;
+    its slots are the users ahead of it, ``users[start[r]:stop[r]]``, the
+    author first.  Rows follow episode order, then position, exactly like the
     covering rows, so ``row_ptr`` is the covering rows' CSR pointer.
     """
 
@@ -361,19 +368,15 @@ class Slots:
         return out
 
 
-def predecessor_slots(episodes: Sequence[Episode]) -> Slots:
-    """Flatten the episodes and index their CSR-ordered predecessor slots."""
-    lens = np.fromiter((len(ep.users) for ep in episodes), dtype=np.intp,
-                       count=len(episodes))
-    users = np.fromiter(chain.from_iterable(ep.users for ep in episodes),
-                        dtype=np.int32, count=int(lens.sum()))
-    times = np.fromiter(chain.from_iterable(ep.times for ep in episodes),
-                        dtype=np.float64, count=len(users))
-    ep_start = np.cumsum(lens) - lens
-    ep_of = np.repeat(np.arange(len(episodes), dtype=np.int64), lens)
-    stop = np.flatnonzero(np.arange(len(users)) != ep_start[ep_of])
+def predecessor_slots(episodes: Episodes) -> Slots:
+    """Index the episodes' CSR-ordered predecessor slots, sharing their arrays."""
+    ptr = episodes.ptr
+    ep_of = np.repeat(np.arange(len(episodes), dtype=np.int64), np.diff(ptr))
+    resharer = np.ones(len(ep_of), dtype=bool)
+    resharer[ptr[:-1]] = False
+    stop = np.flatnonzero(resharer)
     episode_ids = ep_of[stop]
-    return Slots(users, times, ep_start[episode_ids], stop, episode_ids)
+    return Slots(episodes.users, episodes.times, ptr[episode_ids], stop, episode_ids)
 
 
 @dataclass
@@ -422,12 +425,8 @@ class PairTable:
         at[self._keys[at] != flat] = -1
         return at.reshape(np.shape(keys))
 
-    def m_of(self, i: int, j: int) -> float:
-        k = int(self.ids(i, j))
-        return 0.0 if k < 0 else float(self.m[k])
 
-
-def pair_counts(episodes: Sequence[Episode], n_users: int) -> PairTable:
+def pair_counts(episodes: Episodes, n_users: int) -> PairTable:
     """Count, per ordered user pair, the episodes where ``i`` precedes ``j``."""
     keys = predecessor_slots(episodes).keys(n_users)
     # np.unique would sort a copy; sorting in place keeps one key array
@@ -445,19 +444,20 @@ def pair_counts(episodes: Sequence[Episode], n_users: int) -> PairTable:
 def trace_to_csv(trace: Trace, path: str | Path) -> None:
     """Write a trace back out in the canonical CSV format.
 
-    Integral timestamps are written as integer ticks; fractional ones
-    (possible after RFC3339 parsing) fall back to RFC3339 so the file
-    stays within the format.
+    Timestamps are integer ticks when every one is a non-negative integer,
+    and RFC3339 UTC strings otherwise (possible after RFC3339 parsing): one
+    style per file, so the file parses back to the same trace.
     """
+    t = trace.t
+    if np.all((t >= 0) & (t == np.floor(t))):
+        stamps = [str(int(x)) for x in t.tolist()]
+    else:
+        stamps = [datetime.fromtimestamp(x, tz=timezone.utc).isoformat() for x in t.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(["pid", "t", "uid", "rid"])
-        for rec in trace.records:
-            if float(rec.t).is_integer():
-                t = str(int(rec.t))
-            else:
-                t = datetime.fromtimestamp(rec.t, tz=timezone.utc).isoformat()
-            writer.writerow([rec.pid, t, rec.uid, ORIGINAL_RID if rec.rid is None else rec.rid])
+        writer.writerows(zip(trace.pid.tolist(), stamps, trace.uid_tokens(),
+                             trace.rid_tokens()))
 
 
 def trace_from_string(text: str, **kwargs) -> Trace:

@@ -4,8 +4,8 @@ import pytest
 from cemnet import baselines as bl
 from cemnet.constraints import check_feasibility
 from cemnet.simulate import SimConfig, simulate
-from cemnet.trace import Episode, build_episodes, pair_counts, trace_from_string
-from conftest import random_episodes
+from cemnet.trace import build_episodes, pair_counts, trace_from_string
+from conftest import episode_lists, make_episodes, random_episodes
 
 
 def test_star_on_toy_trace(t1):
@@ -19,9 +19,10 @@ def test_star_on_toy_trace(t1):
 
 
 def test_star_single_episode():
-    eps = [Episode("r", (0, 1, 2), (1.0, 2.0, 3.0))]
+    eps = make_episodes([((0, 1, 2), (1.0, 2.0, 3.0))])
     assert bl.star_graph(eps, 3).edges == {(0, 1), (0, 2)}
-    assert bl.star_graph([], 3).n_edges == bl.chain_graph([], 3).n_edges == 0
+    none = make_episodes([])
+    assert bl.star_graph(none, 3).n_edges == bl.chain_graph(none, 3).n_edges == 0
 
 
 def test_chain_on_toy_trace(t1):
@@ -34,7 +35,7 @@ def test_chain_on_toy_trace(t1):
 
 
 def test_chain_two_user_episode():
-    eps = [Episode("r", (0, 1), (1.0, 2.0))]
+    eps = make_episodes([((0, 1), (1.0, 2.0))])
     assert bl.chain_graph(eps, 2).edges == {(0, 1)}
 
 
@@ -48,15 +49,16 @@ def test_star_chain_always_feasible_and_within_active_pairs(rng):
             assert check_feasibility(g, eps).fraction == 1.0
             assert g.edges <= active
         # the tuple-set loops the slot arrays replaced
-        star = {(ep.users[0], j) for ep in eps for j in ep.users[1:]}
-        chain = {(a, b) for ep in eps for a, b in zip(ep.users, ep.users[1:])}
+        seqs = [users for users, _ in episode_lists(eps)]
+        star = {(users[0], j) for users in seqs for j in users[1:]}
+        chain = {(a, b) for users in seqs for a, b in zip(users, users[1:])}
         assert bl.star_graph(eps, 8).edges == star
         assert bl.chain_graph(eps, 8).edges == chain
 
 
 def test_saito_single_parent_in_window():
     # author at t, resharer at t + 1: the one explained trial earns full credit
-    eps = [Episode("r", (0, 1), (5.0, 6.0))]
+    eps = make_episodes([((0, 1), (5.0, 6.0))])
     res = bl.saito_em(eps, 2, max_iters=50)
     k = res.table.ids(0, 1)
     assert res.kappa[k] == pytest.approx(1.0)
@@ -65,13 +67,13 @@ def test_saito_single_parent_in_window():
 
 def test_saito_out_of_window_reshare_unexplained():
     # the reshare lags two units; nobody gets credit and no edge appears
-    eps = [Episode("r", (0, 1), (5.0, 7.0))]
+    eps = make_episodes([((0, 1), (5.0, 7.0))])
     res = bl.saito_em(eps, 2, max_iters=50)
     assert res.graph.n_edges == 0
 
 
 def test_saito_symmetric_two_parents():
-    eps = [Episode(f"r{i}", (0, 1, 2), (5.0, 5.0, 6.0)) for i in range(3)]
+    eps = make_episodes([((0, 1, 2), (5.0, 5.0, 6.0))] * 3)
     for iters in (1, 2, 5, 30):
         res = bl.saito_em(eps, 3, max_iters=iters, init_kappa=0.5)
         ka = res.kappa[res.table.ids(0, 2)]
@@ -81,8 +83,7 @@ def test_saito_symmetric_two_parents():
 
 def test_saito_failure_opportunities_dilute():
     # one explained reshare, then four episodes where 0 acted and 1 stayed out
-    eps = [Episode("r0", (0, 1), (5.0, 6.0))]
-    eps += [Episode(f"r{k}", (0, 2), (5.0, 6.0)) for k in range(1, 5)]
+    eps = make_episodes([((0, 1), (5.0, 6.0))] + [((0, 2), (5.0, 6.0))] * 4)
     res = bl.saito_em(eps, 3, max_iters=100)
     k01 = res.table.ids(0, 1)
     assert res.kappa[k01] == pytest.approx(1.0 / 5.0, abs=1e-6)

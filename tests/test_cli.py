@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cemnet.cli import main
 
@@ -51,6 +53,9 @@ def test_infer_roundtrip_and_determinism(workdir):
 
 
 OUTPUT_GOLDEN = {
+    "trace.csv": "9ad3a1872a70f5db32fd53aea992e26b",
+    "truth.csv": "8266a322fe6cf5c941ef6bbc45436106",
+    "labels.csv": "8b86698417f2dfe76614660aeb7a8394",
     "graph.csv": "95396437f4c1ebd0804516bd09532584",
     "scores.csv": "7d3a11bd04f772c63a4291f4875f1785",
     "report.json": "f18d3fb5473c6a96c8bee9d2723de52e",
@@ -63,10 +68,12 @@ OUTPUT_GOLDEN = {
 
 
 def test_output_bytes_match_recorded_digests(workdir, tmp_path):
-    """Graph, scores, baseline and report files byte for byte.
+    """Simulator, graph, scores, baseline and report files byte for byte.
 
-    The digests were recorded from the tuple-and-dict graph that preceded
-    the array-backed one.
+    The graph, score, baseline and report digests were recorded from the
+    tuple-and-dict graph that preceded the array-backed one; the simulator's
+    trace, truth and labels digests from the per-row ``TraceRecord`` trace
+    that preceded the columnar one.
     """
     trace = str(workdir / "trace.csv")
     out = {name: str(tmp_path / name) for name in (
@@ -85,8 +92,10 @@ def test_output_bytes_match_recorded_digests(workdir, tmp_path):
     for method in ("star", "chain", "saito", "newman"):
         assert main(["baseline", "--method", method, "--trace", trace,
                      "--out-graph", out[f"{method}.csv"]]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:32]
-               for name in out}
+    files = {name: tmp_path / name for name in out}
+    files.update({name: workdir / name for name in ("trace.csv", "truth.csv", "labels.csv")})
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()[:32]
+               for name, path in files.items()}
     assert digests == OUTPUT_GOLDEN
 
 def test_baseline_methods(workdir):
@@ -171,6 +180,120 @@ def test_repost_before_its_parent_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err and "'p2'" in err and "'p1'" in err
     assert not (tmp_path / "g.csv").exists()
+
+
+BAD_BYTES = b"P2,2,U\xff2,P1\n"
+
+
+def test_non_utf8_trace_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bytes.csv"
+    bad.write_bytes(b"pid,t,uid,rid\nP1,1,U1,-1\n\n" + BAD_BYTES)
+    rc = main(["infer", "--trace", str(bad), "--prior", "er",
+               "--out-graph", str(tmp_path / "g.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 4: byte 0xff is not UTF-8" in err
+
+
+def test_non_utf8_graph_is_usage_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "bytes_graph.csv"
+    bad.write_bytes(b"src,dst,q\nu0001,u0002,1.0\nu0002,u\xff,1.0\n")
+    rc = main(["feascheck", "--graph", str(bad), "--trace", str(workdir / "trace.csv"),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 3: byte 0xff is not UTF-8" in err
+
+
+def test_non_utf8_labels_is_usage_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "bytes_labels.csv"
+    bad.write_bytes(b"uid,community\n\xfe0001,0\n")
+    rc = main(["evaluate", "--inferred", str(workdir / "truth.csv"),
+               "--truth", str(workdir / "truth.csv"),
+               "--trace", str(workdir / "trace.csv"),
+               "--truth-labels", str(bad), "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 2: byte 0xfe is not UTF-8" in err
+
+
+def _valid_rows(draw) -> list[list[str]]:
+    """A valid trace of two to eight users: originals and reposts of earlier rows."""
+    n_rows = draw(st.integers(2, 12))
+    rows = [["p0", "0", "u0", "-1"], ["p1", "1", "u1", "p0"]]
+    for k in range(2, n_rows):
+        parent = draw(st.integers(-1, k - 1))
+        t = int(rows[parent][1]) + draw(st.integers(0, 3)) if parent >= 0 else k
+        rows.append([f"p{k}", str(t), f"u{draw(st.integers(0, 7))}",
+                     f"p{parent}" if parent >= 0 else "-1"])
+    return rows
+
+
+JUNK = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+               max_size=6)
+
+
+@st.composite
+def malformed_traces(draw) -> bytes:
+    """A valid trace with one to three corruptions; blank lines alone keep it valid."""
+    rows = _valid_rows(draw)
+    kinds = draw(st.lists(st.sampled_from([
+        "arity", "mixed", "negative", "junk_time", "duplicate", "dangling",
+        "cycle", "blank", "empty_field", "bytes"]), min_size=1, max_size=3))
+    blanks: list[int] = []
+    arity: list[int] = []
+    bad_bytes = None
+    for kind in kinds:
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if kind == "arity":
+            arity.append(k)
+        elif kind == "mixed":
+            row[1] = draw(st.sampled_from(["2024-01-01T00:00:00Z", "1.5", "1e3"]))
+        elif kind == "negative":
+            row[1] = str(-draw(st.integers(1, 10**20)))
+        elif kind == "junk_time":
+            row[1] = draw(JUNK)
+        elif kind == "duplicate":
+            rows.append([row[0], row[1], "u9", "-1"])
+        elif kind == "dangling":
+            row[3] = draw(st.sampled_from(["px", "p99", "", "-2"]))
+        elif kind == "cycle":
+            rows += [["ca", "5", "u8", "cb"], ["cb", "5", "u9", "ca"]]
+        elif kind == "blank":
+            blanks.append(k)
+        elif kind == "empty_field":
+            row[draw(st.sampled_from([0, 2]))] = " "
+        else:
+            bad_bytes = (k, draw(st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x82", b"\x80"])))
+    for k in arity:
+        if draw(st.booleans()):
+            rows[k].append(draw(JUNK))
+        elif len(rows[k]) > 1:
+            del rows[k][draw(st.integers(0, len(rows[k]) - 1))]
+    lines = [",".join(r).encode() for r in rows]
+    for k in blanks:
+        lines.insert(k, b"")
+    if bad_bytes is not None:
+        k, junk = bad_bytes
+        lines[k] = lines[k][:1] + junk + lines[k][1:]
+    return b"\n".join([b"pid,t,uid,rid"] + lines) + b"\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_traces())
+def test_fuzzed_traces_exit_0_or_2(tmp_path, capsys, data):
+    """Malformed trace text never fails inference (1) or escapes as an exception."""
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    capsys.readouterr()
+    rc = main(["infer", "--trace", str(path), "--prior", "er", "--max-iters", "3",
+               "--out-graph", str(tmp_path / "g.csv")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert str(path) in err
 
 
 def test_malformed_graph_is_usage_error(workdir, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from cemnet import trace as trace_mod
 from cemnet.constraints import build_constraints, check_feasibility
 from cemnet.graph import InferredGraph
-from cemnet.trace import Episode, build_episodes, pair_counts
-from conftest import random_episodes
+from cemnet.trace import build_episodes, pair_counts
+from conftest import episode_lists, make_episodes, random_episodes
 
 
 def _rows(system):
@@ -40,7 +40,7 @@ def test_constraints_t1(t1):
 
 
 def test_constraints_two_user_episode():
-    eps = [Episode("r", (0, 1), (1.0, 2.0))]
+    eps = make_episodes([((0, 1), (1.0, 2.0))])
     table = pair_counts(eps, 2)
     system = build_constraints(eps, table)
     assert len(system) == 1
@@ -49,7 +49,7 @@ def test_constraints_two_user_episode():
 
 def test_constraints_sizes_by_position():
     k = 6
-    eps = [Episode("r", tuple(range(k)), tuple(float(i) for i in range(k)))]
+    eps = make_episodes([(range(k), [float(i) for i in range(k)])])
     table = pair_counts(eps, k)
     system = build_constraints(eps, table)
     assert len(system) == k - 1
@@ -60,7 +60,7 @@ def test_constraint_count_identity(rng):
     eps = random_episodes(rng)
     table = pair_counts(eps, 8)
     system = build_constraints(eps, table)
-    assert len(system) == sum(len(e) - 1 for e in eps)
+    assert len(system) == sum(len(users) - 1 for users, _ in episode_lists(eps))
 
 
 def test_feasibility_figure_graphs(t1):
@@ -84,9 +84,9 @@ def test_feasibility_complete_graph(rng):
     assert check_feasibility(complete, eps).fraction == 1.0
 
 
-def _feasible_bfs_oracle(graph, ep):
+def _feasible_bfs_oracle(graph, users):
     """Reachability from the author over time-respecting edges only."""
-    users = list(ep.users)
+    users = list(users)
     pos = {u: k for k, u in enumerate(users)}
     reached = {users[0]}
     frontier = [users[0]]
@@ -115,7 +115,7 @@ def test_local_criterion_equals_path_oracle(rng):
         ]
         graph = InferredGraph(n, edges)
         rep = check_feasibility(graph, eps)
-        oracle = [_feasible_bfs_oracle(graph, ep) for ep in eps]
+        oracle = [_feasible_bfs_oracle(graph, users) for users, _ in episode_lists(eps)]
         assert list(rep.per_episode) == oracle
 
 
@@ -155,22 +155,23 @@ def test_report_json(t1):
 
 
 def test_empty_episode_list_is_vacuously_feasible():
-    rep = check_feasibility(InferredGraph(3, []), [])
+    rep = check_feasibility(InferredGraph(3, []), make_episodes([]))
     assert rep.fraction == 1.0
 
 
 
 def _reference_counts_and_rows(episodes):
     """Tuple/Counter pair counts and covering rows, pair by pair."""
+    seqs = [users for users, _ in episode_lists(episodes)]
     counts = Counter()
-    for ep in episodes:
-        for a in range(len(ep.users)):
-            for b in range(a + 1, len(ep.users)):
-                counts[(ep.users[a], ep.users[b])] += 1
+    for users in seqs:
+        for a in range(len(users)):
+            for b in range(a + 1, len(users)):
+                counts[(users[a], users[b])] += 1
     ordered = sorted(counts)
     index = {ij: k for k, ij in enumerate(ordered)}
-    rows = [(e, ep.users[b], tuple(index[(ep.users[a], ep.users[b])] for a in range(b)))
-            for e, ep in enumerate(episodes) for b in range(1, len(ep.users))]
+    rows = [(e, users[b], tuple(index[(users[a], users[b])] for a in range(b)))
+            for e, users in enumerate(seqs) for b in range(1, len(users))]
     return ordered, [counts[ij] for ij in ordered], rows
 
 
@@ -185,9 +186,8 @@ def _mixed_episodes(rng, n_users, n_episodes):
     for e in range(n_episodes):
         k = int(rng.integers(1, 8))
         users = rng.choice(pool, size=k, replace=False)
-        out.append(Episode(f"r{e}", tuple(int(u) for u in users),
-                           tuple(float(x) for x in range(k))))
-    return out
+        out.append(([int(u) for u in users], [float(x) for x in range(k)]))
+    return make_episodes(out)
 
 
 @pytest.mark.parametrize("block_slots", [None, 4])

@@ -145,11 +145,13 @@ def _preprocess_traces(t1):
 
 
 def _episodes_digest(episodes) -> str:
+    """Per episode: root pid, NUL, users as int64, times as float64."""
     h = hashlib.sha256()
-    for ep in episodes:
-        h.update(ep.root_pid.encode() + b"\0")
-        h.update(np.array(ep.users, dtype=np.int64).tobytes())
-        h.update(np.array(ep.times, dtype=np.float64).tobytes())
+    ptr = episodes.ptr.tolist()
+    for e, root_pid in enumerate(episodes.root_pids):
+        h.update(root_pid.encode() + b"\0")
+        h.update(episodes.users[ptr[e]:ptr[e + 1]].astype(np.int64).tobytes())
+        h.update(episodes.times[ptr[e]:ptr[e + 1]].astype(np.float64).tobytes())
     return h.hexdigest()[:32]
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cemnet import simulate as sim
 from cemnet.constraints import check_feasibility
-from cemnet.trace import build_episodes, pair_counts, resolve_root
+from cemnet.trace import build_episodes, pair_counts
 
 
 def test_config_validation():
@@ -99,8 +99,11 @@ def test_two_user_forced_repost():
     assert out.n_posts == 1 and out.n_reposts == 1
     reposts = [r for r in out.trace.records if r.rid is not None]
     assert len(reposts) == 1
-    root = resolve_root(out.trace, reposts[0].pid)
-    assert out.trace.record_of(root).uid == "u0000"
+    # the repost's root is u0000's post, so u0000 heads its episode
+    eps = build_episodes(out.trace)
+    assert len(eps) == 1 and out.trace.users[eps.users[0]] == "u0000"
+    assert eps.root_pids[0] == reposts[0].rid
+    assert out.trace.pid[out.trace.root].tolist() == [reposts[0].rid] * 2
 
 
 def test_trace_fully_feasible_against_truth():
@@ -114,7 +117,7 @@ def test_truth_edge_coverage_at_full_length():
     eps = build_episodes(out.trace)
     table = pair_counts(eps, out.trace.n_users)
     covered = sum(
-        1 for e in out.truth_graph.edges if table.m_of(*e) > 0
+        1 for e in out.truth_graph.edges if table.ids(*e) >= 0
     )
     assert covered / out.truth_graph.n_edges >= 0.99
 
@@ -136,7 +139,7 @@ def test_simulation_deterministic():
 
 def test_timestamps_nondecreasing_integer_ticks():
     out = sim.simulate(sim.SimConfig(seed=5, n_events=5_000))
-    ts = [r.t for r in out.trace.records]
+    ts = out.trace.t.tolist()
     assert all(a <= b for a, b in zip(ts, ts[1:]))
     assert all(float(t).is_integer() for t in ts)
 

@@ -1,27 +1,58 @@
 import io
+import logging
 
 import numpy as np
 import pytest
 
 from cemnet.trace import (
-    Episode,
+    Episodes,
+    Trace,
     TraceFormatError,
     TraceRecord,
-    Trace,
     build_episodes,
     pair_counts,
     parse_trace,
-    resolve_root,
     trace_from_string,
+    trace_to_csv,
 )
-from conftest import random_episodes
+from conftest import episode_lists, make_episodes, random_episodes
+
+
+def _m(table, i, j) -> float:
+    """Episode count of pair (i, j), 0 where the pair is not active."""
+    k = int(table.ids(i, j))
+    return 0.0 if k < 0 else float(table.m[k])
 
 
 def test_parse_t1(t1):
-    assert len(t1.records) == 6
+    assert len(t1.pid) == len(t1.records) == 6
     assert t1.n_users == 3
-    assert t1.originals == ("P1", "P3")
+    assert t1.pid[t1.parent < 0].tolist() == ["P1", "P3"]
     assert t1.users == ("U1", "U2", "U3")
+    assert t1.uid.dtype == np.int32 and t1.uid.tolist() == [0, 1, 1, 2, 2, 0]
+    assert t1.parent.tolist() == [-1, 0, -1, 1, 2, 2]
+    assert t1.t.tolist() == [920.0, 930.0, 935.0, 940.0, 945.0, 950.0]
+
+
+def test_from_columns_matches_parse(t1):
+    cols = (t1.pid.tolist(), t1.t.tolist(), t1.uid_tokens(), t1.rid_tokens())
+    assert cols[3] == ["-1", "P1", "-1", "P2", "P3", "P3"]
+    tr = Trace.from_columns(*cols)
+    for name in ("pid", "t", "uid", "parent", "root"):
+        assert getattr(tr, name).tolist() == getattr(t1, name).tolist()
+    assert tr.users == t1.users and tr.uid_index == t1.uid_index == {"U1": 0, "U2": 1, "U3": 2}
+    # without file lines, row r is named as the line under a header
+    with pytest.raises(TraceFormatError, match="row 3: rid 'P9'"):
+        Trace.from_columns(["a", "b"], [1.0, 2.0], ["u", "v"], ["-1", "P9"])
+
+
+def test_records_view_is_a_read_only_tuple(t1):
+    recs = t1.records
+    assert isinstance(recs, tuple) and recs is t1.records
+    assert recs[0] == TraceRecord("P1", 920.0, "U1", None)
+    assert recs[3] == TraceRecord("P4", 940.0, "U3", "P2")
+    with pytest.raises(AttributeError):
+        t1.pid = None
 
 
 def test_parse_empty_stream():
@@ -41,17 +72,51 @@ EARLY_REPOST = "pid,t,uid,rid\np1,10,a,-1\np2,5,b,p1\np3,12,c,p2\n"
 
 
 def test_parse_rejects_repost_before_its_parent():
-    with pytest.raises(TraceFormatError, match="row 2: repost 'p2'.*parent 'p1'"):
+    # p2 sits on file line 3, the header being line 1
+    with pytest.raises(TraceFormatError, match="row 3: repost 'p2'.*parent 'p1'"):
         parse_trace(io.StringIO(EARLY_REPOST))
     # a repost at its parent's time is fine
     tr = parse_trace(io.StringIO("pid,t,uid,rid\np1,10,a,-1\np2,10,b,p1\n"))
-    assert [ep.times for ep in build_episodes(tr)] == [(10.0, 10.0)]
+    assert build_episodes(tr).times.tolist() == [10.0, 10.0]
 
 
 def test_parse_duplicate_pid():
     bad = "pid,t,uid,rid\nP1,10,U1,-1\nP1,20,U2,-1\n"
     with pytest.raises(TraceFormatError, match="duplicate pid"):
         trace_from_string(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("P1,1,U1,-1\n\nP1,2,U2,-1\n", "duplicate pid 'P1' at row 4"),
+    ("P1,1,U1,-1\n\nP2,2,U2,PX\n", "row 4: rid 'PX' does not match"),
+    ("P1,5,U1,-1\n\n\nP2,2,U2,P1\n", "row 5: repost 'P2'"),
+    ("P1,5,U1\n", "row 2: expected 4 fields"),
+    ("\nP1,5,U1,-1\nP2,x,U2,P1\n", "row 4: timestamp 'x' is not an integer"),
+])
+def test_errors_name_the_file_line(text, message):
+    with pytest.raises(TraceFormatError, match=message):
+        trace_from_string("pid,t,uid,rid\n" + text)
+
+
+def test_first_bad_row_in_file_order_is_reported():
+    # a bad timestamp on line 2 comes before the short row on line 3
+    with pytest.raises(TraceFormatError, match="row 2: negative"):
+        trace_from_string("pid,t,uid,rid\nP1,-1,U1,-1\nP2,1,U2\n")
+    with pytest.raises(TraceFormatError, match="row 2: negative"):
+        trace_from_string("pid,t,uid,rid\nP1,-1,U1,-1\nP2,x,U2,P1\n")
+    with pytest.raises(TraceFormatError, match="row 3: expected 4"):
+        trace_from_string("pid,t,uid,rid\nP1,1,U1,-1\nP2,1,U2\nP3,x,U3,-1\n")
+
+
+def test_unreadable_input_is_a_format_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"pid,t,uid,rid\nP1,1,U1,-1\nP2,2,U\xff2,P1\n")
+    with pytest.raises(TraceFormatError, match="row 3: byte 0xff is not UTF-8"):
+        parse_trace(path)
+    with pytest.raises(TraceFormatError, match="row 2: field larger than field limit"):
+        trace_from_string("pid,t,uid,rid\n\"" + "x" * 200_000 + "\",1,U1,-1\n")
+    with pytest.raises(TraceFormatError, match="row 2: timestamp '1000.*out of range"):
+        trace_from_string("pid,t,uid,rid\nP1,1" + "0" * 400 + ",U1,-1\n")
 
 
 def test_parse_bad_arity_and_timestamp():
@@ -68,7 +133,7 @@ def test_parse_rfc3339_and_homogeneity():
           "P1,2017-03-01T09:20:00Z,U1,-1\n"
           "P2,2017-03-01T09:30:00Z,U2,P1\n")
     t = trace_from_string(ok)
-    assert t.records[1].t - t.records[0].t == 600.0
+    assert t.t[1] - t.t[0] == 600.0
     mixed = ("pid,t,uid,rid\n"
              "P1,2017-03-01T09:20:00Z,U1,-1\n"
              "P2,600,U2,P1\n")
@@ -76,20 +141,70 @@ def test_parse_rfc3339_and_homogeneity():
         trace_from_string(mixed)
 
 
-def test_drop_orphans_transitive():
+def test_drop_orphans_transitive(caplog):
     rows = ("pid,t,uid,rid\n"
             "P1,10,U1,-1\n"
             "P2,20,U2,P0\n"  # orphan: P0 absent
-            "P3,30,U3,P2\n")  # depends on the dropped P2
+            "P3,30,U3,P2\n"  # depends on the dropped P2
+            "P4,40,U4,P1\n"
+            "P5,50,U5,P3\n")  # two steps behind the dropped P2
     with pytest.raises(TraceFormatError):
         trace_from_string(rows)
-    t = trace_from_string(rows, drop_orphans=True)
-    assert [r.pid for r in t.records] == ["P1"]
+    with caplog.at_level(logging.WARNING, logger="cemnet.trace"):
+        t = trace_from_string(rows, drop_orphans=True)
+    assert t.pid.tolist() == ["P1", "P4"]
+    assert t.users == ("U1", "U4") and t.parent.tolist() == [-1, 0]
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping orphan repost P2 (rid P0)",
+        "dropping orphan repost P3 (rid P2)",
+        "dropping orphan repost P5 (rid P3)",
+    ]
+
+
+def _reference_drop_orphans(rows):
+    """``(pid, rid)`` rows kept by the per-row loop the array pass replaced."""
+    known = {pid for pid, _ in rows}
+    kept, dropped = [], set()
+    for pid, rid in rows:
+        if rid != "-1" and (rid not in known or rid in dropped):
+            dropped.add(pid)
+            continue
+        kept.append((pid, rid))
+    again = [r for r in kept if r[1] in dropped]
+    while again:  # a drop can orphan later rows already checked against `known`
+        dropped.update(pid for pid, _ in again)
+        kept = [r for r in kept if r[0] not in dropped]
+        again = [r for r in kept if r[1] in dropped]
+    return kept
+
+
+def test_drop_orphans_matches_reference(rng):
+    """Random forests with dangling rids, forward references and chains behind them."""
+    for _ in range(40):
+        n_rows = int(rng.integers(1, 60))
+        rows = []
+        for row in range(n_rows):
+            pick = rng.uniform()
+            rid = ("-1" if row == 0 or pick < 0.2 else
+                   f"x{int(rng.integers(0, 3))}" if pick < 0.35 else
+                   f"p{int(rng.integers(0, n_rows))}" if pick < 0.4 else  # may point forwards
+                   f"p{int(rng.integers(0, row))}")
+            rows.append((f"p{row}", rid))
+        text = "pid,t,uid,rid\n" + "".join(f"{p},0,u{k % 5},{r}\n" for k, (p, r) in enumerate(rows))
+        want = _reference_drop_orphans(rows)
+        try:
+            tr = trace_from_string(text, drop_orphans=True)
+        except TraceFormatError as exc:  # only cycles survive the drop
+            assert "cycle" in str(exc) and want
+            continue
+        assert list(zip(tr.pid.tolist(), tr.rid_tokens())) == want
 
 
 def test_resolve_root_t1(t1):
-    assert resolve_root(t1, "P4") == "P1"
-    assert resolve_root(t1, "P1") == "P1"
+    # P4 reshares P2, which reshares P1: P4's user joins P1's episode
+    assert t1.pid[t1.root].tolist() == ["P1", "P1", "P3", "P1", "P3", "P3"]
+    assert build_episodes(t1).root_pids == ("P1", "P3")
+    assert episode_lists(build_episodes(t1))[0][0] == (0, 1, 2)
 
 
 def test_resolve_root_deep_chain():
@@ -97,36 +212,38 @@ def test_resolve_root_deep_chain():
     for d in range(1, 6):
         rows.append(f"p{d},{10 * d},u{d},p{d - 1}")
     t = trace_from_string("\n".join(rows) + "\n")
-    for d in range(6):
-        assert resolve_root(t, f"p{d}") == "p0"
+    assert t.root.tolist() == [0] * 6
+    eps = build_episodes(t)
+    assert eps.root_pids == ("p0",)
+    assert episode_lists(eps) == [((0, 1, 2, 3, 4, 5), (0.0, 10.0, 20.0, 30.0, 40.0, 50.0))]
 
 
 def test_resolve_root_cycle_detected():
     # equal times: a cycle with any earlier repost fails the parent-time check
-    records = [
-        TraceRecord("a", 1.0, "u1", "b"),
-        TraceRecord("b", 1.0, "u2", "a"),
-    ]
-    t = Trace(records)
-    with pytest.raises(TraceFormatError, match="cycle"):
-        resolve_root(t, "a")
-    with pytest.raises(TraceFormatError, match="precedes"):
-        Trace([records[0], TraceRecord("b", 2.0, "u2", "a")])
+    with pytest.raises(TraceFormatError, match="rid cycle detected at pid 'a'"):
+        trace_from_string("pid,t,uid,rid\na,1,u1,b\nb,1,u2,a\n")
+    with pytest.raises(TraceFormatError, match="row 2: repost 'a'.*precedes"):
+        trace_from_string("pid,t,uid,rid\na,1,u1,b\nb,2,u2,a\n")
 
 
 def test_build_episodes_t1(t1):
     eps = build_episodes(t1)
-    assert [e.root_pid for e in eps] == ["P1", "P3"]
-    names = [[t1.users[u] for u in e.users] for e in eps]
+    assert isinstance(eps, Episodes) and len(eps) == 2
+    assert eps.root_pids == ("P1", "P3")
+    assert eps.ptr.tolist() == [0, 3, 6]
+    assert eps.users.dtype == np.int32 and eps.times.dtype == np.float64
+    names = [[t1.users[u] for u in users] for users, _ in episode_lists(eps)]
     assert names[0] == ["U1", "U2", "U3"]
     assert names[1] == ["U2", "U3", "U1"]
-    assert eps[0].times == (920.0, 930.0, 940.0)
+    assert episode_lists(eps)[0][1] == (920.0, 930.0, 940.0)
 
 
 def test_build_episodes_filtering():
     t = trace_from_string("pid,t,uid,rid\nP1,10,U1,-1\n")
-    assert build_episodes(t) == []
-    assert len(build_episodes(t, retweeted_only=False)) == 1
+    eps = build_episodes(t)
+    assert len(eps) == 0 and eps.ptr.tolist() == [0] and eps.root_pids == ()
+    assert len(eps.users) == len(eps.times) == 0
+    assert episode_lists(build_episodes(t, retweeted_only=False)) == [((0,), (10.0,))]
 
 
 def test_duplicate_reshare_kept_earliest():
@@ -135,10 +252,7 @@ def test_duplicate_reshare_kept_earliest():
             "P2,20,U2,P1\n"
             "P3,30,U2,P1\n")  # same user reshares the same root again
     t = trace_from_string(rows)
-    eps = build_episodes(t)
-    assert len(eps) == 1
-    assert eps[0].users == (0, 1)
-    assert eps[0].times == (10.0, 20.0)
+    assert episode_lists(build_episodes(t)) == [((0, 1), (10.0, 20.0))]
 
 
 def test_author_reshare_of_own_root_dropped():
@@ -147,8 +261,7 @@ def test_author_reshare_of_own_root_dropped():
             "P2,20,U2,P1\n"
             "P3,30,U1,P2\n")  # author circles back to their own post
     t = trace_from_string(rows)
-    eps = build_episodes(t)
-    assert eps[0].users == (0, 1)
+    assert build_episodes(t).users.tolist() == [0, 1]
 
 
 def test_tie_break_by_row_order():
@@ -158,91 +271,139 @@ def test_tie_break_by_row_order():
             "P3,20,U2,P1\n")  # same tick: U3 row comes first
     t = trace_from_string(rows)
     eps = build_episodes(t)
-    assert [t.users[u] for u in eps[0].users] == ["U1", "U3", "U2"]
+    assert [t.users[u] for u in eps.users] == ["U1", "U3", "U2"]
     table = pair_counts(eps, t.n_users)
     u = t.uid_index
-    assert table.m_of(u["U3"], u["U2"]) == 1.0
-    assert table.m_of(u["U2"], u["U3"]) == 0.0
+    assert _m(table, u["U3"], u["U2"]) == 1.0
+    assert _m(table, u["U2"], u["U3"]) == 0.0
 
 
 def test_pair_counts_t1(t1):
     eps = build_episodes(t1)
     table = pair_counts(eps, t1.n_users)
     u = t1.uid_index
-    assert table.m_of(u["U2"], u["U3"]) == 2.0
-    assert table.m_of(u["U1"], u["U2"]) == 1.0
-    assert table.m_of(u["U2"], u["U1"]) == 1.0
-    assert table.m_of(u["U3"], u["U2"]) == 0.0
+    assert _m(table, u["U2"], u["U3"]) == 2.0
+    assert _m(table, u["U1"], u["U2"]) == 1.0
+    assert _m(table, u["U2"], u["U1"]) == 1.0
+    assert _m(table, u["U3"], u["U2"]) == 0.0
     assert table.n_pairs == 5
 
 
 def test_pair_counts_single_episode():
-    eps = [Episode("r", (0, 1, 2), (1.0, 2.0, 3.0))]
+    eps = make_episodes([((0, 1, 2), (1.0, 2.0, 3.0))])
     table = pair_counts(eps, 3)
-    assert table.m_of(0, 1) == table.m_of(0, 2) == table.m_of(1, 2) == 1.0
+    assert _m(table, 0, 1) == _m(table, 0, 2) == _m(table, 1, 2) == 1.0
     assert table.n_pairs == 3
 
 
 def test_pair_count_total_identity(rng):
     eps = random_episodes(rng)
     table = pair_counts(eps, 8)
-    expected = sum(len(e) * (len(e) - 1) // 2 for e in eps)
+    expected = sum(len(u) * (len(u) - 1) // 2 for u, _ in episode_lists(eps))
     assert table.m.sum() == expected
 
 
 def test_pair_counts_order_insensitive(rng):
     eps = random_episodes(rng)
     t_fwd = pair_counts(eps, 8)
-    t_rev = pair_counts(list(reversed(eps)), 8)
+    t_rev = pair_counts(make_episodes(reversed(episode_lists(eps))), 8)
     assert np.array_equal(t_fwd.pairs, t_rev.pairs)
     assert np.array_equal(t_fwd.m, t_rev.m)
 
 
 def test_episode_is_permutation_with_author_first(t1):
-    for ep in build_episodes(t1):
-        assert len(set(ep.users)) == len(ep.users)
-        assert ep.times[0] == min(ep.times)
-        assert all(a <= b for a, b in zip(ep.times, ep.times[1:]))
+    for users, times in episode_lists(build_episodes(t1)):
+        assert len(set(users)) == len(users)
+        assert times[0] == min(times)
+        assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 def test_head_prefix(t1):
     h = t1.head(2)
     assert len(h.records) == 2
+    assert h.users == ("U1", "U2") and h.parent.tolist() == [-1, 0]
     assert t1.head(100) is t1
+    assert episode_lists(build_episodes(t1.head(4))) == [((0, 1, 2), (920.0, 930.0, 940.0))]
+    with pytest.raises(TraceFormatError, match="empty trace"):
+        t1.head(0)
+    # a repost listed before its parent: the prefix would lose the parent
+    fwd = trace_from_string("pid,t,uid,rid\nP2,5,U2,P1\nP1,5,U1,-1\n")
+    with pytest.raises(TraceFormatError, match="row 2: rid 'P1' does not match any pid"):
+        fwd.head(1)
 
 
 def test_build_episodes_cycle_detected():
-    records = [
-        TraceRecord("p0", 0.0, "u0", None),
-        TraceRecord("a", 1.0, "u1", "b"),
-        TraceRecord("b", 1.0, "u2", "a"),
-    ]
-    with pytest.raises(TraceFormatError, match="cycle"):
-        build_episodes(Trace(records))
+    with pytest.raises(TraceFormatError, match="rid cycle detected at pid 'a'"):
+        build_episodes(trace_from_string("pid,t,uid,rid\np0,0,u0,-1\na,1,u1,b\nb,1,u2,a\n"))
+    # a row behind a cycle is caught too
+    with pytest.raises(TraceFormatError, match="rid cycle detected at pid 'c'"):
+        trace_from_string("pid,t,uid,rid\nc,1,u0,a\na,1,u1,b\nb,1,u2,a\n")
+
+
+@pytest.mark.parametrize("stamps", [
+    ("2024-01-01T00:00:00Z", "2024-01-01T00:00:00.5Z", "2024-01-01T00:00:03Z"),
+    ("1969-12-31T23:59:00Z", "1970-01-01T00:00:00Z", "1970-01-01T00:00:01Z"),
+    ("0", "7", "7"),
+])
+def test_trace_to_csv_round_trips(tmp_path, stamps):
+    text = "pid,t,uid,rid\nP1,{},U1,-1\nP2,{},U2,P1\nP3,{},\"U,3\",P2\n".format(*stamps)
+    tr = trace_from_string(text)
+    path = tmp_path / "t.csv"
+    trace_to_csv(tr, path)
+    back = parse_trace(path)
+    assert back.records == tr.records
+    assert back.t.tobytes() == tr.t.tobytes()
+    # one timestamp style per file
+    styles = {s.split(",")[1].isdigit() for s in path.read_text().splitlines()[1:]}
+    assert len(styles) == 1
+
+
+def resolve_root(by_pid, pid, memo):
+    """Follow the rid chain from ``pid`` to the original post it reshares."""
+    path: list[str] = []
+    cur = pid
+    while cur not in memo:
+        rec = by_pid[cur]
+        if rec.rid is None:
+            memo[cur] = cur
+            break
+        path.append(cur)
+        cur = rec.rid
+        if cur in path:
+            raise TraceFormatError(f"rid cycle detected at pid {cur!r}")
+    root = memo[cur]
+    for p in path:
+        memo[p] = root
+    return root
 
 
 def _reference_episodes(trace, retweeted_only=True):
-    """Per-row dict grouping over resolve_root, the definition of an episode."""
+    """Per-row dict grouping over resolve_root, the definition of an episode.
+
+    ``(root_pid, users, times)`` per episode.
+    """
+    by_pid = {rec.pid: rec for rec in trace.records}
     memo: dict = {}
     resharers: dict = {}
     for row, rec in enumerate(trace.records):
         if rec.rid is None:
             continue
-        entry = resharers.setdefault(resolve_root(trace, rec.pid, memo), {})
+        entry = resharers.setdefault(resolve_root(by_pid, rec.pid, memo), {})
         uid, key = trace.uid_index[rec.uid], (rec.t, row)
         if uid not in entry or key < entry[uid]:
             entry[uid] = key
     out = []
-    for pid in trace.originals:
-        root = trace.record_of(pid)
+    for root in trace.records:
+        if root.rid is not None:
+            continue
         author = trace.uid_index[root.uid]
-        entry = resharers.get(pid, {})
+        entry = resharers.get(root.pid, {})
         entry.pop(author, None)
         if not entry and retweeted_only:
             continue
         ordered = sorted(entry.items(), key=lambda kv: kv[1])
-        out.append(Episode(pid, (author,) + tuple(u for u, _ in ordered),
-                           (root.t,) + tuple(t for _, (t, _) in ordered)))
+        out.append((root.pid, (author,) + tuple(u for u, _ in ordered),
+                    (root.t,) + tuple(t for _, (t, _) in ordered)))
     return out
 
 
@@ -251,19 +412,21 @@ def test_build_episodes_matches_reference(rng, retweeted_only):
     """Random forests of reshare chains with tied times, repeat and author reshares."""
     for _ in range(30):
         n_rows = int(rng.integers(1, 120))
-        records = []
+        lines, times = [], []
         for row in range(n_rows):
-            t = float(rng.integers(0, n_rows // 3 + 1))  # unordered, with ties
+            t = int(rng.integers(0, n_rows // 3 + 1))  # unordered, with ties
             uid = f"u{int(rng.integers(0, 9))}"
             parent = None if row == 0 or rng.uniform() < 0.2 else int(rng.integers(0, row))
-            rid = None
+            rid = "-1"
             if parent is not None:
                 rid = f"p{parent}"
-                t = max(t, records[parent].t)  # never before the reshared post
-            records.append(TraceRecord(f"p{row}", t, uid, rid))
-        trace = Trace(records)
-        assert build_episodes(trace, retweeted_only=retweeted_only) == \
-            _reference_episodes(trace, retweeted_only)
+                t = max(t, times[parent])  # never before the reshared post
+            times.append(t)
+            lines.append(f"p{row},{t},{uid},{rid}")
+        trace = trace_from_string("pid,t,uid,rid\n" + "\n".join(lines) + "\n")
+        eps = build_episodes(trace, retweeted_only=retweeted_only)
+        got = [(pid,) + ep for pid, ep in zip(eps.root_pids, episode_lists(eps))]
+        assert got == _reference_episodes(trace, retweeted_only)
 
 
 def test_naive_rfc3339_is_utc_under_any_host_timezone(monkeypatch):
@@ -276,7 +439,7 @@ def test_naive_rfc3339_is_utc_under_any_host_timezone(monkeypatch):
     for tz in ("UTC", "Asia/Tokyo", "America/New_York"):
         monkeypatch.setenv("TZ", tz)
         time.tzset()
-        seen.append([r.t for r in trace_from_string(text).records])
+        seen.append(trace_from_string(text).t.tolist())
     monkeypatch.undo()
     time.tzset()
     assert seen == [[1704067200.0, 1704067230.0]] * 3
