@@ -111,6 +111,9 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
     if args.head:
         trace = trace.head(args.head)
+    if trace.n_users < 2:
+        raise UsageError(f"trace {args.trace}: {trace.n_users} user(s), "
+                         "an edge prior needs at least two")
     prep = em.preprocess(trace)
     state, graph = em.run_cem(
         prep,
@@ -223,11 +226,21 @@ def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
     return [args.out]
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
     if seed:
         p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--head", type=int, default=0, metavar="N",
-                   help="use only the first N trace rows")
+    p.add_argument("--head", type=_non_negative_int, default=0, metavar="N",
+                   help="use only the first N trace rows (0: all)")
 
 
 def build_parser() -> argparse.ArgumentParser:

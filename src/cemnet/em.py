@@ -10,7 +10,9 @@ shifted by ``-lambda * max W``.  The LP objective deliberately uses the
 *previous* iteration's utilization rates, matching the update schedule the
 posterior derivation prescribes.  Under the block-model prior the group
 labels are refreshed each iteration by thresholding Q at 0.5 and running
-Louvain on the symmetrized result.
+Louvain on the symmetrized result; when the thresholded edges equal the
+previous iteration's, the previous labels are kept, which is exactly what
+Louvain would return.
 
 Pairs that never co-occur are not materialized: their posterior equals the
 prior, which enters the prior updates, the convergence norm, and the final
@@ -422,6 +424,7 @@ def run_cem(
     q_prev: np.ndarray | None = None
     prior_used_prev: tuple[float, ...] | None = None
     groups_used_prev: np.ndarray | None = None
+    interim_prev: InferredGraph | None = None
 
     for it in range(1, max_iters + 1):
         prior_used = params.prior_values()
@@ -466,8 +469,17 @@ def run_cem(
                 table, q_new, n,
                 (PRIOR_SBM, prior_used[0], prior_used[1], groups_used),
             )
-            groups = louvain_graph(interim, seed=louvain_seed).labels
+            # Louvain sees only the edge arrays and the fixed seed, so an
+            # unchanged graph would return the labels it already gave
+            reused = (interim_prev is not None
+                      and np.array_equal(interim.src, interim_prev.src)
+                      and np.array_equal(interim.dst, interim_prev.dst))
+            if not reused:
+                groups = louvain_graph(interim, seed=louvain_seed).labels
             state.groups = groups
+            interim_prev = interim
+            log.debug("iteration %d: louvain %s, %d communities", it,
+                      "reused" if reused else "ran", int(groups.max()) + 1)
 
         if q_prev is not None and state.delta_q < epsilon:
             state.converged = True

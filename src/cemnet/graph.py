@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv as _csv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,13 +142,22 @@ def write_graph_csv(
             writer.writerow([src, dst, repr(float(q))])
 
 
+def _csv_rows(fh, path: str | Path) -> Iterator[list[str]]:
+    """The CSV rows of ``fh``; a ``csv.Error`` becomes a format error naming the line."""
+    reader = _csv.reader(fh)
+    try:
+        yield from reader
+    except _csv.Error as exc:
+        raise GraphFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
 def read_graph_csv(path: str | Path, users: Sequence[str]) -> InferredGraph:
     """Read an edge-list CSV, mapping uid tokens onto the given user universe."""
     uid_index = {u: k for k, u in enumerate(users)}
     edges: list[tuple[int, int]] = []
     scores: dict[tuple[int, int], float] = {}
     with read_utf8(path, GraphFormatError, f"{path}: ") as fh:
-        reader = _csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
             raise GraphFormatError(f"{path}: expected header src,dst[,q]")
@@ -191,7 +200,7 @@ def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
     uid_index = {u: k for k, u in enumerate(users)}
     out = [-1] * len(users)
     with read_utf8(path, GraphFormatError, f"{path}: ") as fh:
-        reader = _csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["uid", "community"]:
             raise GraphFormatError(f"{path}: expected header uid,community")

@@ -217,11 +217,51 @@ def test_non_utf8_labels_is_usage_error(workdir, tmp_path, capsys):
     assert str(bad) in err and "row 2: byte 0xfe is not UTF-8" in err
 
 
+@pytest.mark.parametrize("prior", ["er", "sbm"])
+def test_one_user_trace_is_usage_error(workdir, tmp_path, capsys, prior):
+    one = tmp_path / "one.csv"
+    one.write_text("pid,t,uid,rid\nP1,1,U1,-1\nP2,2,U1,P1\n")
+    # the check follows --head: the workdir trace's first row has one user
+    for trace, head in ((one, "0"), (workdir / "trace.csv", "1")):
+        rc = main(["infer", "--trace", str(trace), "--prior", prior, "--head", head,
+                   "--out-graph", str(tmp_path / "g.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and "1 user" in err
+        assert not (tmp_path / "g.csv").exists()
+
+
+def test_negative_head_is_usage_error(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--method", "star", "--trace", str(workdir / "trace.csv"),
+              "--head", "-1", "--out-graph", str(tmp_path / "g.csv")])
+    assert exc.value.code == 2
+    assert "--head" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("kind,row", [("graph", 2), ("labels", 3)])
+def test_overlong_csv_field_is_usage_error(workdir, tmp_path, capsys, kind, row):
+    bad = tmp_path / f"long_{kind}.csv"
+    trace, truth = str(workdir / "trace.csv"), str(workdir / "truth.csv")
+    if kind == "graph":
+        bad.write_text("src,dst,q\n" + "x" * 200_000 + ",u0002,1.0\n")
+        argv = ["stats", "--graph", str(bad), "--trace", trace]
+    else:
+        bad.write_text("uid,community\nu0001,0\n" + "x" * 200_000 + ",1\n")
+        argv = ["evaluate", "--inferred", truth, "--truth", truth, "--trace", trace,
+                "--truth-labels", str(bad)]
+    rc = main(argv + ["--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"row {row}: field larger than field limit" in err
+
+
 def _valid_rows(draw) -> list[list[str]]:
-    """A valid trace of two to eight users: originals and reposts of earlier rows."""
-    n_rows = draw(st.integers(2, 12))
-    rows = [["p0", "0", "u0", "-1"], ["p1", "1", "u1", "p0"]]
-    for k in range(2, n_rows):
+    """A valid trace of one to eight users: originals and reposts of earlier rows."""
+    n_rows = draw(st.integers(1, 12))
+    rows = [["p0", "0", "u0", "-1"]]
+    for k in range(1, n_rows):
         parent = draw(st.integers(-1, k - 1))
         t = int(rows[parent][1]) + draw(st.integers(0, 3)) if parent >= 0 else k
         rows.append([f"p{k}", str(t), f"u{draw(st.integers(0, 7))}",

@@ -390,6 +390,69 @@ def test_sbm_reduces_to_er_bitwise(t1):
     assert g_er.edges == g_sbm.edges
 
 
+def test_louvain_runs_only_on_a_changed_graph(monkeypatch, caplog):
+    from cemnet.simulate import SimConfig, simulate
+
+    small = simulate(SimConfig(n_users=40, n_blocks=3, n_events=6000, seed=5)).trace
+    prep = em.preprocess(small)
+    graphs, calls = [], []
+    threshold_graph, louvain_graph = em.threshold_graph, em.louvain_graph
+
+    def record_threshold(*args):
+        graphs.append(threshold_graph(*args))
+        return graphs[-1]
+
+    def record_louvain(graph, seed):
+        calls.append((graph, seed))
+        return louvain_graph(graph, seed=seed)
+
+    monkeypatch.setattr(em, "threshold_graph", record_threshold)
+    monkeypatch.setattr(em, "louvain_graph", record_louvain)
+    with caplog.at_level("DEBUG", logger="cemnet.em"):
+        state, _ = em.run_cem(prep, "sbm", 1.0, seed=7)
+    interim = graphs[:-1]  # the last call thresholds the final graph
+    assert len(interim) == state.iteration
+    changed = [g for k, g in enumerate(interim)
+               if k == 0 or not (np.array_equal(g.src, interim[k - 1].src)
+                                 and np.array_equal(g.dst, interim[k - 1].dst))]
+    assert [g for g, _ in calls] == changed
+    assert len(calls) < state.iteration
+    # the kept labels are what Louvain returns on the last graph
+    assert np.array_equal(state.groups, louvain_graph(interim[-1], seed=calls[0][1]).labels)
+    lines = [r.getMessage() for r in caplog.records if "louvain" in r.getMessage()]
+    assert len(lines) == state.iteration
+    assert sum("louvain ran" in m for m in lines) == len(calls)
+    assert lines[-1].endswith(f"{int(state.groups.max()) + 1} communities")
+
+    graphs.clear()
+    calls.clear()
+    em.run_cem(prep, "sbm", 1.0, seed=7, fixed_groups=np.zeros(prep.n_users, dtype=int))
+    assert calls == []
+
+
+def test_louvain_reruns_when_either_edge_array_changes(t1, monkeypatch):
+    from cemnet.graph import InferredGraph
+
+    n = t1.n_users
+    a, b, c = (InferredGraph(n, [e]) for e in [(0, 1), (0, 2), (1, 2)])
+    script = [a, a, b, c, c]  # b keeps a's src, c keeps b's dst
+    threshold_graph, louvain_graph = em.threshold_graph, em.louvain_graph
+    calls = []
+
+    def scripted_threshold(*args):
+        return script.pop(0) if script else threshold_graph(*args)
+
+    def record_louvain(graph, seed):
+        calls.append(graph)
+        return louvain_graph(graph, seed=seed)
+
+    monkeypatch.setattr(em, "threshold_graph", scripted_threshold)
+    monkeypatch.setattr(em, "louvain_graph", record_louvain)
+    state, _ = em.run_cem(t1, "sbm", 1.0, seed=3, max_iters=5, epsilon=0.0)
+    assert state.iteration == 5 and not script
+    assert calls == [a, b, c]
+
+
 def test_run_cem_rejects_unknown_prior(t1):
     with pytest.raises(ValueError):
         em.run_cem(t1, "powerlaw", 1.0)

@@ -1,11 +1,13 @@
 """Pinned output digests for Louvain, CEM-sbm and preprocessing.
 
 The Louvain and CEM digests were recorded from the dict-of-dicts Louvain and
-the loop ``threshold_graph`` that preceded the array versions; the
-preprocessing digests from the tuple/Counter/dict code that preceded the CSR
-arrays.  Any change to labels, modularity bits, edges, scores, episodes,
-pair counts, covering rows or their reduction fails here, so a rewrite must
-reproduce the old outputs byte for byte, not merely as well.
+the loop ``threshold_graph`` that preceded the array versions, and the
+``default20k`` CEM digests, which also hash the final community labels, from
+the EM loop that ran Louvain in every iteration; the preprocessing digests
+from the tuple/Counter/dict code that preceded the CSR arrays.  Any change
+to labels, modularity bits, edges, scores, episodes, pair counts, covering
+rows or their reduction fails here, so a rewrite must reproduce the old
+outputs byte for byte, not merely as well.
 """
 
 import hashlib
@@ -89,13 +91,30 @@ def _fit_digest(data, lam: float) -> str:
     )
 
 
+def _labelled_fit_digest(data, lam: float) -> str:
+    """The ``_fit_digest`` fields, then the final community labels as int64."""
+    state, graph = em.run_cem(data, "sbm", lam, seed=7)
+    edges = sorted(graph.edges)
+    return _sha(
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.array([graph.score_of(i, j) for i, j in edges], dtype=np.float64),
+        np.array([state.iteration, len(state.groups)], dtype=np.int64),
+        np.array([state.params.alpha, state.params.beta, state.params.p_in,
+                  state.params.q_out, state.delta_q], dtype=np.float64),
+        state.groups.astype(np.int64),
+    )
+
+
 def cem_digests(t1) -> dict[str, str]:
     small = simulate(SimConfig(n_users=40, n_blocks=3, n_events=6000, seed=5)).trace
     prep = em.preprocess(small)
+    # most of these fits' Louvain refreshes see the previous iteration's graph
+    default = em.preprocess(simulate(SimConfig()).trace.head(20_000))
     out = {}
     for lam in (1.0, 0.0):
         out[f"t1:sbm:{lam}"] = _fit_digest(t1, lam)
         out[f"sim40:sbm:{lam}"] = _fit_digest(prep, lam)
+        out[f"default20k:sbm_labels:{lam}"] = _labelled_fit_digest(default, lam)
     return out
 
 
@@ -118,6 +137,8 @@ CEM_GOLDEN = {
     "t1:sbm:0.0": "df39c3551cc643a7940b08622c502f96",
     "sim40:sbm:1.0": "55d3cdb058939e9cd7b7b409b41439c2",
     "sim40:sbm:0.0": "9d75448f82e0d9e073b584a2683b870b",
+    "default20k:sbm_labels:1.0": "5fc374e34af139b14e2a34a4029e0500",
+    "default20k:sbm_labels:0.0": "5c66517c205a42f04114c4950cac08e8",
 }
 
 
