@@ -29,7 +29,7 @@ from .graph import (
     write_graph_csv,
     write_labels_csv,
 )
-from .trace import TraceFormatError, parse_trace, trace_to_csv
+from .trace import TraceFormatError, build_episodes, parse_trace, trace_to_csv
 
 log = logging.getLogger("cemnet.cli")
 
@@ -74,12 +74,14 @@ def _write_json(payload: dict, path: str) -> None:
 
 
 def _load_trace(args: argparse.Namespace):
+    """The ``--trace`` file, cut to its first ``--head`` rows when that is set."""
     try:
-        return parse_trace(args.trace, drop_orphans=getattr(args, "drop_orphans", False))
+        trace = parse_trace(args.trace, drop_orphans=getattr(args, "drop_orphans", False))
     except FileNotFoundError as exc:
         raise UsageError(f"trace file not found: {exc.filename}") from exc
     except TraceFormatError as exc:
         raise UsageError(f"bad trace {args.trace}: {exc}") from exc
+    return trace.head(args.head) if args.head else trace
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
@@ -109,8 +111,6 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 
 def _cmd_infer(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    if args.head:
-        trace = trace.head(args.head)
     if trace.n_users < 2:
         raise UsageError(f"trace {args.trace}: {trace.n_users} user(s), "
                          "an edge prior needs at least two")
@@ -143,25 +143,21 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
 
 def _cmd_baseline(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    if args.head:
-        trace = trace.head(args.head)
-    prep = em.preprocess(trace)
+    episodes = build_episodes(trace)
     if args.method == "star":
-        graph = baselines.star_graph(prep.episodes, trace.n_users)
+        graph = baselines.star_graph(episodes, trace.n_users)
     elif args.method == "chain":
-        graph = baselines.chain_graph(prep.episodes, trace.n_users)
+        graph = baselines.chain_graph(episodes, trace.n_users)
     elif args.method == "saito":
-        graph = baselines.saito_em(prep.episodes, trace.n_users, seed=args.seed).graph
+        graph = baselines.saito_em(episodes, trace.n_users, seed=args.seed).graph
     else:
-        graph = baselines.newman_em(prep.episodes, trace.n_users, seed=args.seed).graph
+        graph = baselines.newman_em(episodes, trace.n_users, seed=args.seed).graph
     write_graph_csv(graph, trace.users, args.out_graph)
     return [args.out_graph]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    if args.head:
-        trace = trace.head(args.head)
     users = trace.users
     try:
         inferred = read_graph_csv(args.inferred, users)
@@ -169,7 +165,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     except FileNotFoundError as exc:
         raise UsageError(f"graph file not found: {exc.filename}") from exc
 
-    episodes = em.preprocess(trace).episodes
+    episodes = build_episodes(trace)
     feas = check_feasibility(inferred, episodes)
 
     scores = None
@@ -214,13 +210,11 @@ def _cmd_stats(args: argparse.Namespace) -> list[str]:
 
 def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    if args.head:
-        trace = trace.head(args.head)
     try:
         graph = read_graph_csv(args.graph, trace.users)
     except FileNotFoundError as exc:
         raise UsageError(f"graph file not found: {exc.filename}") from exc
-    episodes = em.preprocess(trace).episodes
+    episodes = build_episodes(trace)
     report = check_feasibility(graph, episodes)
     _write_json(report.to_json(), args.out)
     return [args.out]

@@ -1,4 +1,4 @@
-"""Box-constrained covering LPs and a bounded-variable revised simplex.
+"""Box-constrained covering LPs and a bounded-variable dual simplex.
 
 The sigma subproblem maximizes a linear objective over ``[0, 1]^P``
 intersected with covering rows ``sum_{v in row} x_v >= 1``.  All constraint
@@ -8,9 +8,10 @@ singleton rows force their variable to one, duplicate and superset rows are
 redundant, and the remainder splits into independent components (rows never
 share variables across reshare targets), each held as a dense bool incidence
 matrix.  Per objective, every component's open rows and free columns are
-solved with a primal revised simplex on the bounded variables, Dantzig
-pricing with a Bland fallback, warm-started from a greedy cover; the result
-must cover every component row to within ``FEAS_TOL``.
+solved with a dual simplex on the bounded variables under Bland's rule,
+started from the all-surplus basis, which no remaining positive cost leaves
+dual infeasible; the result must cover every component row to within
+``FEAS_TOL``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ import numpy as np
 log = logging.getLogger("cemnet.lp")
 
 FEAS_TOL = 1e-9  # constraint satisfaction
-OPT_TOL = 1e-9  # reduced-cost threshold for entering candidates
-PIV_TOL = 1e-9  # smallest ratio-test blocker
-# A chosen pivot element below this is suspect: covering bases are 0/1
-# matrices whose exact inverses essentially never carry entries this small,
-# so the value is factorization drift and pivoting on it would make the
-# basis truly singular.  The loop refactorizes and reprices instead.
-GHOST_TOL = 1e-8
+PIV_TOL = 1e-9  # smallest pivot element the ratio test accepts
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
@@ -152,13 +147,15 @@ def solve_reduced(
 ) -> LpSolution:
     """Optimal basic solution of a reduced covering LP for one objective vector.
 
-    Deterministic under the fixed pivot rule.  When the pivot budget runs
-    out, the best-so-far feasible point comes back with an
-    ``iteration-limit`` status; a solution that leaves a row short of one
-    comes back ``infeasible``.
+    Deterministic under the fixed pivot rule.  When a component's pivot
+    budget runs out or its final basis is singular, that component takes
+    the greedy cover and the status is ``iteration-limit``; a solution that
+    leaves a row short of one comes back ``infeasible``.
     """
     c = np.asarray(objective, dtype=np.float64)
     x = np.zeros(reduced.n_vars, dtype=np.float64)
+    # every free column then has c <= 0, which the dual simplex's start
+    # needs; a zero-cost column stays free, as 0 and 1 tie there
     x[c > 0.0] = 1.0
     if len(reduced.forced_ones):
         x[reduced.forced_ones] = 1.0
@@ -184,21 +181,13 @@ def solve_reduced(
         keep.sort()
         R, solver_c = R[:, keep], local_c[keep]
 
-        x0 = _greedy_local(R, solver_c)
-        try:
-            xs, st, piv = _simplex_bounded(R, solver_c, x0, max_pivots)
-        except _NumericalTrouble as trouble:
-            # restart conservatively with aggressive refactorization
-            log.warning("restarting simplex in safe mode (%s)", trouble)
-            try:
-                xs, st, piv = _simplex_bounded(R, solver_c, x0, max_pivots, safe=True)
-            except _NumericalTrouble:
-                # degrade honestly: the greedy cover is feasible
-                log.error("simplex failed twice; returning the greedy cover")
-                xs, st, piv = x0, STATUS_ITERATION_LIMIT, 0
+        xs, piv = _dual_simplex(R, solver_c, max_pivots)
         pivots += piv
-        if st != STATUS_OPTIMAL:
-            status = st
+        if xs is None:
+            # degrade honestly: the greedy cover is feasible
+            log.warning("returning the greedy cover")
+            xs = _greedy_local(R, solver_c)
+            status = STATUS_ITERATION_LIMIT
         local_x = np.zeros(len(local_c))
         local_x[keep] = xs
         x[comp.var_ids[free]] = local_x
@@ -224,179 +213,84 @@ def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# primal revised simplex on 0/1-row covering components with variable bounds
+# dual simplex on 0/1-row covering components with variable bounds
 
 
-class _NumericalTrouble(RuntimeError):
-    """Basis factorization lost; the caller should restart conservatively."""
-
-
-def _simplex_bounded(
-    R: np.ndarray,
-    c: np.ndarray,
-    x0: np.ndarray,
-    max_pivots: int | None,
-    safe: bool = False,
-) -> tuple[np.ndarray, str, int]:
-    """maximize c@x s.t. R x - s = 1, 0 <= x <= 1, s >= 0, warm-started at x0.
+def _dual_simplex(
+    R: np.ndarray, c: np.ndarray, max_pivots: int | None
+) -> tuple[np.ndarray | None, int]:
+    """maximize c@x s.t. R x - s = 1, 0 <= x <= 1, s >= 0, for c <= 0.
 
     ``R`` is the bool incidence of the open rows over the kept columns.
 
-    The surplus columns form the initial basis (B = -I), so the binary warm
-    start is immediately basic-feasible.  Entering columns are priced with
-    Dantzig's rule (largest reduced-cost magnitude, lowest index on ties);
-    after a degenerate stall the rule drops to Bland's to guarantee
-    termination.  The leaving choice prefers the largest pivot magnitude
-    among tied blockers, which keeps the basis well conditioned on heavily
-    degenerate covering instances; ``safe`` mode additionally refactorizes
-    aggressively and demands bigger pivots.
+    The surplus columns form the initial basis (B = -I) at x = 0, which is
+    dual feasible because no cost is positive, so the dual simplex needs no
+    phase one.  Bland's rule picks both variables, which guarantees
+    termination on degenerate covering instances: the primal-infeasible
+    basic variable with the smallest column index leaves, and the minimum
+    dual ratio enters, the smallest column index on ties.  The optimal x
+    comes from one solve on the final basis, so its bits depend on that
+    basis alone.  Returns ``(x, pivots)``; x is None when the pivot budget
+    runs out or the final basis is singular.
     """
-    R = R.astype(np.float64)
     m, n = R.shape
-
-    ncol = n + m
-    cost = np.concatenate([c, np.zeros(m)])
+    R = R.astype(np.float64)
+    A = np.hstack([R, -np.eye(m)])
+    cost = np.concatenate([-c, np.zeros(m)])  # minimize cost @ (x, s)
     upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
-    x = np.concatenate([x0, R @ x0 - 1.0])
-    basis = np.arange(n, ncol)
-    in_basis = np.zeros(ncol, dtype=bool)
-    in_basis[basis] = True
-    at_upper = np.concatenate([x0 > 0.5, np.zeros(m, dtype=bool)])
+    basis = np.arange(n, n + m)
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[basis] = False
+    at_upper = np.zeros(n + m, dtype=bool)  # nonbasic structural at one
     B_inv = -np.eye(m)
 
     if max_pivots is None:
         # size-proportional budget, clipped so one pathological component
         # cannot burn minutes (each pivot costs about m * (m + n) flops)
         max_pivots = min(30 * (m + n) + 500, max(2000, int(4e9 / (m * (m + n) + 1))))
-    # safe mode refactorizes every pivot: the ratio test then always sees
-    # exact numbers and accepted pivots keep the basis nonsingular
-    refactor_every = 1 if safe else 64
-    stall, bland = 0, safe
     pivots = 0
-    fresh = True  # whether B_inv comes straight from a factorization
-    # objective-progress watchdog: near-degenerate plateaus can creep in
-    # steps too large for a step-size stall test yet too small to progress;
-    # compare the true objective between checkpoints, not claimed gains
-    checkpoint_obj = float(cost[:n] @ x[:n])
-    window_count = 0
-    while pivots < max_pivots:
-        y = B_inv.T @ cost[basis]
-        d = np.concatenate([c - R.T @ y, y])
-        up = (~in_basis) & (~at_upper) & (d > OPT_TOL)
-        down = (~in_basis) & at_upper & (d < -OPT_TOL)
-        if not (up.any() or down.any()):
-            return x[:n], STATUS_OPTIMAL, pivots
-        score = np.where(up, d, np.where(down, -d, -np.inf))
-        if not fresh and float(score.max()) < GHOST_TOL:
-            # marginal candidates on a drifted inverse are usually noise;
-            # decide on exact numbers
-            B_inv, x = _refactorize(R, basis, x, n, m)
-            fresh = True
-            continue
-        if bland:
-            enter = int(np.flatnonzero(up | down)[0])
-        else:
-            enter = int(np.argmax(score))
-        direction = -1.0 if at_upper[enter] else 1.0
+    while True:
+        rhs = 1.0 - R @ at_upper[:n]
+        xb = B_inv @ rhs
+        high = xb > upper[basis] + FEAS_TOL
+        short = (xb < -FEAS_TOL) | high
+        if not short.any():
+            break
+        if pivots == max_pivots:
+            log.warning("dual simplex pivot budget exhausted (%d pivots)", pivots)
+            return None, pivots
+        r = int(np.flatnonzero(short)[np.argmin(basis[short])])
+        alpha = B_inv[r] @ A
+        d = cost - (cost[basis] @ B_inv) @ A
+        # columns whose move off their bound pushes basis[r] back into range
+        toward = alpha if high[r] else -alpha
+        eligible = nonbasic & (np.where(at_upper, -toward, toward) > PIV_TOL)
+        if not eligible.any():
+            # would prove that no cover exists, but x = 1 covers every row:
+            # only rounding gets here
+            log.warning("dual simplex found no entering column")
+            return None, pivots
+        cand = np.flatnonzero(eligible)
+        ratio = np.abs(d[cand]) / np.abs(alpha[cand])
+        enter = int(cand[np.argmax(ratio <= ratio.min() + 1e-12)])
 
-        col = R[:, enter] if enter < n else -_unit(m, enter - n)
-        w = B_inv @ col
-        dw = direction * w
-        xb = x[basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_dec = np.where(dw > PIV_TOL, xb / dw, np.inf)
-            room = upper[basis] - xb
-            t_inc = np.where(dw < -PIV_TOL, room / (-dw), np.inf)
-        t_basic = np.minimum(t_dec, t_inc)
-        t_bound = 1.0 if enter < n else np.inf
-        t_min_basic = float(t_basic.min()) if m else np.inf
-        t_star = min(t_bound, t_min_basic)
-        if not np.isfinite(t_star):
-            raise RuntimeError("unbounded direction in bounded covering LP")
-
+        w = B_inv @ A[:, enter]
+        pivrow = B_inv[r] / w[r]
+        B_inv -= np.outer(w, pivrow)
+        B_inv[r] = pivrow
+        leaving = basis[r]
+        nonbasic[leaving], at_upper[leaving] = True, bool(high[r])
+        nonbasic[enter], at_upper[enter] = False, False
+        basis[r] = enter
         pivots += 1
-        if t_bound <= t_min_basic + 1e-12:
-            # bound flip, basis unchanged
-            x[basis] = xb - dw * t_bound
-            x[enter] = 0.0 if at_upper[enter] else 1.0
-            at_upper[enter] = ~at_upper[enter]
-        else:
-            ties = np.flatnonzero(t_basic <= t_star + 1e-12)
-            if bland:
-                leave_pos = int(ties[np.argmin(basis[ties])])
-            else:
-                # two-pass ratio test: stability first, index to break ties
-                mags = np.abs(dw[ties])
-                best = mags.max()
-                stable = ties[mags >= best - 1e-12]
-                leave_pos = int(stable[np.argmin(basis[stable])])
-            if abs(w[leave_pos]) < GHOST_TOL and not fresh:
-                B_inv, x = _refactorize(R, basis, x, n, m)
-                fresh = True
-                continue  # reprice with exact numbers before pivoting
-            leaving = int(basis[leave_pos])
-            x[basis] = xb - dw * t_star
-            x[enter] = (1.0 - t_star) if at_upper[enter] else t_star
-            hit_lower = dw[leave_pos] > 0
-            x[leaving] = 0.0 if hit_lower else upper[leaving]
-            at_upper[leaving] = not hit_lower
-            at_upper[enter] = False
-            basis[leave_pos] = enter
-            in_basis[leaving] = False
-            in_basis[enter] = True
-            pivrow = B_inv[leave_pos] / w[leave_pos]
-            B_inv -= np.outer(w, pivrow)
-            B_inv[leave_pos] = pivrow
-            fresh = False
-            if pivots % refactor_every == 0:
-                B_inv, x = _refactorize(R, basis, x, n, m)
-                fresh = True
 
-        window_count += 1
-        if window_count >= 128:
-            obj_now = float(cost[:n] @ x[:n])
-            if obj_now - checkpoint_obj <= 1e-9 * (1.0 + abs(obj_now)):
-                # a whole window without real progress: drop to Bland
-                # pivoting on tightly refactorized numbers
-                bland = True
-                refactor_every = 8
-                B_inv, x = _refactorize(R, basis, x, n, m)
-                fresh = True
-            checkpoint_obj = obj_now
-            window_count = 0
-
-        if t_star > 1e-12:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 64:
-                bland = True
-
-    log.warning("simplex pivot budget exhausted (%d pivots)", pivots)
-    return x[:n], STATUS_ITERATION_LIMIT, pivots
-
-
-def _unit(m: int, k: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[k] = 1.0
-    return e
-
-
-def _refactorize(R, basis, x, n, m):
-    B = np.empty((m, m))
-    for pos, j in enumerate(basis):
-        B[:, pos] = R[:, j] if j < n else -_unit(m, j - n)
+    x = np.concatenate([at_upper[:n].astype(np.float64), np.zeros(m)])
     try:
-        B_inv = np.linalg.inv(B)
-    except np.linalg.LinAlgError as exc:
-        raise _NumericalTrouble("singular basis during refactorization") from exc
-    nonbasic_struct = np.ones(n, dtype=bool)
-    nonbasic_struct[basis[basis < n]] = False
-    xs = np.where(nonbasic_struct, x[:n], 0.0)
-    rhs = np.ones(m) - R @ xs
-    x = x.copy()
-    x[basis] = B_inv @ rhs
-    return B_inv, x
+        x[basis] = np.linalg.solve(A[:, basis], rhs)
+    except np.linalg.LinAlgError:
+        log.warning("singular final basis after %d pivots", pivots)
+        return None, pivots
+    return x[:n], pivots
 
 
 def dump_problem(objective: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray,

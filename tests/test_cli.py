@@ -381,6 +381,16 @@ def test_stats_and_feascheck(workdir):
     assert feas["fraction"] == 1.0
 
 
+def test_stats_follows_head(workdir, tmp_path, capsys):
+    # the first trace row has one user, and the truth graph's edges reach others
+    rc = main(["stats", "--graph", str(workdir / "truth.csv"),
+               "--trace", str(workdir / "trace.csv"), "--head", "1",
+               "--out", str(tmp_path / "stats.json")])
+    assert rc == 2
+    assert str(workdir / "truth.csv") in capsys.readouterr().err
+    assert not (tmp_path / "stats.json").exists()
+
+
 def test_dump_lp_flag(workdir):
     rc = main([
         "infer", "--trace", str(workdir / "trace.csv"), "--prior", "er",

@@ -461,10 +461,7 @@ def test_run_cem_rejects_unknown_prior(t1):
 
 
 def test_run_cem_raises_when_the_lp_degrades(t1, monkeypatch):
-    def broken(R, c, x0, max_pivots, safe=False):
-        raise lp._NumericalTrouble("injected")
-
-    monkeypatch.setattr(lp, "_simplex_bounded", broken)
+    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (None, 0))
     with pytest.raises(RuntimeError, match="iteration-limit"):
         em.run_cem(t1, "er", 1.0, seed=0)
 

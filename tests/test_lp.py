@@ -1,5 +1,6 @@
 import itertools
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +129,59 @@ def test_matches_external_solver(rng):
         assert sol.objective == pytest.approx(_scipy_optimum(c, rows), abs=1e-7)
 
 
+def _degenerate_instance(rng, max_vars=16):
+    """Integer costs in {-3, ..., 0}: dual ratio ties and zero costs are dense."""
+    n = int(rng.integers(2, max_vars + 1))
+    rows = [tuple(sorted(rng.choice(n, size=int(rng.integers(2, min(n, 5) + 1)),
+                                    replace=False).tolist()))
+            for _ in range(int(rng.integers(1, 3 * n)))]
+    return rng.integers(-3, 1, size=n).astype(np.float64), rows
+
+
+def test_degenerate_instances_match_external_solver(rng):
+    for _ in range(150):
+        c, rows = _degenerate_instance(rng)
+        sol = _solve(c, rows)
+        assert sol.status == lp.STATUS_OPTIMAL
+        assert _covers(sol.x, rows)
+        assert sol.objective == pytest.approx(_scipy_optimum(c, rows), abs=1e-9)
+        assert np.array_equal(_solve(c, rows).x, sol.x)
+
+
+def test_n1000_stall_component_reaches_the_optimum():
+    """A component of the first N=1000 sigma LP (see data/make_stall_component.py)."""
+    data = np.load(Path(__file__).with_name("data") / "stall_component.npz")
+    n = int(data["n_vars"])
+    R = np.unpackbits(data["rows"], axis=1, count=n).astype(bool)
+    rows = [tuple(np.flatnonzero(r).tolist()) for r in R]
+    sol = _solve(data["c"], rows)
+    assert sol.status == lp.STATUS_OPTIMAL
+    assert _covers(sol.x, rows)
+    assert sol.objective == pytest.approx(_scipy_optimum(data["c"], rows), rel=1e-12)
+
+
+# cut down from a component of the first N=1000 sigma LP: on the way to the
+# optimum, basic variables above one leave at their upper bound, and two of
+# them share a row
+UPPER_ROWS = [
+    (6, 16), (13, 18), (23, 26), (2, 25), (7, 17, 21), (7, 14, 29), (12, 24, 28),
+    (3, 4, 18, 25, 29), (3, 8, 20), (10, 15), (2, 5, 27), (2, 16, 19), (8, 20, 24),
+    (5, 9, 13, 25, 26), (1, 15), (4, 12, 24), (11, 12, 21, 27, 28),
+    (11, 14, 16, 20, 26, 28), (4, 6), (8, 9, 10, 11, 14, 22), (0, 1, 10, 11, 17, 19, 21),
+]
+UPPER_C = -np.array([
+    169, 125, 114, 165, 133, 116, 135, 154, 118, 191, 118, 114, 116, 116, 120,
+    118, 148, 125, 177, 166, 134, 180, 166, 125, 118, 116, 180, 111, 125, 165,
+], dtype=np.float64)
+
+
+def test_columns_leaving_at_their_upper_bound():
+    sol = _solve(UPPER_C, UPPER_ROWS)
+    assert sol.status == lp.STATUS_OPTIMAL
+    assert _covers(sol.x, UPPER_ROWS)
+    assert sol.objective == pytest.approx(_scipy_optimum(UPPER_C, UPPER_ROWS), abs=1e-9)
+
+
 def test_fractional_optimum_odd_cycle():
     # pairwise covering on a triangle: LP optimum is the half vector
     rows = [(0, 1), (1, 2), (0, 2)]
@@ -192,54 +246,23 @@ def test_dump_problem(tmp_path):
     assert "Maximize" in text and "x0 + x1 >= 1" in text and "Bounds" in text
 
 
-def _trouble_once(monkeypatch):
-    real = lp._simplex_bounded
-    calls = []
+def test_singular_final_basis_returns_greedy_cover(monkeypatch, caplog):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("injected")
 
-    def flaky(R, c, x0, max_pivots, safe=False):
-        calls.append(safe)
-        if len(calls) == 1:
-            raise lp._NumericalTrouble("injected")
-        return real(R, c, x0, max_pivots, safe=safe)
-
-    monkeypatch.setattr(lp, "_simplex_bounded", flaky)
-    return calls
-
-
-def _trouble_always(monkeypatch):
-    def broken(R, c, x0, max_pivots, safe=False):
-        raise lp._NumericalTrouble("injected")
-
-    monkeypatch.setattr(lp, "_simplex_bounded", broken)
-
-
-def test_numerical_trouble_restarts_in_safe_mode(monkeypatch, caplog):
-    untouched = _solve(PIVOT_C, PIVOT_ROWS)
-    calls = _trouble_once(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", singular)
     with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
         sol = _solve(PIVOT_C, PIVOT_ROWS)
-    assert calls == [False, True]
-    assert "safe mode" in caplog.text
-    assert sol.status == lp.STATUS_OPTIMAL
-    assert np.array_equal(sol.x, untouched.x)
-
-
-def test_numerical_trouble_twice_returns_greedy_cover(monkeypatch, caplog):
-    _trouble_always(monkeypatch)
-    with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
-        sol = _solve(PIVOT_C, PIVOT_ROWS)
+    assert "singular final basis" in caplog.text
     assert "returning the greedy cover" in caplog.text
     assert sol.status == lp.STATUS_ITERATION_LIMIT
-    assert sol.n_pivots == 0
+    assert sol.n_pivots > 0
     assert np.array_equal(sol.x, lp._greedy_local(_dense(4, PIVOT_ROWS), PIVOT_C))
     assert _covers(sol.x, PIVOT_ROWS)
 
 
 def test_residual_check_flags_uncovered_rows(monkeypatch, caplog):
-    def short(R, c, x0, max_pivots, safe=False):
-        return np.zeros(len(c)), lp.STATUS_OPTIMAL, 0
-
-    monkeypatch.setattr(lp, "_simplex_bounded", short)
+    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (np.zeros(len(c)), 0))
     with caplog.at_level(logging.ERROR, logger="cemnet.lp"):
         sol = _solve(PIVOT_C, PIVOT_ROWS)
     assert sol.status == lp.STATUS_INFEASIBLE
