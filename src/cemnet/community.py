@@ -205,7 +205,10 @@ def pairwise_f1(labels_pred: Sequence[int], labels_true: Sequence[int]) -> float
         _, counts = np.unique(lab, return_counts=True)
         return int((counts * (counts - 1)).sum()) // 2
 
-    joint = pred.astype(np.int64) * (int(true.max()) + 1 if len(true) else 1) + true
+    # dense ids, so that the joint label fits int64 whatever ids were given
+    pred = np.unique(pred, return_inverse=True)[1]
+    true = np.unique(true, return_inverse=True)[1]
+    joint = pred * (int(true.max()) + 1 if len(true) else 1) + true
     tp = same_pairs(joint)
     pos_pred = same_pairs(pred)
     pos_true = same_pairs(true)

@@ -12,7 +12,9 @@ posterior derivation prescribes.  Under the block-model prior the group
 labels are refreshed each iteration by thresholding Q at 0.5 and running
 Louvain on the symmetrized result; when the thresholded edges equal the
 previous iteration's, the previous labels are kept, which is exactly what
-Louvain would return.
+Louvain would return.  Each LP call likewise hands its per-component warm
+state (``lp.WarmStart``) to the next iteration's; that state lives only in
+the loop, so fits sharing one ``Preprocessed`` never see each other's.
 
 Pairs that never co-occur are not materialized: their posterior equals the
 prior, which enters the prior updates, the convergence norm, and the final
@@ -105,15 +107,20 @@ class EmState:
 def _posterior(table: PairTable, prior_logit: np.ndarray | float,
                alpha: float, beta: float) -> np.ndarray:
     """Q = sigmoid(logit(prior) + M s log(a/b) + M (1-s) log((1-a)/(1-b)))."""
-    ms = table.m * table.sigma
-    mns = table.m - ms
-    gap = prior_logit + ms * (math.log(alpha) - math.log(beta)) \
-        + mns * (math.log1p(-alpha) - math.log1p(-beta))
-    out = np.empty_like(gap)
-    pos = gap >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-gap[pos]))
-    ez = np.exp(gap[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # in place, but in the order and with the roundings of
+    # prior_logit + ms * log(a/b) + mns * log((1-a)/(1-b))
+    gap = table.m * table.sigma
+    mns = table.m - gap
+    gap *= math.log(alpha) - math.log(beta)
+    gap += prior_logit
+    mns *= math.log1p(-alpha) - math.log1p(-beta)
+    gap += mns
+    # e = exp(-|gap|) never overflows, and it is exp(gap) where gap < 0, so
+    # this is 1 / (1 + e) where gap >= 0 and e / (1 + e) elsewhere
+    e = np.abs(gap)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(gap >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite posterior; parameters not clamped?")
     return out
@@ -425,6 +432,7 @@ def run_cem(
     prior_used_prev: tuple[float, ...] | None = None
     groups_used_prev: np.ndarray | None = None
     interim_prev: InferredGraph | None = None
+    warm: lp.WarmStart | None = None
 
     for it in range(1, max_iters + 1):
         prior_used = params.prior_values()
@@ -450,7 +458,10 @@ def run_cem(
         if dump_lp_path and it == 1:
             lp.dump_problem(coeffs, prep.constraints.row_ptr,
                             prep.constraints.pair_ids, dump_lp_path)
-        sol = lp.solve_reduced(prep.reduced, coeffs)
+        sol = lp.solve_reduced(prep.reduced, coeffs, warm=warm)
+        warm = sol.warm
+        log.debug("iteration %d: lp %s, %d pivots, %d/%d components reused", it,
+                  sol.status, sol.n_pivots, sol.n_reused, sol.n_solved)
         if sol.status != lp.STATUS_OPTIMAL:
             raise RuntimeError(f"sigma LP failed with status {sol.status!r}")
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv as _csv
+import math
+import operator
+from collections.abc import Set
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,8 +24,9 @@ class InferredGraph:
     The edges are held as ``src``/``dst`` int64 arrays sorted by the key
     ``src * n_users + dst``, one entry per edge.  ``score`` optionally
     attaches a per-edge score aligned with them (posterior probability for
-    EM methods, 1.0 for heuristics).  ``edges``, ``scores``, ``in_sets`` and
-    ``out_adj`` are tuple/dict views built on first read.
+    EM methods, 1.0 for heuristics).  ``edges`` is a read-only set view over
+    the arrays that builds no tuples until iterated; ``scores``, ``in_sets``
+    and ``out_adj`` are dict/list views built on first read.
 
     ``edges`` is an (E, 2) integer array or an iterable of ``(i, j)``
     pairs; ``scores`` is aligned with it.  A repeated edge keeps the score
@@ -63,7 +67,6 @@ class InferredGraph:
         for arr in (self._keys, self.src, self.dst, self.score):
             if arr is not None:
                 arr.flags.writeable = False
-        self._edges: frozenset[tuple[int, int]] | None = None
         self._scores: dict[tuple[int, int], float] | None = None
         self._in_sets: dict[int, set[int]] | None = None
         self._out_adj: list[list[int]] | None = None
@@ -72,8 +75,8 @@ class InferredGraph:
     def n_edges(self) -> int:
         return len(self._keys)
 
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        return self._find(*edge) >= 0
+    def __contains__(self, edge: object) -> bool:
+        return edge in self.edges
 
     def _find(self, i: int, j: int) -> int:
         """Position of edge (i, j) in the arrays, or -1."""
@@ -84,10 +87,8 @@ class InferredGraph:
         return k if k < len(self._keys) and self._keys[k] == key else -1
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(self.sorted_edges())
-        return self._edges
+    def edges(self) -> EdgeView:
+        return EdgeView(self)
 
     @property
     def scores(self) -> dict[tuple[int, int], float] | None:
@@ -125,7 +126,41 @@ class InferredGraph:
         return float(self.score[k]) if k >= 0 else 1.0
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.src.tolist(), self.dst.tolist()))
+        return list(self.edges)
+
+
+class EdgeView(Set):
+    """The graph's edges as a read-only set of ``(i, j)`` tuples.
+
+    Iteration runs in ascending ``(i, j)`` order, membership is a binary
+    search in the graph's arrays (anything but a pair of integers is not a
+    member), and set operators that build a new set return a ``frozenset``.
+    """
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: InferredGraph):
+        self._graph = graph
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable) -> frozenset:
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._graph.n_edges
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._graph.src.tolist(), self._graph.dst.tolist())
+
+    def __contains__(self, edge: object) -> bool:
+        try:
+            i, j = map(operator.index, edge)
+        except (TypeError, ValueError):
+            return False
+        return self._graph._find(i, j) >= 0
+
+    def __repr__(self) -> str:
+        return f"EdgeView({set(self)!r})"
 
 
 def write_graph_csv(
@@ -172,15 +207,18 @@ def read_graph_csv(path: str | Path, users: Sequence[str]) -> InferredGraph:
                     raise GraphFormatError(
                         f"{path}: row {row}: uid {tok!r} is not in the trace user set"
                     )
+            if src == dst:
+                raise GraphFormatError(f"{path}: row {row}: self-loop on uid {src!r}")
             edge = (uid_index[src], uid_index[dst])
             edges.append(edge)
             if len(parts) == 3 and parts[2].strip():
                 try:
-                    scores[edge] = float(parts[2])
+                    score = float(parts[2])
                 except ValueError:
-                    raise GraphFormatError(
-                        f"{path}: row {row}: bad score {parts[2]!r}"
-                    ) from None
+                    score = math.nan
+                if not math.isfinite(score):
+                    raise GraphFormatError(f"{path}: row {row}: bad score {parts[2]!r}")
+                scores[edge] = score
     # a repeated row keeps the last score it was given
     return InferredGraph(len(users), edges,
                          [scores.get(e, 1.0) for e in edges] if scores else None)

@@ -12,12 +12,21 @@ solved with a dual simplex on the bounded variables under Bland's rule,
 started from the all-surplus basis, which no remaining positive cost leaves
 dual infeasible; the result must cover every component row to within
 ``FEAS_TOL``.
+
+Consecutive EM objectives mostly pin the same variables and leave the same
+basis optimal, so each solution carries a ``WarmStart`` for the next call:
+per component, the open rows, free columns and identical-column groups
+(rebuilt only when the pinned set changes), and the last kept columns,
+final basis and x.  A basis is accepted, warm or at the end of a cold
+solve, only when a fresh solve with it gives reduced costs of an optimal
+basis (the dual-feasibility certificate, see Koberstein 2005, *The dual
+simplex method*).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,7 @@ log = logging.getLogger("cemnet.lp")
 
 FEAS_TOL = 1e-9  # constraint satisfaction
 PIV_TOL = 1e-9  # smallest pivot element the ratio test accepts
+DUAL_TOL = 1e-9  # reduced-cost sign slack, relative to the largest cost
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
@@ -38,6 +48,9 @@ class LpSolution:
     objective: float
     status: str
     n_pivots: int = 0
+    n_solved: int = 0  # components with open rows
+    n_reused: int = 0  # of those, solved by the previous call's basis
+    warm: WarmStart | None = field(default=None, repr=False)  # for the next call
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +152,69 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> Reduc
     return ReducedCovering(n_vars, forced, tuple(components))
 
 
+@dataclass(frozen=True)
+class _Warm:
+    """One component after a ``solve_reduced`` call.
+
+    ``free`` to ``gid`` depend only on which variables were pinned; the
+    rest is the last solve on them, with no basis after a fallback.
+    """
+
+    free: np.ndarray  # bool over the component's variables
+    free_ids: np.ndarray  # global ids of the free variables
+    R: np.ndarray  # bool incidence, open rows x free columns
+    gid: np.ndarray  # identical-column group per free column, -1 in no open row
+    keep: np.ndarray | None = None  # the columns of R the simplex saw
+    R_keep: np.ndarray | None = None  # R[:, keep]
+    basis: tuple[np.ndarray, np.ndarray] | None = None  # final (basis, at_upper)
+    xs: np.ndarray | None = None  # x over keep
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """Per-component state that one ``solve_reduced`` call hands the next."""
+
+    reduced: ReducedCovering
+    components: tuple[_Warm, ...]
+
+
+def _columns(comp: _Component, free: np.ndarray) -> _Warm:
+    """Open rows, free columns and identical-column groups under one pinning."""
+    open_rows = ~comp.rows[:, ~free].any(axis=1)
+    R = comp.rows[np.ix_(open_rows, free)]
+    gid = np.full(R.shape[1], -1, dtype=np.int64)
+    if len(R):
+        order = np.lexsort(R)
+        grouped = R[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+        gid[order] = np.cumsum(first) - 1
+        gid[~R.any(axis=0)] = -1
+    return _Warm(free, comp.var_ids[free], R, gid)
+
+
 def solve_reduced(
     reduced: ReducedCovering,
     objective: np.ndarray,
     *,
     max_pivots: int | None = None,
+    warm: WarmStart | None = None,
 ) -> LpSolution:
     """Optimal basic solution of a reduced covering LP for one objective vector.
 
-    Deterministic under the fixed pivot rule.  When a component's pivot
-    budget runs out or its final basis is singular, that component takes
-    the greedy cover and the status is ``iteration-limit``; a solution that
-    leaves a row short of one comes back ``infeasible``.
+    Deterministic under the fixed pivot rule.  ``warm`` is the ``warm`` of
+    an earlier solution on the same reduction: a component whose pinned
+    variables and kept columns are unchanged returns its previous x when
+    the previous basis passes a fresh dual-feasibility check for this
+    objective; the basis and the rhs are those of that x, so it is the x a
+    cold solve ending on that basis returns.
+    When a component's pivot budget runs out, or its final basis is
+    singular or fails that check, that component takes the greedy cover
+    and the status is ``iteration-limit``; a solution that leaves a row
+    short of one comes back ``infeasible``.
     """
+    if warm is not None and warm.reduced is not reduced:
+        raise ValueError("warm state comes from another reduction")
     c = np.asarray(objective, dtype=np.float64)
     x = np.zeros(reduced.n_vars, dtype=np.float64)
     # every free column then has c <= 0, which the dual simplex's start
@@ -161,36 +224,44 @@ def solve_reduced(
         x[reduced.forced_ones] = 1.0
 
     status = STATUS_OPTIMAL
-    pivots = 0
-    for comp in reduced.components:
+    pivots = solved = reused = 0
+    states = []
+    for k, comp in enumerate(reduced.components):
         free = x[comp.var_ids] < 0.5
-        open_rows = ~comp.rows[:, ~free].any(axis=1)
-        if not open_rows.any():
+        st = None if warm is None else warm.components[k]
+        if st is None or not np.array_equal(st.free, free):
+            st = _columns(comp, free)
+        if not len(st.R):
+            states.append(st)
             continue
-        R = comp.rows[np.ix_(open_rows, free)]
-        local_c = c[comp.var_ids[free]]
+        solved += 1
+        local_c = c[st.free_ids]
         # variables with identical row support are interchangeable: keep the
         # first best-coefficient one (exactness-preserving, and duplicate
         # columns would make simplex bases singular); variables in no open
         # row have cost <= 0 and stay at zero
-        order = np.lexsort((-local_c, *R))
-        grouped = R[:, order]
+        order = np.lexsort((-local_c, st.gid))
+        gid = st.gid[order]
         first = np.ones(len(order), dtype=bool)
-        first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
-        keep = order[first & grouped.any(axis=0)]
-        keep.sort()
-        R, solver_c = R[:, keep], local_c[keep]
+        first[1:] = gid[1:] != gid[:-1]
+        keep = np.sort(order[first & (gid >= 0)])
+        solver_c = local_c[keep]
 
-        xs, piv = _dual_simplex(R, solver_c, max_pivots)
-        pivots += piv
-        if xs is None:
-            # degrade honestly: the greedy cover is feasible
-            log.warning("returning the greedy cover")
-            xs = _greedy_local(R, solver_c)
-            status = STATUS_ITERATION_LIMIT
-        local_x = np.zeros(len(local_c))
-        local_x[keep] = xs
-        x[comp.var_ids[free]] = local_x
+        if (st.basis is not None and np.array_equal(keep, st.keep)
+                and _dual_feasible(st.R_keep, solver_c, *st.basis)):
+            reused += 1
+        else:
+            R = st.R[:, keep]
+            xs, piv, final = _dual_simplex(R, solver_c, max_pivots)
+            pivots += piv
+            if xs is None:
+                # degrade honestly: the greedy cover is feasible
+                log.warning("returning the greedy cover")
+                xs = _greedy_local(R, solver_c)
+                status = STATUS_ITERATION_LIMIT
+            st = _Warm(st.free, st.free_ids, st.R, st.gid, keep, R, final, xs)
+        states.append(st)
+        x[st.free_ids[keep]] = st.xs
 
     np.clip(x, 0.0, 1.0, out=x)
     worst = max((1.0 - float((comp.rows @ x[comp.var_ids]).min())
@@ -198,7 +269,8 @@ def solve_reduced(
     if worst > FEAS_TOL:
         log.error("covering residual %.3e exceeds tolerance", worst)
         status = STATUS_INFEASIBLE
-    return LpSolution(x, float(np.dot(c, x)), status, pivots)
+    return LpSolution(x, float(np.dot(c, x)), status, pivots, solved, reused,
+                      WarmStart(reduced, tuple(states)))
 
 
 def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -218,7 +290,7 @@ def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _dual_simplex(
     R: np.ndarray, c: np.ndarray, max_pivots: int | None
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[np.ndarray | None, int, tuple[np.ndarray, np.ndarray] | None]:
     """maximize c@x s.t. R x - s = 1, 0 <= x <= 1, s >= 0, for c <= 0.
 
     ``R`` is the bool incidence of the open rows over the kept columns.
@@ -230,8 +302,10 @@ def _dual_simplex(
     basic variable with the smallest column index leaves, and the minimum
     dual ratio enters, the smallest column index on ties.  The optimal x
     comes from one solve on the final basis, so its bits depend on that
-    basis alone.  Returns ``(x, pivots)``; x is None when the pivot budget
-    runs out or the final basis is singular.
+    basis alone.  Returns ``(x, pivots, (basis, at_upper))``; x and the
+    basis are None when the pivot budget runs out, or the final basis is
+    singular or fails ``_dual_feasible``, the optimality certificate that
+    does not rest on the updated inverse that chose the pivots.
     """
     m, n = R.shape
     R = R.astype(np.float64)
@@ -258,7 +332,7 @@ def _dual_simplex(
             break
         if pivots == max_pivots:
             log.warning("dual simplex pivot budget exhausted (%d pivots)", pivots)
-            return None, pivots
+            return None, pivots, None
         r = int(np.flatnonzero(short)[np.argmin(basis[short])])
         alpha = B_inv[r] @ A
         d = cost - (cost[basis] @ B_inv) @ A
@@ -269,7 +343,7 @@ def _dual_simplex(
             # would prove that no cover exists, but x = 1 covers every row:
             # only rounding gets here
             log.warning("dual simplex found no entering column")
-            return None, pivots
+            return None, pivots, None
         cand = np.flatnonzero(eligible)
         ratio = np.abs(d[cand]) / np.abs(alpha[cand])
         enter = int(cand[np.argmax(ratio <= ratio.min() + 1e-12)])
@@ -289,8 +363,34 @@ def _dual_simplex(
         x[basis] = np.linalg.solve(A[:, basis], rhs)
     except np.linalg.LinAlgError:
         log.warning("singular final basis after %d pivots", pivots)
-        return None, pivots
-    return x[:n], pivots
+        return None, pivots, None
+    if not _dual_feasible(R, c, basis, at_upper):
+        log.warning("final basis after %d pivots fails the optimality check", pivots)
+        return None, pivots, None
+    return x[:n], pivots, (basis, at_upper)
+
+
+def _dual_feasible(R: np.ndarray, c: np.ndarray, basis: np.ndarray,
+                   at_upper: np.ndarray) -> bool:
+    """Whether ``basis`` is dual feasible for ``c`` in ``_dual_simplex``'s LP.
+
+    The duals come from one fresh solve with the basis matrix, and every
+    nonbasic reduced cost must have the sign of an optimal basis, to
+    within ``DUAL_TOL`` times the largest cost: nonnegative at the lower
+    bound and nonpositive at the upper one.  A basis that is primal
+    feasible for the LP's rhs and passes is optimal.
+    """
+    m = len(R)
+    A = np.hstack([R, -np.eye(m)])
+    cost = np.concatenate([-c, np.zeros(m)])  # as _dual_simplex minimizes
+    try:
+        y = np.linalg.solve(A[:, basis].T, cost[basis])
+    except np.linalg.LinAlgError:
+        return False
+    d = cost - y @ A
+    d[basis] = 0.0  # basic columns are never at their upper bound
+    tol = DUAL_TOL * max(1.0, float(np.abs(c).max()))
+    return not np.where(at_upper, d > tol, d < -tol).any()
 
 
 def dump_problem(objective: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray,

@@ -336,6 +336,101 @@ def test_fuzzed_traces_exit_0_or_2(tmp_path, capsys, data):
         assert str(path) in err
 
 
+# four users u0..u3; u0 -> u1 -> u2 and u0 -> u3 -> u2 explain every repost
+FUZZ_TRACE = "pid,t,uid,rid\np0,0,u0,-1\np1,1,u1,p0\np2,2,u2,p1\np3,3,u3,p0\n"
+FUZZ_GRAPH = "src,dst,q\nu0,u1,0.9\nu1,u2,0.8\nu0,u3,0.7\nu3,u2,0.6\n"
+FUZZ_LABELS = "uid,community\nu0,0\nu1,0\nu2,1\nu3,1\n"
+USERS = ["u0", "u1", "u2", "u3"]
+TABLE_JUNK = st.one_of(JUNK, st.sampled_from([
+    "", " ", "u9", "U1", "nan", "inf", "-inf", "1e400", "-1", "1.5", "0x1", "1_0",
+    "99999999999999999999999", "9223372036854775807", "-9223372036854775809", "\x00"]))
+
+
+@st.composite
+def malformed_tables(draw, kind: str) -> bytes:
+    """A valid graph or labels CSV over u0..u3 with zero to three corruptions."""
+    if kind == "graph":
+        header = ["src", "dst", "q"]
+        rows = [[USERS[i], USERS[j], str(draw(st.floats(0, 1)))]
+                for i, j in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                                          .filter(lambda e: e[0] != e[1]), max_size=6))]
+    else:
+        header = ["uid", "community"]
+        rows = [[u, str(draw(st.integers(0, 3)))] for u in USERS]
+    kinds = draw(st.lists(st.sampled_from([
+        "header", "arity", "field", "self_loop", "missing", "duplicate", "blank",
+        "quote", "bytes"]), max_size=3))
+    blanks: list[int] = []
+    bad_bytes = None
+    for what in kinds:
+        k = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if what == "header":
+            header = draw(st.sampled_from([header[:1], header[::-1], ["a", "b"], [],
+                                           [h.upper() for h in header], header + ["x"]]))
+        elif not rows:
+            continue
+        elif what == "arity":
+            if draw(st.booleans()):
+                rows[k].append(draw(TABLE_JUNK))
+            else:
+                del rows[k][draw(st.integers(0, len(rows[k]) - 1))]
+        elif what == "field" and rows[k]:
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(TABLE_JUNK)
+        elif what == "self_loop" and len(rows[k]) > 1:
+            rows[k][1] = rows[k][0]
+        elif what == "missing":
+            del rows[k]
+        elif what == "duplicate":
+            rows.append([*rows[k][:1], *draw(st.lists(TABLE_JUNK, min_size=1, max_size=2))])
+        elif what == "blank":
+            blanks.append(k)
+        elif what == "quote" and rows[k]:
+            rows[k][0] = '"' + rows[k][0]
+        elif what == "bytes":
+            bad_bytes = (k, draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])))
+    lines = [",".join(header).encode()] + [",".join(r).encode() for r in rows]
+    for k in blanks:
+        lines.insert(k + 1, b"")
+    if bad_bytes is not None:
+        k, junk = bad_bytes
+        k = min(k + 1, len(lines) - 1)
+        lines[k] = lines[k][:1] + junk + lines[k][1:]
+    return b"\n".join(lines) + b"\n"
+
+
+def _run_fuzzed(tmp_path, capsys, argv, fuzzed):
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert str(fuzzed) in err, err
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=malformed_tables("graph"), labels=malformed_tables("labels"),
+       role=st.sampled_from(["inferred", "truth", "scores"]))
+def test_fuzzed_graphs_and_labels_exit_0_or_2(tmp_path, capsys, graph, labels, role):
+    """Malformed graph and label files end in exit 2 naming the file, or are read."""
+    trace, good, good_labels = (tmp_path / n for n in ("t.csv", "good.csv", "good_labels.csv"))
+    trace.write_text(FUZZ_TRACE)
+    good.write_text(FUZZ_GRAPH)
+    good_labels.write_text(FUZZ_LABELS)
+    bad, bad_labels = tmp_path / "fuzz_graph.csv", tmp_path / "fuzz_labels.csv"
+    bad.write_bytes(graph)
+    bad_labels.write_bytes(labels)
+    for command in ("stats", "feascheck"):
+        _run_fuzzed(tmp_path, capsys, [command, "--graph", str(bad), "--trace", str(trace)], bad)
+    files = {"inferred": good, "truth": good, "scores": good, role: bad}
+    evaluate = ["evaluate", "--trace", str(trace)] + [
+        arg for name, path in files.items() for arg in (f"--{name}", str(path))]
+    _run_fuzzed(tmp_path, capsys, evaluate + ["--truth-labels", str(good_labels)], bad)
+    _run_fuzzed(tmp_path, capsys, ["evaluate", "--trace", str(trace), "--inferred", str(good),
+                                   "--truth", str(good), "--truth-labels", str(bad_labels)],
+                bad_labels)
+
+
 def test_malformed_graph_is_usage_error(workdir, tmp_path):
     bad = tmp_path / "bad_graph.csv"
     bad.write_text("nope,header\n1,2\n")

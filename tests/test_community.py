@@ -88,6 +88,13 @@ def test_pairwise_f1_single_blob_vs_two_halves():
     assert cm.pairwise_f1(pred, true) == pytest.approx(expected, abs=1e-12)
 
 
+def test_pairwise_f1_takes_ids_of_any_size():
+    # a joint id pred * (max(true) + 1) + true would overflow int64 here
+    huge = [10**23, 0, 0, 10**23, 2**63 - 1]
+    assert cm.pairwise_f1(huge, [2**63 - 1, 5, 5, 2**63 - 1, 0]) == 1.0
+    assert cm.pairwise_f1([0, 1, 1, 0, 0], huge) == pytest.approx(2 / 3, abs=1e-12)
+
+
 def test_pairwise_f1_relabel_invariant(rng):
     for _ in range(10):
         a = rng.integers(0, 4, size=20)

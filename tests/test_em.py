@@ -65,6 +65,25 @@ def test_update_q_matches_high_precision_oracle(rng):
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_posterior_matches_the_gathered_reference(rng):
+    """Bit for bit, against one branch per sign gathered into its own array."""
+    for scale in (1.0, 30.0, 800.0):
+        n = 20_000
+        table = PairTable(4, np.zeros((n, 2), dtype=np.int32),
+                          rng.integers(0, 60, size=n).astype(float),
+                          rng.uniform(size=n), np.zeros(n))
+        prior_logit = rng.normal(scale=scale, size=n)
+        alpha, beta = 0.9, 0.05
+        gap = prior_logit + table.m * table.sigma * (math.log(alpha) - math.log(beta)) \
+            + (table.m - table.m * table.sigma) * (math.log1p(-alpha) - math.log1p(-beta))
+        want = np.empty_like(gap)
+        pos = gap >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-gap[pos]))
+        ez = np.exp(gap[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        assert np.array_equal(em._posterior(table, prior_logit, alpha, beta), want)
+
+
 def test_update_q_sbm_inactive_pairs():
     st = make_state([(0, 1), (1, 2)], [0.0, 0.0], [0.5, 0.5], prior="sbm",
                     p_in=0.4, q_out=0.05, groups=[0, 0, 1], n_users=3)
@@ -461,9 +480,66 @@ def test_run_cem_rejects_unknown_prior(t1):
 
 
 def test_run_cem_raises_when_the_lp_degrades(t1, monkeypatch):
-    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (None, 0))
+    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (None, 0, None))
     with pytest.raises(RuntimeError, match="iteration-limit"):
         em.run_cem(t1, "er", 1.0, seed=0)
+
+
+def test_run_cem_raises_when_no_basis_is_certified(t1, monkeypatch):
+    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: False)
+    with pytest.raises(RuntimeError, match="iteration-limit"):
+        em.run_cem(t1, "er", 1.0, seed=0)
+
+
+SIM40 = dict(n_users=40, n_blocks=3, n_events=6000, seed=5)
+# one input of the benchmark's sweep workload
+SWEEP500 = dict(n_users=500, block_sizes=[72, 72, 71, 71, 71, 71, 72],
+                p_intra=0.012, q_inter=0.0014, n_events=120_000,
+                post_rate=(0.0035, 0.0035), repost_rate=(0.09, 0.09), seed=9201)
+
+
+@pytest.mark.parametrize("config,lam", [(SIM40, 1.0), (SWEEP500, 0.25)],
+                         ids=["sim40", "sweep500"])
+def test_warm_lp_calls_match_cold_calls(monkeypatch, config, lam):
+    from cemnet.simulate import SimConfig, simulate
+
+    prep = em.preprocess(simulate(SimConfig(**config)).trace)
+    solve, sols = lp.solve_reduced, []
+
+    def warm_and_cold(reduced, objective, **kw):
+        sols.append(solve(reduced, objective, **kw))
+        cold = solve(reduced, objective)
+        assert sols[-1].status == cold.status == lp.STATUS_OPTIMAL
+        assert np.array_equal(sols[-1].x, cold.x)
+        return sols[-1]
+
+    monkeypatch.setattr(lp, "solve_reduced", warm_and_cold)
+    state, _ = em.run_cem(prep, "er", lam, seed=7)
+    assert len(sols) == state.iteration > 2
+    assert sols[0].n_reused == 0
+    assert sum(s.n_reused for s in sols) > sum(s.n_solved for s in sols) // 2
+
+
+def test_lp_reuse_is_logged_per_iteration(monkeypatch, caplog):
+    from cemnet.simulate import SimConfig, simulate
+
+    prep = em.preprocess(simulate(SimConfig(**SIM40)).trace)
+    solve, sols = lp.solve_reduced, []
+
+    def record(*args, **kw):
+        sols.append(solve(*args, **kw))
+        return sols[-1]
+
+    monkeypatch.setattr(lp, "solve_reduced", record)
+    with caplog.at_level("DEBUG", logger="cemnet.em"):
+        state, _ = em.run_cem(prep, "er", 1.0, seed=7)
+    lines = [r.getMessage() for r in caplog.records if ": lp " in r.getMessage()]
+    assert lines == [
+        f"iteration {it}: lp optimal, {s.n_pivots} pivots, "
+        f"{s.n_reused}/{s.n_solved} components reused"
+        for it, s in enumerate(sols, start=1)
+    ]
+    assert len(lines) == state.iteration and any(s.n_reused for s in sols)
 
 
 def test_run_cem_trace_without_reposts():

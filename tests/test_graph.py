@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cemnet.graph import InferredGraph, read_graph_csv
+from cemnet.graph import GraphFormatError, InferredGraph, read_graph_csv
 
 
 def _reference_views(n, pairs, scores):
@@ -89,3 +89,35 @@ def test_csv_repeated_row_keeps_last_given_score(tmp_path):
     unscored = tmp_path / "u.csv"
     unscored.write_text("src,dst\na,b\n")
     assert read_graph_csv(unscored, ["a", "b"]).scores is None
+
+
+def test_edge_view_is_a_set():
+    g = InferredGraph(5, [(3, 1), (0, 4), (0, 2), (2, 0)])
+    want = frozenset({(0, 2), (0, 4), (2, 0), (3, 1)})
+    view = g.edges
+    assert view == want and want == view
+    assert view != want | {(1, 2)} and want | {(1, 2)} != view
+    assert len(view) == 4 and list(view) == sorted(want)
+    assert view <= want and view < want | {(1, 2)} and not view < want
+    assert view & {(0, 2), (1, 1)} == {(0, 2)} == {(1, 1), (0, 2)} & view
+    assert type(view & want) is frozenset and type(view | {(1, 2)}) is frozenset
+    assert view | {(1, 2)} == want | {(1, 2)}
+    assert all(e in view for e in want) and (1, 0) not in view
+    assert (np.int64(0), np.int32(2)) in view
+    for bad in [(5, 0), (0, 5), (-1, 2), (2, -5), (0, 2, 1), (0,), "ab", 3, None, ("0", "2")]:
+        assert bad not in view and bad not in g
+    assert InferredGraph(5, []).edges == frozenset()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("b,b", "self-loop on uid 'b'"),
+    ("b,a,nan", "bad score 'nan'"),
+    ("b,a,-inf", "bad score '-inf'"),
+    ("b,a,1e400", "bad score '1e400'"),
+    ("b,a,high", "bad score 'high'"),
+])
+def test_csv_bad_row_is_named(tmp_path, row, message):
+    path = tmp_path / "g.csv"
+    path.write_text(f"src,dst,q\na,b,0.5\n{row}\n")
+    with pytest.raises(GraphFormatError, match=rf"g\.csv: row 3: {message}"):
+        read_graph_csv(path, ["a", "b"])

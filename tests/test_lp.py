@@ -262,7 +262,7 @@ def test_singular_final_basis_returns_greedy_cover(monkeypatch, caplog):
 
 
 def test_residual_check_flags_uncovered_rows(monkeypatch, caplog):
-    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (np.zeros(len(c)), 0))
+    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (np.zeros(len(c)), 0, None))
     with caplog.at_level(logging.ERROR, logger="cemnet.lp"):
         sol = _solve(PIVOT_C, PIVOT_ROWS)
     assert sol.status == lp.STATUS_INFEASIBLE
@@ -311,3 +311,60 @@ def test_reduce_covering_matches_reference(rng):
             assert c.rows.dtype == bool and c.rows.shape[1] == len(c.var_ids)
         assert [(c.var_ids.tolist(), [tuple(np.flatnonzero(r).tolist()) for r in c.rows])
                 for c in reduced.components] == comps
+
+
+def test_stale_basis_falls_back_to_a_cold_solve():
+    reduced = lp.reduce_covering(4, *_csr(PIVOT_ROWS))
+    first = lp.solve_reduced(reduced, PIVOT_C)
+    assert first.n_solved == 1 and first.n_reused == 0 and first.n_pivots > 0
+    # same pinning and kept columns; the shared variable stays optimal
+    still = PIVOT_C + np.array([0.1, 0.0, 0.0, 0.0])
+    warm = lp.solve_reduced(reduced, still, warm=first.warm)
+    assert (warm.n_reused, warm.n_pivots) == (1, 0)
+    assert np.array_equal(warm.x, lp.solve_reduced(reduced, still).x)
+    # the three singles now beat it: the old basis fails the check
+    stale = PIVOT_C - np.array([1.0, 0.0, 0.0, 0.0])
+    warm = lp.solve_reduced(reduced, stale, warm=first.warm)
+    cold = lp.solve_reduced(reduced, stale)
+    assert warm.n_reused == 0 and warm.n_pivots == cold.n_pivots > 0
+    assert warm.status == cold.status == lp.STATUS_OPTIMAL
+    assert np.array_equal(warm.x, cold.x) and warm.objective == -3.0
+    assert warm.warm.components[0].basis is not None
+
+
+def test_failed_certificate_returns_greedy_cover(monkeypatch, caplog):
+    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: False)
+    with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
+        sol = _solve(PIVOT_C, PIVOT_ROWS)
+    assert "fails the optimality check" in caplog.text
+    assert sol.status == lp.STATUS_ITERATION_LIMIT
+    assert np.array_equal(sol.x, lp._greedy_local(_dense(4, PIVOT_ROWS), PIVOT_C))
+    assert sol.warm.components[0].basis is None
+
+
+def test_pinning_a_column_rebuilds_only_its_component(rng):
+    rows = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)]
+    reduced = lp.reduce_covering(6, *_csr(rows))
+    assert len(reduced.components) == 2
+    c = -rng.uniform(1, 2, size=6)
+    first = lp.solve_reduced(reduced, c)
+    flipped = c.copy()
+    flipped[4] = 0.5
+    sol = lp.solve_reduced(reduced, flipped, warm=first.warm)
+    (a0, a1), (b0, b1) = first.warm.components, sol.warm.components
+    assert b0.R is a0.R and b0.gid is a0.gid
+    assert b1.R is not a1.R and b1.free.tolist() == [True, False, True]
+    assert sol.n_reused == 1 and sol.n_solved == 2
+    cold = lp.solve_reduced(reduced, flipped)
+    assert np.array_equal(sol.x, cold.x) and sol.status == cold.status
+    # and back: the restored pinning rebuilds the structure it had
+    back = lp.solve_reduced(reduced, c, warm=sol.warm)
+    assert np.array_equal(back.warm.components[1].R, a1.R)
+    assert np.array_equal(back.x, first.x)
+
+
+def test_warm_state_from_another_reduction_is_refused():
+    first = _solve(PIVOT_C, PIVOT_ROWS)
+    other = lp.reduce_covering(4, *_csr(PIVOT_ROWS))
+    with pytest.raises(ValueError, match="another reduction"):
+        lp.solve_reduced(other, PIVOT_C, warm=first.warm)
