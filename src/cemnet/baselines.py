@@ -4,9 +4,11 @@ Star links every episode author to each of its resharers; Chain links
 consecutive resharers.  The Saito baseline runs discrete-time
 independent-cascade EM, so a reshare can only be credited to members
 active one time unit earlier.  The Newman baseline is the unconstrained
-noisy-measurement EM fed with direct author-to-resharer counts only.
-Neither sees hidden multi-hop paths, which is exactly what costs them
-feasibility.
+noisy-measurement EM fed with direct author-to-resharer counts only; it
+runs on the E-step, rate update, norm and thresholding of ``em``, so it is
+CEM-er without the LP.  Neither EM baseline sees hidden multi-hop paths,
+which is exactly what costs them feasibility.  Both keep the pairs whose
+final probability exceeds 0.5.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from . import em
 from .graph import InferredGraph
 from .trace import Episodes, PairTable, pair_counts, predecessor_slots
 
@@ -53,7 +56,6 @@ def saito_em(
     *,
     max_iters: int = 100,
     epsilon: float = 1e-6,
-    threshold: float = 0.5,
     seed: int = 0,
     init_kappa: float | None = None,
 ) -> SaitoResult:
@@ -134,7 +136,7 @@ def saito_em(
     if not converged:
         log.warning("saito EM hit iteration cap (%d)", max_iters)
 
-    hot = kappa > threshold
+    hot = kappa > 0.5
     graph = InferredGraph(n_users, table.pairs[hot], kappa[hot])
     return SaitoResult(table, kappa, graph, it, converged)
 
@@ -158,57 +160,47 @@ def newman_em(
     *,
     max_iters: int = 100,
     epsilon: float = 1e-3,
-    threshold: float = 0.5,
     seed: int = 0,
 ) -> NewmanResult:
     """Noisy-measurement EM on direct observations.
 
     Per ordered pair the trial count is M_ij and the success count E_ij is
-    the number of episodes authored by i in which j reshared.  Posteriors,
-    utilization rates, and the flat prior follow the same fixed-point form
-    as the constrained method, with E_ij/M_ij in place of M_ij sigma_ij.
+    the number of episodes authored by i in which j reshared.  This is the
+    constrained method's ER loop without the LP: the same posterior,
+    utilization rates, flat prior, convergence norm and thresholding, with
+    E_ij in place of M_ij sigma_ij.
     """
+    if n_users < 2:
+        raise ValueError("need at least two users for an edge prior")
     table = pair_counts(episodes, n_users)
-    p_count = table.n_pairs
     slots = predecessor_slots(episodes)
     # each covering row's first slot is the author
     author_ids = table.ids(slots.users[slots.start], slots.users[slots.stop])
-    direct = np.bincount(author_ids, minlength=p_count).astype(np.float64)
+    direct = np.bincount(author_ids, minlength=table.n_pairs).astype(np.float64)
 
-    ss = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     # identifiable branch, as in the constrained method: start the
     # true-positive rate above one half and the false-positive rate below
-    alpha = _clamp(0.5 + 0.5 * rng.uniform())
-    beta = _clamp(0.5 * rng.uniform())
-    rho = _clamp(rng.uniform())
+    alpha = em.clamp(0.5 + 0.5 * rng.uniform())
+    beta = em.clamp(0.5 * rng.uniform())
+    rho = em.clamp(rng.uniform())
 
     n_total = n_users * (n_users - 1)
-    n_inactive = n_total - p_count
-    q = np.full(p_count, rho)
+    q = np.full(table.n_pairs, rho)
     rho_used_prev: float | None = None
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
         rho_used = rho
-        gap = (
-            (math.log(rho) - math.log1p(-rho))
-            + direct * (math.log(alpha) - math.log(beta))
-            + (table.m - direct) * (math.log1p(-alpha) - math.log1p(-beta))
-        )
-        q_new = _sigmoid(gap)
-        den_a = float(np.dot(table.m, q_new))
-        if den_a > 0:
-            alpha = _clamp(float(np.dot(direct, q_new)) / den_a)
-        den_b = float(np.dot(table.m, 1.0 - q_new))
-        if den_b > 0:
-            beta = _clamp(float(np.dot(direct, 1.0 - q_new)) / den_b)
-        rho = _clamp(
-            (float(q_new.sum()) + n_inactive * rho_used) / n_total
-        )
+        q_new = em.posterior(table.m, direct, math.log(rho) - math.log1p(-rho),
+                             alpha, beta)
+        alpha, beta = em.utilization_rates(table.m, direct, q_new, alpha, beta)
+        rho = em.clamp((float(q_new.sum()) + (n_total - table.n_pairs) * rho_used)
+                       / n_total)
         if rho_used_prev is not None:
             delta_sq = float(np.sum((q_new - q) ** 2))
-            delta_sq += n_inactive * (rho_used - rho_used_prev) ** 2
+            delta_sq += em._delta_q_sq_inactive_er(n_users, table.n_pairs,
+                                                   rho_used_prev, rho_used)
             if math.sqrt(delta_sq) < epsilon:
                 q = q_new
                 converged = True
@@ -217,29 +209,5 @@ def newman_em(
         rho_used_prev = rho_used
     if not converged:
         log.warning("newman EM hit iteration cap (%d)", max_iters)
-
-    hot = q > threshold
-    edges, scores = table.pairs[hot], q[hot]
-    if rho > threshold:
-        inactive = ~np.eye(n_users, dtype=bool)
-        inactive[table.pairs[:, 0], table.pairs[:, 1]] = False
-        src, dst = np.nonzero(inactive)
-        edges = np.concatenate([edges, np.column_stack([src, dst])])
-        scores = np.concatenate([scores, np.full(len(src), rho)])
-    return NewmanResult(
-        table, direct, q, alpha, beta, rho,
-        InferredGraph(n_users, edges, scores), it, converged,
-    )
-
-
-def _clamp(p: float) -> float:
-    return min(max(float(p), _PROB_FLOOR), 1.0 - _PROB_FLOOR)
-
-
-def _sigmoid(gap: np.ndarray) -> np.ndarray:
-    out = np.empty_like(gap)
-    pos = gap >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-gap[pos]))
-    ez = np.exp(gap[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    graph = em.threshold_graph(table, q, n_users, (em.PRIOR_ER, rho))
+    return NewmanResult(table, direct, q, alpha, beta, rho, graph, it, converged)

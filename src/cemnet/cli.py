@@ -84,6 +84,12 @@ def _load_trace(args: argparse.Namespace):
     return trace.head(args.head) if args.head else trace
 
 
+def _require_two_users(args: argparse.Namespace, trace) -> None:
+    if trace.n_users < 2:
+        raise UsageError(f"trace {args.trace}: {trace.n_users} user(s), "
+                         "an edge prior needs at least two")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     from .simulate import ConfigError, SimConfig, simulate
 
@@ -111,9 +117,7 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 
 def _cmd_infer(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    if trace.n_users < 2:
-        raise UsageError(f"trace {args.trace}: {trace.n_users} user(s), "
-                         "an edge prior needs at least two")
+    _require_two_users(args, trace)
     prep = em.preprocess(trace)
     state, graph = em.run_cem(
         prep,
@@ -151,6 +155,7 @@ def _cmd_baseline(args: argparse.Namespace) -> list[str]:
     elif args.method == "saito":
         graph = baselines.saito_em(episodes, trace.n_users, seed=args.seed).graph
     else:
+        _require_two_users(args, trace)
         graph = baselines.newman_em(episodes, trace.n_users, seed=args.seed).graph
     write_graph_csv(graph, trace.users, args.out_graph)
     return [args.out_graph]

@@ -10,7 +10,7 @@ Directed graphs are symmetrized before detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +44,11 @@ def _accumulate(n: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Le
     return (uniq // n)[order], (uniq % n)[order], summed[order]
 
 
-def _edge_array(edges: Iterable[tuple]) -> np.ndarray:
-    rows = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0) for e in edges]
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)
-
-
 def _build_level(n: int, edges: np.ndarray) -> Level:
     """Undirected adjacency of (u, v, w) rows; parallel edges add up."""
+    edges = np.asarray(edges, dtype=np.float64)
+    if edges.ndim != 2 or edges.shape[1] != 3:
+        raise ValueError(f"expected an (E, 3) edge array, got shape {edges.shape}")
     if np.any((edges[:, :2] < 0) | (edges[:, :2] >= n)):
         raise ValueError(f"edge endpoint outside of 0..{n - 1}")
     src, dst = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
@@ -66,9 +64,12 @@ def _degrees(n: int, level: Level) -> np.ndarray:
     return np.bincount(rows, weights=np.where(rows == cols, 2.0 * w, w), minlength=n)
 
 
-def modularity(n: int, edges: Iterable[tuple], labels: Sequence[int]) -> float:
-    """Newman modularity of a labeling on an undirected weighted graph."""
-    return _modularity(_build_level(n, _edge_array(edges)), np.asarray(labels))
+def modularity(n: int, edges: np.ndarray, labels: Sequence[int]) -> float:
+    """Newman modularity of a labeling on an undirected weighted graph.
+
+    ``edges`` holds one ``(u, v, weight)`` row per edge.
+    """
+    return _modularity(_build_level(n, edges), np.asarray(labels))
 
 
 def _modularity(level: Level, labels: np.ndarray) -> float:
@@ -144,16 +145,12 @@ def _aggregate(level: Level, labels: np.ndarray) -> tuple[Level, np.ndarray]:
     return _accumulate(len(comms), ci, cj, val), new_labels
 
 
-def louvain(n_nodes: int, edges: Iterable[tuple], seed: int = 0) -> CommunityResult:
+def louvain(n_nodes: int, edges: np.ndarray, seed: int = 0) -> CommunityResult:
     """Two-phase Louvain on an undirected weighted edge list.
 
-    Deterministic for a fixed seed.  Nodes of an empty graph each form
-    their own community.
+    ``edges`` holds one ``(u, v, weight)`` row per edge.  Deterministic for
+    a fixed seed.  Nodes of an empty graph each form their own community.
     """
-    return _louvain(n_nodes, _edge_array(edges), seed)
-
-
-def _louvain(n_nodes: int, edges: np.ndarray, seed: int) -> CommunityResult:
     if n_nodes < 1:
         raise ValueError("graph needs at least one node")
     base = _build_level(n_nodes, edges)
@@ -191,7 +188,13 @@ def louvain_graph(graph: InferredGraph, seed: int = 0) -> CommunityResult:
     # one unit edge per linked unordered pair, in ascending order
     key = np.unique(np.minimum(graph.src, graph.dst) * n
                     + np.maximum(graph.src, graph.dst))
-    return _louvain(n, np.column_stack([key // n, key % n, np.ones(len(key))]), seed)
+    return louvain(n, np.column_stack([key // n, key % n, np.ones(len(key))]), seed)
+
+
+def same_label_pairs(labels: np.ndarray) -> int:
+    """Number of ordered pairs of distinct users that share a label."""
+    _, counts = np.unique(labels, return_counts=True)
+    return int((counts * (counts - 1)).sum())
 
 
 def pairwise_f1(labels_pred: Sequence[int], labels_true: Sequence[int]) -> float:
@@ -201,17 +204,13 @@ def pairwise_f1(labels_pred: Sequence[int], labels_true: Sequence[int]) -> float
     if pred.shape != true.shape:
         raise ValueError("labelings cover different user sets")
 
-    def same_pairs(lab: np.ndarray) -> int:
-        _, counts = np.unique(lab, return_counts=True)
-        return int((counts * (counts - 1)).sum()) // 2
-
     # dense ids, so that the joint label fits int64 whatever ids were given
     pred = np.unique(pred, return_inverse=True)[1]
     true = np.unique(true, return_inverse=True)[1]
     joint = pred * (int(true.max()) + 1 if len(true) else 1) + true
-    tp = same_pairs(joint)
-    pos_pred = same_pairs(pred)
-    pos_true = same_pairs(true)
+    tp = same_label_pairs(joint) // 2
+    pos_pred = same_label_pairs(pred) // 2
+    pos_true = same_label_pairs(true) // 2
     if tp == 0:
         return 0.0
     precision = tp / pos_pred
@@ -231,8 +230,7 @@ def estimate_block_densities(
     if len(lab) != graph.n_users:
         raise ValueError("labels must cover every graph node")
     n = graph.n_users
-    _, counts = np.unique(lab, return_counts=True)
-    intra_pairs = int((counts * (counts - 1)).sum())
+    intra_pairs = same_label_pairs(lab)
     inter_pairs = n * (n - 1) - intra_pairs
     intra_edges = int(np.count_nonzero(lab[graph.src] == lab[graph.dst]))
     inter_edges = graph.n_edges - intra_edges

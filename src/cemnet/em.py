@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lp
-from .community import louvain_graph
+from .community import louvain_graph, same_label_pairs
 from .constraints import ConstraintSystem, build_constraints
 from .graph import InferredGraph
 from .trace import Episodes, PairTable, Trace, build_episodes, pair_counts
@@ -104,15 +104,19 @@ class EmState:
 # E-step
 
 
-def _posterior(table: PairTable, prior_logit: np.ndarray | float,
-               alpha: float, beta: float) -> np.ndarray:
-    """Q = sigmoid(logit(prior) + M s log(a/b) + M (1-s) log((1-a)/(1-b)))."""
-    # in place, but in the order and with the roundings of
-    # prior_logit + ms * log(a/b) + mns * log((1-a)/(1-b))
-    gap = table.m * table.sigma
-    mns = table.m - gap
-    gap *= math.log(alpha) - math.log(beta)
+def posterior(m: np.ndarray, ms: np.ndarray, prior_logit: np.ndarray | float,
+              alpha: float, beta: float) -> np.ndarray:
+    """Q = sigmoid(logit(prior) + ms log(a/b) + (m - ms) log((1-a)/(1-b))).
+
+    ``m`` is the trial count and ``ms`` the expected success count of each
+    pair: ``M * sigma`` for the constrained fits, the direct
+    author-to-resharer count for the Newman baseline.
+    """
+    # in the order and with the roundings of
+    # ms * log(a/b) + prior_logit + (m - ms) * log((1-a)/(1-b))
+    gap = ms * (math.log(alpha) - math.log(beta))
     gap += prior_logit
+    mns = m - ms
     mns *= math.log1p(-alpha) - math.log1p(-beta)
     gap += mns
     # e = exp(-|gap|) never overflows, and it is exp(gap) where gap < 0, so
@@ -128,8 +132,9 @@ def _posterior(table: PairTable, prior_logit: np.ndarray | float,
 
 def update_q_er(state: EmState) -> np.ndarray:
     p = state.params
-    return _posterior(state.table, math.log(p.rho) - math.log1p(-p.rho),
-                      p.alpha, p.beta)
+    t = state.table
+    return posterior(t.m, t.m * t.sigma, math.log(p.rho) - math.log1p(-p.rho),
+                     p.alpha, p.beta)
 
 
 def update_q_sbm(state: EmState) -> np.ndarray:
@@ -139,7 +144,8 @@ def update_q_sbm(state: EmState) -> np.ndarray:
     logit_in = math.log(p.p_in) - math.log1p(-p.p_in)
     logit_out = math.log(p.q_out) - math.log1p(-p.q_out)
     prior_logit = np.where(same, logit_in, logit_out)
-    return _posterior(state.table, prior_logit, p.alpha, p.beta)
+    t = state.table
+    return posterior(t.m, t.m * t.sigma, prior_logit, p.alpha, p.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +153,32 @@ def update_q_sbm(state: EmState) -> np.ndarray:
 
 
 def update_alpha_beta(state: EmState, q: np.ndarray) -> tuple[float, float]:
-    """alpha = sum(M s Q) / sum(M Q); beta analogous with 1-Q weights."""
-    table = state.table
-    ms = table.m * table.sigma
+    """The utilization rates under the current sigma (``ms = M * sigma``)."""
+    p, t = state.params, state.table
+    return utilization_rates(t.m, t.m * t.sigma, q, p.alpha, p.beta, p.beta_fixed)
+
+
+def utilization_rates(m: np.ndarray, ms: np.ndarray, q: np.ndarray,
+                      alpha: float, beta: float,
+                      beta_fixed: float | None = None) -> tuple[float, float]:
+    """alpha = sum(ms Q) / sum(m Q); beta analogous with 1-Q weights.
+
+    A rate whose denominator is zero keeps its given value; ``beta_fixed``
+    pins beta.  These pair-length dot products are the fits' only ones.
+    """
     num_a = float(np.dot(ms, q))
-    den_a = float(np.dot(table.m, q))
+    den_a = float(np.dot(m, q))
     if den_a > 0.0:
         alpha = clamp(num_a / den_a)
     else:
-        alpha = state.params.alpha
         log.warning("alpha update skipped: zero denominator")
-    if state.params.beta_fixed is not None:
-        return alpha, clamp(state.params.beta_fixed)
+    if beta_fixed is not None:
+        return alpha, clamp(beta_fixed)
     num_b = float(np.dot(ms, 1.0 - q))
-    den_b = float(np.dot(table.m, 1.0 - q))
+    den_b = float(np.dot(m, 1.0 - q))
     if den_b > 0.0:
         beta = clamp(num_b / den_b)
     else:
-        beta = state.params.beta
         log.warning("beta update skipped: zero denominator")
     return alpha, beta
 
@@ -190,8 +204,7 @@ def update_prior_sbm(state: EmState, q: np.ndarray) -> tuple[float, float]:
     if n < 2:
         raise ValueError("need at least two users for an edge prior")
     g = state.groups
-    _, counts = np.unique(g, return_counts=True)
-    same_total = int((counts * (counts - 1)).sum())
+    same_total = same_label_pairs(g)
     cross_total = n * (n - 1) - same_total
 
     same = g[state.table.pairs[:, 0]] == g[state.table.pairs[:, 1]]
@@ -287,11 +300,6 @@ def _delta_q_sq_inactive_er(n_users: int, n_active: int,
     return inactive * (rho_curr - rho_prev) ** 2
 
 
-def _same_pair_count(labels: np.ndarray) -> int:
-    _, counts = np.unique(labels, return_counts=True)
-    return int((counts * (counts - 1)).sum())
-
-
 def _delta_q_sq_inactive_sbm(
     n_users: int,
     pairs: np.ndarray,
@@ -307,10 +315,10 @@ def _delta_q_sq_inactive_sbm(
     the joint-label contingency, minus the directly counted active pairs.
     """
     total = n_users * (n_users - 1)
-    same_prev_all = _same_pair_count(g_prev)
-    same_curr_all = _same_pair_count(g_curr)
+    same_prev_all = same_label_pairs(g_prev)
+    same_curr_all = same_label_pairs(g_curr)
     joint = g_prev.astype(np.int64) * (int(g_curr.max()) + 1) + g_curr
-    same_both_all = _same_pair_count(joint)
+    same_both_all = same_label_pairs(joint)
 
     sp = g_prev[pairs[:, 0]] == g_prev[pairs[:, 1]]
     sc = g_curr[pairs[:, 0]] == g_curr[pairs[:, 1]]

@@ -24,9 +24,10 @@ class InferredGraph:
     The edges are held as ``src``/``dst`` int64 arrays sorted by the key
     ``src * n_users + dst``, one entry per edge.  ``score`` optionally
     attaches a per-edge score aligned with them (posterior probability for
-    EM methods, 1.0 for heuristics).  ``edges`` is a read-only set view over
-    the arrays that builds no tuples until iterated; ``scores``, ``in_sets``
-    and ``out_adj`` are dict/list views built on first read.
+    EM methods; heuristics carry none and write 1.0 to CSV).  ``edges`` is
+    a read-only set view over the arrays that builds no tuples until
+    iterated; ``in_sets`` and ``out_adj`` are dict/list views built on
+    first read.
 
     ``edges`` is an (E, 2) integer array or an iterable of ``(i, j)``
     pairs; ``scores`` is aligned with it.  A repeated edge keeps the score
@@ -67,7 +68,6 @@ class InferredGraph:
         for arr in (self._keys, self.src, self.dst, self.score):
             if arr is not None:
                 arr.flags.writeable = False
-        self._scores: dict[tuple[int, int], float] | None = None
         self._in_sets: dict[int, set[int]] | None = None
         self._out_adj: list[list[int]] | None = None
 
@@ -89,12 +89,6 @@ class InferredGraph:
     @property
     def edges(self) -> EdgeView:
         return EdgeView(self)
-
-    @property
-    def scores(self) -> dict[tuple[int, int], float] | None:
-        if self._scores is None and self.score is not None:
-            self._scores = dict(zip(self.sorted_edges(), self.score.tolist()))
-        return self._scores
 
     @property
     def in_sets(self) -> dict[int, set[int]]:
@@ -119,14 +113,6 @@ class InferredGraph:
             dst = self.dst.tolist()
             self._out_adj = [dst[ptr[i]:ptr[i + 1]] for i in range(self.n_users)]
         return self._out_adj
-
-    def score_of(self, i: int, j: int) -> float:
-        """The edge's score; 1.0 without scores or for a non-edge."""
-        k = -1 if self.score is None else self._find(i, j)
-        return float(self.score[k]) if k >= 0 else 1.0
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(self.edges)
 
 
 class EdgeView(Set):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import InferredGraph
-from .trace import ORIGINAL_RID, Trace
+from .trace import ORIGINAL_RID, Trace, read_utf8
 
 log = logging.getLogger("cemnet.simulate")
 
@@ -47,6 +47,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_users", "n_blocks", "feed_capacity", "n_events", "seed"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a non-negative 64-bit integer, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("post_rate", "repost_rate"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(r, (int, float)) and not isinstance(r, bool)
+                            and math.isfinite(r) for r in pair)):
+                raise ValueError(f"{name} must be a pair of finite rates, got {pair!r}")
+            setattr(self, name, tuple(pair))
         if not (0.0 <= self.p_intra <= 1.0 and 0.0 <= self.q_inter <= 1.0):
             raise ValueError("connection probabilities must lie in [0, 1]")
         if self.n_users < 1 or self.n_events < 1 or self.feed_capacity < 1:
@@ -55,31 +66,41 @@ class SimConfig:
             raise ValueError("activity rates cannot be negative")
         if max(self.post_rate) + max(self.repost_rate) <= 0:
             raise ValueError("at least one activity rate must be positive")
+        sizes = self.block_sizes
+        if sizes is not None and not isinstance(sizes, (list, tuple)):
+            raise ValueError(f"block_sizes must be a list, got {sizes!r}")
+        if sizes:
+            if not all(_is_count(k) and k >= 1 for k in sizes) or sum(sizes) != self.n_users:
+                raise ValueError(f"block sizes {sizes} do not partition {self.n_users} users")
+        elif not 1 <= self.n_blocks <= self.n_users:
+            raise ValueError(f"n_blocks must lie in 1..{self.n_users}, got {self.n_blocks}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SimConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        try:
+            raw = json.load(read_utf8(path, ConfigError, f"{path}: "))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
         try:
-            cfg = cls(**raw)
-            for pair_field in ("post_rate", "repost_rate"):
-                setattr(cfg, pair_field, tuple(getattr(cfg, pair_field)))
+            return cls(**raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
-        return cfg
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _is_count(value) -> bool:
+    """An integer (not a bool) in 0..2**63-1, the range numpy's int64 can take."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < 2**63)
 
 
 @dataclass
@@ -160,9 +181,7 @@ def run_diffusion(
     """Replay the event stream through per-user newsfeeds into a trace."""
     n = config.n_users
     cap = config.feed_capacity
-    followers: list[list[int]] = [[] for _ in range(n)]
-    for i, j in graph.sorted_edges():
-        followers[i].append(j)
+    followers = graph.out_adj
 
     feeds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     reposted_roots: list[set[int]] = [set() for _ in range(n)]
@@ -261,7 +280,7 @@ def rewire_edges(graph: InferredGraph, fraction: float, seed: int = 0) -> Inferr
     nominal truth, mimicking partially deleted or out-of-band connections.
     """
     rng = np.random.default_rng(seed)
-    edges = graph.sorted_edges()
+    edges = list(graph.edges)
     n_swap = int(round(fraction * len(edges)))
     idx = rng.choice(len(edges), size=n_swap, replace=False)
     chosen = {edges[k] for k in idx}

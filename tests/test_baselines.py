@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cemnet import baselines as bl
+from cemnet import em
 from cemnet.constraints import check_feasibility
 from cemnet.simulate import SimConfig, simulate
 from cemnet.trace import build_episodes, pair_counts, trace_from_string
@@ -140,6 +143,19 @@ def test_newman_q_stays_probability(rng):
         assert np.all(res.q >= 0.0) and np.all(res.q <= 1.0)
         for value in (res.alpha, res.beta, res.rho):
             assert 0.0 <= value <= 1.0
+
+
+def test_newman_first_iteration_is_the_shared_posterior(rng):
+    eps = random_episodes(rng, n_episodes=25)
+    res = bl.newman_em(eps, 8, seed=5, max_iters=1)
+    # the starting draws, in newman_em's order
+    draw = np.random.default_rng(np.random.SeedSequence(5))
+    alpha = em.clamp(0.5 + 0.5 * draw.uniform())
+    beta = em.clamp(0.5 * draw.uniform())
+    rho = em.clamp(draw.uniform())
+    want = em.posterior(res.table.m, res.direct, math.log(rho) - math.log1p(-rho),
+                        alpha, beta)
+    assert np.array_equal(res.q, want)
 
 
 def test_baselines_on_synthetic_trace():

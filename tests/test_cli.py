@@ -231,6 +231,20 @@ def test_one_user_trace_is_usage_error(workdir, tmp_path, capsys, prior):
         assert not (tmp_path / "g.csv").exists()
 
 
+def test_one_user_trace_fails_only_newman(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("pid,t,uid,rid\nP1,1,U1,-1\nP2,2,U1,P1\n")
+    for method in ("star", "chain", "saito", "newman"):
+        rc = main(["baseline", "--method", method, "--trace", str(one),
+                   "--out-graph", str(tmp_path / f"{method}.csv")])
+        err = capsys.readouterr().err
+        if method == "newman":
+            assert rc == 2 and str(one) in err and "1 user" in err
+            assert not (tmp_path / "newman.csv").exists()
+        else:
+            assert rc == 0 and (tmp_path / f"{method}.csv").read_text() == "src,dst,q\n"
+
+
 def test_negative_head_is_usage_error(workdir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["baseline", "--method", "star", "--trace", str(workdir / "trace.csv"),
@@ -334,6 +348,23 @@ def test_fuzzed_traces_exit_0_or_2(tmp_path, capsys, data):
     assert rc in (0, 2), err
     if rc == 2:
         assert str(path) in err
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_traces())
+def test_fuzzed_traces_exit_0_or_2_for_baselines(tmp_path, capsys, data):
+    """Every baseline method reads malformed trace text as exit 0 or 2."""
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    for method in ("star", "chain", "saito", "newman"):
+        capsys.readouterr()
+        rc = main(["baseline", "--method", method, "--trace", str(path),
+                   "--out-graph", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (method, err)
+        if rc == 2:
+            assert str(path) in err, (method, err)
 
 
 # four users u0..u3; u0 -> u1 -> u2 and u0 -> u3 -> u2 explain every repost
@@ -519,3 +550,61 @@ def test_simulate_unknown_config_key_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n_user" in err and str(config) in err
     assert not (tmp_path / "t.csv").exists()
+
+
+# every value small, so that a config the loader accepts simulates in moments
+CONFIG_VALUES = {
+    "n_users": st.sampled_from([1, 2, 3, 12, 30]),
+    "n_blocks": st.sampled_from([1, 2, 3]),
+    "block_sizes": st.sampled_from([None, [1, 1], [2, 10], [6, 6], [30]]),
+    "p_intra": st.sampled_from([0.0, 0.3, 1.0]),
+    "q_inter": st.sampled_from([0.0, 0.05]),
+    "feed_capacity": st.sampled_from([1, 4]),
+    "n_events": st.sampled_from([1, 300]),
+    "post_rate": st.sampled_from([[0.001, 0.006], [0.0, 0.01]]),
+    "repost_rate": st.sampled_from([[0.03, 0.15], [0.1, 0.1]]),
+    "seed": st.sampled_from([0, 7]),
+}
+CONFIG_JUNK = st.sampled_from([
+    -1, 0, 2.5, 1e400, -1e400, float("nan"), "3", "", None, True, False, [], [1],
+    [0.1, 0.2, 0.3], [-1, 2], ["a", "b"], [1e400, 1e400], {}, {"a": 1}, 2**70])
+
+
+@st.composite
+def malformed_configs(draw) -> bytes:
+    """A SimConfig JSON object with zero to three bad values, keys, types or bytes."""
+    config = {key: draw(values) for key, values in CONFIG_VALUES.items()
+              if draw(st.booleans())}
+    kinds = draw(st.lists(st.sampled_from(["value", "key", "top", "cut", "bytes"]),
+                          max_size=3))
+    for kind in kinds:
+        if kind == "value":
+            config[draw(st.sampled_from(sorted(CONFIG_VALUES)))] = draw(CONFIG_JUNK)
+        elif kind == "key":
+            config[draw(st.sampled_from(["n_user", "", "Seed", "extra"]))] = 1
+    if "top" in kinds:
+        config = draw(st.sampled_from([[], [config], 3, "config", None]))
+    text = json.dumps(config).encode()
+    if "cut" in kinds:
+        text = text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+    if "bytes" in kinds:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])) + text[k:]
+    return text
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=malformed_configs())
+def test_fuzzed_simulate_configs_exit_0_or_2(tmp_path, capsys, config):
+    """A malformed ``simulate --config`` file ends in exit 2 naming it, or simulates."""
+    path = tmp_path / "fuzz_config.json"
+    path.write_bytes(config)
+    capsys.readouterr()
+    rc = main(["simulate", "--config", str(path), "--n-events", "300",
+               "--out-trace", str(tmp_path / "t.csv"), "--out-truth", str(tmp_path / "g.csv"),
+               "--out-labels", str(tmp_path / "l.csv")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert str(path) in err, err

@@ -5,13 +5,18 @@ from cemnet import community as cm
 from cemnet.graph import InferredGraph
 
 
+def _rows(edges):
+    """(E, 3) unit-weight rows for a list of ``(u, v)`` pairs."""
+    return np.array([(u, v, 1.0) for u, v in edges], dtype=np.float64).reshape(-1, 3)
+
+
 def _clique_edges(nodes):
     return [(a, b) for a in nodes for b in nodes if a < b]
 
 
 def test_two_disjoint_cliques():
     edges = _clique_edges(range(4)) + _clique_edges(range(4, 8))
-    res = cm.louvain(8, edges, seed=1)
+    res = cm.louvain(8, _rows(edges), seed=1)
     assert res.n_communities == 2
     assert len(set(res.labels[:4])) == 1
     assert len(set(res.labels[4:])) == 1
@@ -19,7 +24,7 @@ def test_two_disjoint_cliques():
 
 
 def test_empty_graph_singletons():
-    res = cm.louvain(5, [], seed=0)
+    res = cm.louvain(5, np.empty((0, 3)), seed=0)
     assert list(res.labels) == [0, 1, 2, 3, 4]
     assert res.modularity == 0.0
 
@@ -33,7 +38,7 @@ def test_planted_two_block_recovery(rng):
             p = 0.3 if truth[i] == truth[j] else 0.01
             if rng.uniform() < p:
                 edges.append((i, j))
-    res = cm.louvain(n, edges, seed=7)
+    res = cm.louvain(n, _rows(edges), seed=7)
     # map each found community to its majority planted block
     correct = 0
     for c in range(res.n_communities):
@@ -48,10 +53,10 @@ def test_level_modularity_nondecreasing(rng):
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.1
     ]
-    res = cm.louvain(n, edges, seed=3)
+    res = cm.louvain(n, _rows(edges), seed=3)
     hist = res.level_modularity
     assert all(a <= b + 1e-12 for a, b in zip(hist, hist[1:]))
-    assert res.modularity >= cm.modularity(n, edges, np.arange(n)) - 1e-12
+    assert res.modularity >= cm.modularity(n, _rows(edges), np.arange(n)) - 1e-12
 
 
 def test_louvain_deterministic(rng):
@@ -59,8 +64,8 @@ def test_louvain_deterministic(rng):
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.15
     ]
-    a = cm.louvain(n, edges, seed=11)
-    b = cm.louvain(n, edges, seed=11)
+    a = cm.louvain(n, _rows(edges), seed=11)
+    b = cm.louvain(n, _rows(edges), seed=11)
     assert np.array_equal(a.labels, b.labels)
     assert a.modularity == b.modularity
 
@@ -172,7 +177,7 @@ def test_modularity_competitive_with_networkx(rng):
             for j in range(i + 1, n)
             if rng.uniform() < 0.08
         ]
-        mine = cm.louvain(n, edges, seed=trial)
+        mine = cm.louvain(n, _rows(edges), seed=trial)
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from(edges)
@@ -181,5 +186,5 @@ def test_modularity_competitive_with_networkx(rng):
         # greedy maxima differ by visiting order; require the same league
         assert mine.modularity >= q_theirs - 0.05
         assert mine.modularity == pytest.approx(
-            cm.modularity(n, edges, mine.labels), abs=1e-12
+            cm.modularity(n, _rows(edges), mine.labels), abs=1e-12
         )

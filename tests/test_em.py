@@ -26,8 +26,15 @@ def make_state(pairs, m, sigma, *, prior="er", alpha=0.8, beta=0.2,
 def _q_oracle(prior, alpha, beta, m, sigma):
     """Posterior edge probability at 50-digit precision."""
     with mpmath.workdps(50):
+        return _q_oracle_ms(prior, alpha, beta, m, mpmath.mpf(m) * mpmath.mpf(sigma))
+
+
+def _q_oracle_ms(prior, alpha, beta, m, ms):
+    """The same posterior for a success count ``ms`` out of ``m`` trials."""
+    with mpmath.workdps(50):
         a, b, pr = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(prior)
-        ms, mns = mpmath.mpf(m) * mpmath.mpf(sigma), mpmath.mpf(m) * (1 - mpmath.mpf(sigma))
+        ms = mpmath.mpf(ms)
+        mns = mpmath.mpf(m) - ms
         num = pr * a**ms * (1 - a)**mns
         den = num + (1 - pr) * b**ms * (1 - b)**mns
         return float(num / den)
@@ -63,6 +70,11 @@ def test_update_q_matches_high_precision_oracle(rng):
         got = em.update_q_er(st)[0]
         want = _q_oracle(rho, alpha, beta, m, sigma)
         assert got == pytest.approx(want, abs=1e-12)
+        # integer evidence ms <= m, as the Newman baseline passes it
+        ms = float(rng.integers(0, m + 1))
+        got = em.posterior(np.array([m]), np.array([ms]),
+                           math.log(rho) - math.log1p(-rho), alpha, beta)[0]
+        assert got == pytest.approx(_q_oracle_ms(rho, alpha, beta, m, ms), abs=1e-12)
 
 
 def test_posterior_matches_the_gathered_reference(rng):
@@ -81,7 +93,8 @@ def test_posterior_matches_the_gathered_reference(rng):
         want[pos] = 1.0 / (1.0 + np.exp(-gap[pos]))
         ez = np.exp(gap[~pos])
         want[~pos] = ez / (1.0 + ez)
-        assert np.array_equal(em._posterior(table, prior_logit, alpha, beta), want)
+        got = em.posterior(table.m, table.m * table.sigma, prior_logit, alpha, beta)
+        assert np.array_equal(got, want)
 
 
 def test_update_q_sbm_inactive_pairs():
@@ -292,8 +305,9 @@ def test_threshold_graph_sbm_prior_hot_mixed_groups():
     # (0, 1) is active with a low posterior, so the hot prior must not add it
     assert g.edges == {(1, 0), (2, 3), (3, 2), (2, 0)}
     assert all(i != j for i, j in g.edges)
-    assert g.score_of(1, 0) == 0.7 and g.score_of(2, 3) == 0.7
-    assert g.score_of(2, 0) == 0.9
+    scores = dict(zip(g.edges, g.score.tolist()))
+    assert scores[1, 0] == 0.7 and scores[2, 3] == 0.7
+    assert scores[2, 0] == 0.9
 
 
 def test_threshold_graph_cold_prior_adds_nothing():
@@ -323,7 +337,7 @@ def test_threshold_graph_matches_pairwise_reference(rng):
         g = em.threshold_graph(st.table, q, n, spec)
         want = _threshold_reference(st.table, q, n, spec)
         assert g.edges == set(want)
-        assert {e: g.score_of(*e) for e in g.edges} == want
+        assert dict(zip(g.edges, g.score.tolist())) == want
 
 
 def test_score_matrix_layout():

@@ -36,6 +36,18 @@ def _random_edges(rng, n, p, weight=None):
     return edges
 
 
+def _edge_rows(edges) -> np.ndarray:
+    """(E, 3) float rows ``(u, v, weight)``; an unweighted edge weighs 1."""
+    return np.array([(e[0], e[1], e[2] if len(e) > 2 else 1.0) for e in edges],
+                    dtype=np.float64).reshape(-1, 3)
+
+
+def _edges_and_scores(graph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's ascending (E, 2) edge rows and their scores, 1.0 if unscored."""
+    score = np.ones(graph.n_edges) if graph.score is None else graph.score
+    return np.column_stack([graph.src, graph.dst]), score
+
+
 def _graph_cases():
     """(name, n_nodes, edges, seed): every Louvain input shape the code meets."""
     rng = np.random.default_rng(2023)
@@ -69,22 +81,21 @@ def _graph_cases():
 def louvain_digests() -> dict[str, str]:
     out = {}
     for name, n, edges, seed in _graph_cases():
-        res = cm.louvain(n, edges, seed=seed)
+        rows = _edge_rows(edges)
+        res = cm.louvain(n, rows, seed=seed)
         out[name] = _sha(
             res.labels.astype(np.int64),
             np.float64(res.modularity),
             np.array(res.level_modularity, dtype=np.float64),
-            np.float64(cm.modularity(n, edges, res.labels)),
+            np.float64(cm.modularity(n, rows, res.labels)),
         )
     return out
 
 
 def _fit_digest(data, lam: float) -> str:
     state, graph = em.run_cem(data, "sbm", lam, seed=7)
-    edges = sorted(graph.edges)
     return _sha(
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-        np.array([graph.score_of(i, j) for i, j in edges], dtype=np.float64),
+        *_edges_and_scores(graph),
         np.array([state.iteration, len(state.groups)], dtype=np.int64),
         np.array([state.params.alpha, state.params.beta, state.params.p_in,
                   state.params.q_out, state.delta_q], dtype=np.float64),
@@ -94,10 +105,8 @@ def _fit_digest(data, lam: float) -> str:
 def _labelled_fit_digest(data, lam: float) -> str:
     """The ``_fit_digest`` fields, then the final community labels as int64."""
     state, graph = em.run_cem(data, "sbm", lam, seed=7)
-    edges = sorted(graph.edges)
     return _sha(
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-        np.array([graph.score_of(i, j) for i, j in edges], dtype=np.float64),
+        *_edges_and_scores(graph),
         np.array([state.iteration, len(state.groups)], dtype=np.int64),
         np.array([state.params.alpha, state.params.beta, state.params.p_in,
                   state.params.q_out, state.delta_q], dtype=np.float64),
@@ -250,10 +259,7 @@ def test_preprocessing_matches_recorded_digests(t1):
 
 
 def _graph_digest(graph) -> str:
-    edges = graph.sorted_edges()
-    return _sha(np.array(edges, dtype=np.int64).reshape(-1, 2),
-                np.array([graph.score_of(i, j) for i, j in edges], dtype=np.float64),
-                np.int64(graph.n_edges))
+    return _sha(*_edges_and_scores(graph), np.int64(graph.n_edges))
 
 
 def graph_digests(t1) -> dict[str, str]:

@@ -4,6 +4,10 @@ import pytest
 from cemnet.graph import GraphFormatError, InferredGraph, read_graph_csv
 
 
+def _score_map(g):
+    return dict(zip(g.edges, g.score.tolist()))
+
+
 def _reference_views(n, pairs, scores):
     """Edges, scores, in-sets and out-lists as the tuple/dict graph built them."""
     edges = set(pairs)
@@ -32,23 +36,20 @@ def test_array_and_tuple_construction_agree(rng):
         for g in (InferredGraph(n, arr, vals), InferredGraph(n, pairs, vals.tolist()),
                   InferredGraph(n, iter(pairs), list(vals))):
             assert g.edges == edges
-            assert g.scores == score_of
+            assert _score_map(g) == score_of
             assert g.n_edges == len(edges)
             assert g.in_sets == ins
             assert g.out_adj == adj
-            assert g.sorted_edges() == sorted(edges)
-            assert all(g.score_of(i, j) == score_of[i, j] for i, j in edges)
+            assert list(zip(g.src.tolist(), g.dst.tolist())) == sorted(edges)
             assert all(e in g for e in edges)
         plain = InferredGraph(n, arr)
-        assert plain.edges == edges and plain.scores is None
-        assert all(plain.score_of(i, j) == 1.0 for i, j in edges)
+        assert plain.edges == edges and plain.score is None
 
 
 def test_non_edges():
     g = InferredGraph(3, np.array([[0, 1]]), np.array([0.25]))
     assert (0, 1) in g and (1, 0) not in g and (5, 0) not in g and (0, -1) not in g
-    assert g.score_of(0, 1) == 0.25
-    assert g.score_of(1, 0) == 1.0  # a non-edge reads 1.0, as without scores
+    assert g.score.tolist() == [0.25]
     empty = InferredGraph(4, [])
     assert empty.n_edges == 0 and empty.edges == frozenset()
     assert empty.in_sets == {} and empty.out_adj == [[], [], [], []]
@@ -77,7 +78,7 @@ def test_duplicate_edge_keeps_last_score():
     g = InferredGraph(3, [(0, 1), (1, 2), (0, 1), (2, 0), (0, 1)],
                       [0.2, 0.5, 0.9, 0.4, 0.7])
     assert g.n_edges == 3
-    assert g.scores == {(0, 1): 0.7, (1, 2): 0.5, (2, 0): 0.4}
+    assert _score_map(g) == {(0, 1): 0.7, (1, 2): 0.5, (2, 0): 0.4}
 
 
 def test_csv_repeated_row_keeps_last_given_score(tmp_path):
@@ -85,10 +86,10 @@ def test_csv_repeated_row_keeps_last_given_score(tmp_path):
     path.write_text("src,dst,q\na,b,0.2\nb,c,0.5\na,b,0.3\na,b\nc,a\n")
     g = read_graph_csv(path, ["a", "b", "c"])
     assert g.n_edges == 3
-    assert {e: g.score_of(*e) for e in g.edges} == {(0, 1): 0.3, (1, 2): 0.5, (2, 0): 1.0}
+    assert _score_map(g) == {(0, 1): 0.3, (1, 2): 0.5, (2, 0): 1.0}
     unscored = tmp_path / "u.csv"
     unscored.write_text("src,dst\na,b\n")
-    assert read_graph_csv(unscored, ["a", "b"]).scores is None
+    assert read_graph_csv(unscored, ["a", "b"]).score is None
 
 
 def test_edge_view_is_a_set():
