@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 computational failure, 2 usage/schema errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -93,19 +95,19 @@ def _require_two_users(args: argparse.Namespace, trace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     from .simulate import ConfigError, SimConfig, simulate
 
-    if args.config:
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
-        try:
-            config = SimConfig.from_json(args.config)
-        except ConfigError as exc:
-            raise UsageError(f"bad config {exc}") from exc
-    else:
-        config = SimConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.n_events:
-        config.n_events = args.n_events
+    if args.config and not os.path.exists(args.config):
+        raise UsageError(f"config file not found: {args.config}")
+    try:
+        config = SimConfig.from_json(args.config) if args.config else SimConfig()
+    except ConfigError as exc:
+        raise UsageError(f"bad config {exc}") from exc
+    # the config's own checks apply to the flags that replace its values
+    for name in ("seed", "n_events"):
+        if getattr(args, name) is not None:
+            try:
+                config = dataclasses.replace(config, **{name: getattr(args, name)})
+            except ValueError as exc:
+                raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
     out = simulate(config)
     trace_to_csv(out.trace, args.out_trace)
     write_graph_csv(out.truth_graph, out.trace.users, args.out_truth)
@@ -225,19 +227,29 @@ def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
     return [args.out]
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return n
+def _checked(cast, ok, expected: str):
+    """An argparse type: ``cast(text)`` when ``ok`` accepts it, else exit 2 naming the flag."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
+_non_negative_int = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+# every comparison with nan is false, so nan fails both float checks
+_unit_float = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_non_negative_float = _checked(float, lambda x: math.isfinite(x) and x >= 0.0,
+                               "a finite non-negative number")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--head", type=_non_negative_int, default=0, metavar="N",
                    help="use only the first N trace rows (0: all)")
 
@@ -253,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic trace + ground truth")
     p.add_argument("--config", help="SimConfig JSON; defaults otherwise")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-events", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
+    p.add_argument("--n-events", type=_non_negative_int, default=None)
     p.add_argument("--out-trace", required=True)
     p.add_argument("--out-truth", required=True)
     p.add_argument("--out-labels", required=True)
@@ -263,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run constrained EM on a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--prior", choices=[em.PRIOR_ER, em.PRIOR_SBM], required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--beta-fixed", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_unit_float, default=1.0)
+    p.add_argument("--epsilon", type=_non_negative_float, default=1e-3)
+    p.add_argument("--max-iters", type=_positive_int, default=100)
+    p.add_argument("--beta-fixed", type=_unit_float, default=None)
     p.add_argument("--drop-orphans", action="store_true")
     p.add_argument("--dump-lp", default=None, metavar="PATH")
     p.add_argument("--out-graph", required=True)

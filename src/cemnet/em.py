@@ -364,7 +364,7 @@ def preprocess(trace: Trace, *, retweeted_only: bool = True) -> Preprocessed:
     table = pair_counts(episodes, trace.n_users)
     constraints = build_constraints(episodes, table)
     reduced = lp.reduce_covering(table.n_pairs, constraints.row_ptr,
-                                 constraints.pair_ids)
+                                 constraints.pair_ids, constraints.targets)
     return Preprocessed(episodes, table, constraints, reduced,
                         trace.n_users, trace.users)
 

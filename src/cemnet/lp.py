@@ -4,14 +4,14 @@ The sigma subproblem maximizes a linear objective over ``[0, 1]^P``
 intersected with covering rows ``sum_{v in row} x_v >= 1``.  All constraint
 coefficients are +1, which permits an exactness-preserving reduction before
 pivoting: variables with positive objective go to their upper bound,
-singleton rows force their variable to one, duplicate and superset rows are
-redundant, and the remainder splits into independent components (rows never
-share variables across reshare targets), each held as a dense bool incidence
-matrix.  Per objective, every component's open rows and free columns are
-solved with a dual simplex on the bounded variables under Bland's rule,
-started from the all-surplus basis, which no remaining positive cost leaves
-dual infeasible; the result must cover every component row to within
-``FEAS_TOL``.
+singleton rows force their variable to one, and duplicate and superset rows
+are redundant.  Rows of different reshare targets share no variable, so the
+rest is reduced on one bool incidence matrix per target and split into
+independent components, each held as a dense bool incidence matrix.  Per
+objective, every component's open rows and free columns are solved with a
+dual simplex on the bounded variables under Bland's rule, started from the
+all-surplus basis, which no remaining positive cost leaves dual infeasible;
+the result must cover every component row to within ``FEAS_TOL``.
 
 Consecutive EM objectives mostly pin the same variables and leave the same
 basis optimal, so each solution carries a ``WarmStart`` for the next call:
@@ -70,11 +70,22 @@ class ReducedCovering:
     components: tuple[_Component, ...]
 
 
-def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> ReducedCovering:
-    """Objective-independent reduction of the CSR covering rows ``(row_ptr, cols)``."""
+def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray,
+                    targets: np.ndarray) -> ReducedCovering:
+    """Objective-independent reduction of the CSR covering rows ``(row_ptr, cols)``.
+
+    Row ``r`` belongs to reshare target ``targets[r]``.  A variable may appear
+    under one target only, so rows of different targets never interact, and
+    each target's live rows reduce on their own bool incidence matrix.  A
+    variable under two targets in live rows (rows that no forced variable
+    covers) raises ``ValueError``.
+    """
     row_ptr = np.asarray(row_ptr, dtype=np.int64)
     cols = np.asarray(cols)
+    targets = np.asarray(targets, dtype=np.int64)
     lens = np.diff(row_ptr)
+    if len(targets) != len(lens):
+        raise ValueError(f"{len(targets)} targets for {len(lens)} covering rows")
     if np.any(lens < 1):
         raise ValueError("covering rows must not be empty")
     if len(cols) and (cols.min() < 0 or cols.max() >= n_vars):
@@ -85,70 +96,54 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray) -> Reduc
     pinned = np.zeros(n_vars, dtype=bool)
     pinned[forced] = True
     live = ~np.logical_or.reduceat(pinned[cols], row_ptr[:-1])
-    live_len = lens[live]
-    row_of = np.repeat(np.arange(len(live_len)), live_len)
-    shift = np.repeat(row_ptr[:-1][live] - (np.cumsum(live_len) - live_len), live_len)
-    cols = cols[np.arange(len(row_of)) + shift].astype(np.int64)
-    # each live row as its sorted set of variables
-    order = np.lexsort((cols, row_of))
-    cols, row_of = cols[order], row_of[order]
-    fresh = np.ones(len(cols), dtype=bool)
-    fresh[1:] = (cols[1:] != cols[:-1]) | (row_of[1:] != row_of[:-1])
-    cols, row_of = cols[fresh], row_of[fresh]
-    # distinct rows in (length, lexicographic) order
-    _, starts, lens = np.unique(row_of, return_index=True, return_counts=True)
-    survivors: list[tuple[int, ...]] = []
-    for length in np.unique(lens).tolist():
-        block = cols[starts[lens == length][:, None] + np.arange(length)]
-        block = block[np.lexsort(block.T[::-1])]
-        repeat = np.zeros(len(block), dtype=bool)
-        repeat[1:] = (block[1:] == block[:-1]).all(axis=1)
-        survivors.extend(map(tuple, block[~repeat].tolist()))
-
-    # superset rows are implied by their subsets
-    # (a kept subset's smallest variable lies in the row, so index by it)
-    kept: list[tuple[int, ...]] = []
-    kept_sets: list[frozenset[int]] = []
-    by_min: dict[int, list[int]] = {}
-    for row in survivors:
-        rowset = frozenset(row)
-        if any(kept_sets[k] <= rowset for v in row for k in by_min.get(v, ())):
-            continue
-        by_min.setdefault(row[0], []).append(len(kept))
-        kept.append(row)
-        kept_sets.append(rowset)
-
-    # connected components over shared variables
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for row in kept:
-        for v in row:
-            parent.setdefault(v, v)
-        head = find(row[0])
-        for v in row[1:]:
-            parent[find(v)] = head
-
-    groups: dict[int, list[int]] = {}
-    for ridx, row in enumerate(kept):
-        groups.setdefault(find(row[0]), []).append(ridx)
+    # the live rows' slots, grouped by target
+    rows = np.flatnonzero(live)
+    rows = rows[np.argsort(targets[rows], kind="stable")]
+    row_len = lens[rows]
+    slot_ptr = np.concatenate([[0], np.cumsum(row_len)])
+    var = cols[np.arange(slot_ptr[-1]) + np.repeat(row_ptr[rows] - slot_ptr[:-1], row_len)]
+    slot_target = np.repeat(targets[rows], row_len)
+    owner = np.empty(n_vars, dtype=np.int64)
+    owner[var] = slot_target
+    clash = np.flatnonzero(owner[var] != slot_target)
+    if len(clash):
+        raise ValueError(f"variable {var[clash[0]]} appears under two targets")
+    bounds = np.r_[np.unique(targets[rows], return_index=True)[1], len(rows)]
+    # each slot's row within its target
+    slot_row = np.repeat(np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds)), row_len)
 
     components = []
-    for root in sorted(groups, key=lambda r: min(min(kept[k]) for k in groups[r])):
-        row_ids = sorted(groups[root])
-        var_ids = np.array(sorted({v for k in row_ids for v in kept[k]}), dtype=np.int64)
-        rows = np.zeros((len(row_ids), len(var_ids)), dtype=bool)
-        for r, k in enumerate(row_ids):
-            rows[r, np.searchsorted(var_ids, kept[k])] = True
-        rows.flags.writeable = False
-        components.append(_Component(var_ids, rows))
+    for lo, hi in zip(slot_ptr[bounds[:-1]].tolist(), slot_ptr[bounds[1:]].tolist()):
+        var_ids, col = np.unique(var[lo:hi], return_inverse=True)
+        R = np.zeros((slot_row[hi - 1] + 1, len(var_ids)), dtype=bool)
+        R[slot_row[lo:hi], col] = True
+        # distinct rows in (length, lexicographic) order: of two rows of one
+        # length, the one holding the first variable where they differ comes
+        # first, as in the byte order of packed ~R behind a big-endian length
+        n = R.sum(axis=1)
+        key = np.hstack([n.astype(">u8").view(np.uint8).reshape(-1, 8),
+                         np.packbits(~R, axis=1)])
+        _, first = np.unique(key.view(f"V{key.shape[1]}").ravel(), return_index=True)
+        R, n = R[first], n[first]
+        # a superset row is implied by its subset: a <= b iff shared[a, b] == |a|
+        F = R.astype(np.float64)
+        shared = F @ F.T  # exact: integer counts far below 2**53
+        keep = (shared == n[:, None]).sum(axis=0) == 1
+        R, overlap = R[keep], shared[np.ix_(keep, keep)] > 0
+        # components: each row takes the smallest label of the rows it overlaps
+        label = np.arange(len(R))
+        while True:
+            nearest = np.where(overlap, label, len(R)).min(axis=1)
+            if np.array_equal(nearest, label):
+                break
+            label = nearest
+        for root in np.unique(label):
+            comp_rows = R[label == root]
+            used = comp_rows.any(axis=0)
+            comp_rows = comp_rows[:, used]
+            comp_rows.flags.writeable = False
+            components.append(_Component(var_ids[used].astype(np.int64), comp_rows))
+    components.sort(key=lambda comp: comp.var_ids[0])
     return ReducedCovering(n_vars, forced, tuple(components))
 
 

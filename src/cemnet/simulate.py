@@ -143,8 +143,7 @@ def generate_sbm_graph(
     prob = np.where(same, config.p_intra, config.q_inter)
     draw = rng.uniform(size=(n, n)) < prob
     np.fill_diagonal(draw, False)
-    edges = [(int(i), int(j)) for i, j in np.argwhere(draw)]
-    return InferredGraph(n, edges), labels
+    return InferredGraph(n, np.argwhere(draw)), labels
 
 
 def generate_events(
@@ -237,27 +236,23 @@ def run_diffusion(
     pids = [f"p{k:07d}" for k in range(len(rows))]
     trace = Trace.from_columns(pids, ticks, [uid_tok[u] for u in posters],
                                [ORIGINAL_RID if k < 0 else pids[k] for k in parents])
-    if trace.n_users != n:
-        silent = sorted(set(uid_tok) - set(trace.users))
+    # align graph/label indices with the trace's interning so in-memory
+    # consumers see one consistent universe; users without any row (index
+    # -1) fall out of that universe together with their edges
+    index = np.array([trace.uid_index.get(tok, -1) for tok in uid_tok], dtype=np.int64)
+    seen = index >= 0
+    silent = np.flatnonzero(~seen)
+    if len(silent):
         log.warning(
             "%d users produced no trace rows (e.g. %s); restricting the "
             "ground truth to the %d observed users",
-            len(silent), silent[:3], trace.n_users,
+            len(silent), [uid_tok[k] for k in silent[:3]], trace.n_users,
         )
-    # align graph/label indices with the trace's interning so in-memory
-    # consumers see one consistent universe; users without any row fall out
-    # of that universe together with their edges
-    perm = {
-        sim_idx: trace.uid_index[tok]
-        for sim_idx, tok in enumerate(uid_tok)
-        if tok in trace.uid_index
-    }
-    aligned_edges = [
-        (perm[i], perm[j]) for i, j in graph.edges if i in perm and j in perm
-    ]
+    src, dst = index[graph.src], index[graph.dst]
+    kept = (src >= 0) & (dst >= 0)
+    aligned_edges = np.column_stack([src[kept], dst[kept]])
     aligned_labels = np.empty(trace.n_users, dtype=labels.dtype)
-    for sim_idx, row in perm.items():
-        aligned_labels[row] = labels[sim_idx]
+    aligned_labels[index[seen]] = labels[seen]
     return SimOutput(
         trace, InferredGraph(trace.n_users, aligned_edges), aligned_labels,
         n_posts, n_reposts, n_skipped,
@@ -280,19 +275,14 @@ def rewire_edges(graph: InferredGraph, fraction: float, seed: int = 0) -> Inferr
     nominal truth, mimicking partially deleted or out-of-band connections.
     """
     rng = np.random.default_rng(seed)
-    edges = list(graph.edges)
-    n_swap = int(round(fraction * len(edges)))
-    idx = rng.choice(len(edges), size=n_swap, replace=False)
-    chosen = {edges[k] for k in idx}
-    kept = [e for e in edges if e not in chosen]
-    current = set(kept)
     n = graph.n_users
-    added = 0
-    while added < n_swap:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        if i == j or (i, j) in current:
-            continue
-        current.add((i, j))
-        added += 1
-    return InferredGraph(n, current)
+    dropped = rng.choice(graph.n_edges, size=int(round(fraction * graph.n_edges)),
+                         replace=False)
+    # edge keys i*n + j; a self-loop or a key already taken adds nothing, so draw again
+    taken = set(np.delete(graph.src * n + graph.dst, dropped).tolist())
+    while len(taken) < graph.n_edges:
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        if i != j:
+            taken.add(i * n + j)
+    keys = np.fromiter(taken, dtype=np.int64, count=len(taken))
+    return InferredGraph(n, np.column_stack([keys // n, keys % n]))

@@ -198,7 +198,7 @@ def test_c08_lp_oracle_equivalence():
             c = -np.abs(c)
         row_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
         cols = np.array([v for r in rows for v in r], dtype=np.int64)
-        sol = lp.solve_reduced(lp.reduce_covering(n, row_ptr, cols), c)
+        sol = lp.solve_reduced(lp.reduce_covering(n, row_ptr, cols, np.zeros(len(rows))), c)
         assert sol.status == lp.STATUS_OPTIMAL
         for row in rows:
             assert sum(sol.x[v] for v in row) >= 1.0 - 1e-9

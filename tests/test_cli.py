@@ -254,6 +254,50 @@ def test_negative_head_is_usage_error(workdir, tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+def _required_args(command, workdir, out):
+    """The file arguments each subcommand needs, writing under ``out``."""
+    trace, truth = str(workdir / "trace.csv"), str(workdir / "truth.csv")
+    return {
+        "simulate": ["--n-events", "300", "--out-trace", str(out / "t.csv"),
+                     "--out-truth", str(out / "g.csv"), "--out-labels", str(out / "l.csv")],
+        "infer": ["--trace", trace, "--prior", "er", "--max-iters", "2",
+                  "--out-graph", str(out / "g.csv"), "--out-state", str(out / "s.json")],
+        "baseline": ["--method", "saito", "--trace", trace, "--out-graph", str(out / "g.csv")],
+        "evaluate": ["--inferred", truth, "--truth", truth, "--trace", trace,
+                     "--out", str(out / "r.json")],
+        "stats": ["--graph", truth, "--trace", trace, "--out", str(out / "r.json")],
+        "feascheck": ["--graph", truth, "--trace", trace, "--out", str(out / "r.json")],
+    }[command]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *[(command, "--seed", "-1") for command in
+      ("simulate", "infer", "baseline", "evaluate", "stats", "feascheck")],
+    ("simulate", "--seed", str(2**63)),
+    ("simulate", "--n-events", "-5"),
+    ("simulate", "--n-events", "0"),
+    ("infer", "--max-iters", "0"),
+    ("infer", "--lambda", "nan"),
+    ("infer", "--lambda", "1.5"),
+    ("infer", "--lambda", "-0.1"),
+    ("infer", "--beta-fixed", "2"),
+    ("infer", "--beta-fixed", "nan"),
+    ("infer", "--epsilon", "-1"),
+    ("infer", "--epsilon", "inf"),
+    ("infer", "--epsilon", "nan"),
+])
+def test_numeric_flag_out_of_range_is_usage_error(workdir, tmp_path, capsys,
+                                                   command, flag, value):
+    argv = [command, *_required_args(command, workdir, tmp_path), flag, value]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("kind,row", [("graph", 2), ("labels", 3)])
 def test_overlong_csv_field_is_usage_error(workdir, tmp_path, capsys, kind, row):
     bad = tmp_path / f"long_{kind}.csv"

@@ -253,6 +253,20 @@ def test_preprocessing_matches_recorded_digests(t1):
     assert preprocess_digests(t1) == PREPROCESS_GOLDEN
 
 
+# the benchmark's N=500 sweep configuration, cut to 20k rows: 141 components,
+# 111 of them with several rows, recorded from the per-row tuple reduction
+SWEEP_REDUCED_GOLDEN = "47fdd45b127c0fdd7b6b611048f26f33"
+
+
+def test_sweep_shaped_reduction_matches_recorded_digest():
+    config = SimConfig(n_users=500, block_sizes=[72, 72, 71, 71, 71, 71, 72],
+                       p_intra=0.012, q_inter=0.0014, n_events=120_000,
+                       post_rate=(0.0035, 0.0035), repost_rate=(0.09, 0.09), seed=9201)
+    prep = em.preprocess(simulate(config).trace.head(20_000))
+    assert sum(len(c.rows) > 1 for c in prep.reduced.components) == 111
+    assert _reduced_digest(prep.reduced) == SWEEP_REDUCED_GOLDEN
+
+
 # ---------------------------------------------------------------------------
 # graphs: the thresholded posterior under each prior shape, and the edges
 # and scores of the four baselines, on the preprocessing traces

@@ -16,6 +16,12 @@ def _csr(rows):
     return row_ptr, cols
 
 
+def _reduce(n, rows, targets=None):
+    """``reduce_covering`` of tuple rows, all under one target unless ``targets`` is given."""
+    targets = np.zeros(len(rows), dtype=np.int64) if targets is None else targets
+    return lp.reduce_covering(n, *_csr(rows), targets)
+
+
 def _dense(n, rows):
     R = np.zeros((len(rows), n), dtype=bool)
     for r, row in enumerate(rows):
@@ -25,7 +31,7 @@ def _dense(n, rows):
 
 def _solve(c, rows, **kw):
     c = np.asarray(c, dtype=np.float64)
-    return lp.solve_reduced(lp.reduce_covering(len(c), *_csr(rows)), c, **kw)
+    return lp.solve_reduced(_reduce(len(c), rows), c, **kw)
 
 
 def _covers(x, rows):
@@ -218,7 +224,7 @@ def test_iteration_limit_returns_feasible_point():
 def test_structural_reduction_reuse(rng):
     """One reduction serves many objectives and is not changed by them."""
     c, rows = _random_instance(rng)
-    reduced = lp.reduce_covering(len(c), *_csr(rows))
+    reduced = _reduce(len(c), rows)
     for comp in reduced.components:
         assert not comp.rows.flags.writeable
     for _ in range(5):
@@ -231,12 +237,20 @@ def test_structural_reduction_reuse(rng):
 
 def test_validation_errors():
     with pytest.raises(ValueError, match="empty"):
-        lp.reduce_covering(2, [0, 0], [])
+        lp.reduce_covering(2, [0, 0], [], [0])
     with pytest.raises(ValueError, match="out of range"):
-        lp.reduce_covering(2, [0, 1], [5])
+        lp.reduce_covering(2, [0, 1], [5], [0])
     # a negative id would otherwise index from the end and pin the last variable
     with pytest.raises(ValueError, match="out of range"):
-        lp.reduce_covering(3, [0, 1, 3], [-1, 0, 1])
+        lp.reduce_covering(3, [0, 1, 3], [-1, 0, 1], [0, 0])
+    with pytest.raises(ValueError, match="1 targets for 2 covering rows"):
+        lp.reduce_covering(3, [0, 1, 3], [2, 0, 1], [0])
+
+
+def test_variable_under_two_targets_is_refused():
+    # variable 1 sits in a row of target 7 and in a row of target 3
+    with pytest.raises(ValueError, match="variable 1 appears under two targets"):
+        _reduce(4, [(0, 1), (1, 2), (3,)], targets=np.array([7, 3, 3]))
 
 
 def test_dump_problem(tmp_path):
@@ -295,26 +309,44 @@ def _reference_reduce(n_vars, rows):
     return sorted(forced), out
 
 
+def _check_against_reference(n, rows, targets):
+    reduced = _reduce(n, rows, np.array(targets, dtype=np.int64))
+    forced, comps = _reference_reduce(n, rows)
+    assert reduced.n_vars == n
+    assert reduced.forced_ones.dtype == np.int64
+    assert reduced.forced_ones.tolist() == forced
+    for c in reduced.components:
+        assert c.rows.dtype == bool and c.rows.shape[1] == len(c.var_ids)
+    assert [(c.var_ids.tolist(), [tuple(np.flatnonzero(r).tolist()) for r in c.rows])
+            for c in reduced.components] == comps
+
+
+def _with_repeats(rng, rows, targets):
+    extra = rng.integers(0, len(rows), size=len(rows) // 3) if rows else []
+    return rows + [rows[k] for k in extra], targets + [targets[k] for k in extra]
+
+
 def test_reduce_covering_matches_reference(rng):
-    """Singletons, repeated rows, repeated variables within a row, supersets."""
+    """Singletons, repeated rows, repeated variables within a row, supersets;
+    all rows under one target, then variables split among 2-4 targets."""
     for _ in range(200):
         n = int(rng.integers(1, 14))
         rows = [tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, 5))))
                 for _ in range(int(rng.integers(0, 3 * n)))]
-        rows += [rows[k] for k in rng.integers(0, len(rows), size=len(rows) // 3)] if rows else []
-        reduced = lp.reduce_covering(n, *_csr(rows))
-        forced, comps = _reference_reduce(n, rows)
-        assert reduced.n_vars == n
-        assert reduced.forced_ones.dtype == np.int64
-        assert reduced.forced_ones.tolist() == forced
-        for c in reduced.components:
-            assert c.rows.dtype == bool and c.rows.shape[1] == len(c.var_ids)
-        assert [(c.var_ids.tolist(), [tuple(np.flatnonzero(r).tolist()) for r in c.rows])
-                for c in reduced.components] == comps
+        _check_against_reference(n, *_with_repeats(rng, rows, [0] * len(rows)))
+    for _ in range(200):
+        n = int(rng.integers(2, 14))
+        owner = rng.integers(0, int(rng.integers(2, 5)), size=n)
+        rows, targets = [], []
+        for _ in range(int(rng.integers(0, 3 * n))):
+            mine = np.flatnonzero(owner == owner[rng.integers(n)])
+            rows.append(tuple(int(v) for v in rng.choice(mine, size=int(rng.integers(1, 5)))))
+            targets.append(100 - int(owner[rows[-1][0]]))  # ids unrelated to variable order
+        _check_against_reference(n, *_with_repeats(rng, rows, targets))
 
 
 def test_stale_basis_falls_back_to_a_cold_solve():
-    reduced = lp.reduce_covering(4, *_csr(PIVOT_ROWS))
+    reduced = _reduce(4, PIVOT_ROWS)
     first = lp.solve_reduced(reduced, PIVOT_C)
     assert first.n_solved == 1 and first.n_reused == 0 and first.n_pivots > 0
     # same pinning and kept columns; the shared variable stays optimal
@@ -344,7 +376,7 @@ def test_failed_certificate_returns_greedy_cover(monkeypatch, caplog):
 
 def test_pinning_a_column_rebuilds_only_its_component(rng):
     rows = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)]
-    reduced = lp.reduce_covering(6, *_csr(rows))
+    reduced = _reduce(6, rows)
     assert len(reduced.components) == 2
     c = -rng.uniform(1, 2, size=6)
     first = lp.solve_reduced(reduced, c)
@@ -365,6 +397,6 @@ def test_pinning_a_column_rebuilds_only_its_component(rng):
 
 def test_warm_state_from_another_reduction_is_refused():
     first = _solve(PIVOT_C, PIVOT_ROWS)
-    other = lp.reduce_covering(4, *_csr(PIVOT_ROWS))
+    other = _reduce(4, PIVOT_ROWS)
     with pytest.raises(ValueError, match="another reduction"):
         lp.solve_reduced(other, PIVOT_C, warm=first.warm)
