@@ -79,8 +79,6 @@ def _load_trace(args: argparse.Namespace):
     """The ``--trace`` file, cut to its first ``--head`` rows when that is set."""
     try:
         trace = parse_trace(args.trace, drop_orphans=getattr(args, "drop_orphans", False))
-    except FileNotFoundError as exc:
-        raise UsageError(f"trace file not found: {exc.filename}") from exc
     except TraceFormatError as exc:
         raise UsageError(f"bad trace {args.trace}: {exc}") from exc
     return trace.head(args.head) if args.head else trace
@@ -95,8 +93,6 @@ def _require_two_users(args: argparse.Namespace, trace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     from .simulate import ConfigError, SimConfig, simulate
 
-    if args.config and not os.path.exists(args.config):
-        raise UsageError(f"config file not found: {args.config}")
     try:
         config = SimConfig.from_json(args.config) if args.config else SimConfig()
     except ConfigError as exc:
@@ -166,11 +162,8 @@ def _cmd_baseline(args: argparse.Namespace) -> list[str]:
 def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
     users = trace.users
-    try:
-        inferred = read_graph_csv(args.inferred, users)
-        truth = read_graph_csv(args.truth, users)
-    except FileNotFoundError as exc:
-        raise UsageError(f"graph file not found: {exc.filename}") from exc
+    inferred = read_graph_csv(args.inferred, users)
+    truth = read_graph_csv(args.truth, users)
 
     episodes = build_episodes(trace)
     feas = check_feasibility(inferred, episodes)
@@ -207,20 +200,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
 
 def _cmd_stats(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    try:
-        graph = read_graph_csv(args.graph, trace.users)
-    except FileNotFoundError as exc:
-        raise UsageError(f"graph file not found: {exc.filename}") from exc
+    graph = read_graph_csv(args.graph, trace.users)
     _write_json(metrics.graph_stats(graph).to_json(), args.out)
     return [args.out]
 
 
 def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
-    try:
-        graph = read_graph_csv(args.graph, trace.users)
-    except FileNotFoundError as exc:
-        raise UsageError(f"graph file not found: {exc.filename}") from exc
+    graph = read_graph_csv(args.graph, trace.users)
     episodes = build_episodes(trace)
     report = check_feasibility(graph, episodes)
     _write_json(report.to_json(), args.out)

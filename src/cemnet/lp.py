@@ -16,17 +16,24 @@ the result must cover every component row to within ``FEAS_TOL``.
 Consecutive EM objectives mostly pin the same variables and leave the same
 basis optimal, so each solution carries a ``WarmStart`` for the next call:
 per component, the open rows, free columns and identical-column groups
-(rebuilt only when the pinned set changes), and the last kept columns,
-final basis and x.  A basis is accepted, warm or at the end of a cold
-solve, only when a fresh solve with it gives reduced costs of an optimal
+(rebuilt only when the pinned set changes), and the last certified basis
+with its kept columns and x.  A cold solve's final basis is accepted only
+when a fresh inverse of its basis matrix gives reduced costs of an optimal
 basis (the dual-feasibility certificate, see Koberstein 2005, *The dual
-simplex method*).
+simplex method*).  The rows of that inverse at the structural basic
+positions are kept, so a later objective's duals and reduced costs are
+sums over stored entries, with no solve.  The ``WarmStart`` also holds
+flat views, every component's free columns and every stored basis
+concatenated, so each call decides for all components at once, in a few
+array operations, whose pinning or kept columns changed and whose basis
+still passes the certificate; only the components that must pivot, or
+whose pinning changed, are visited one by one.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +75,23 @@ class ReducedCovering:
     n_vars: int
     forced_ones: np.ndarray  # variables pinned to 1 by singleton rows
     components: tuple[_Component, ...]
+    # every component's var_ids, concatenated: component k owns
+    # var_ids[var_ptr[k]:var_ptr[k + 1]]
+    var_ids: np.ndarray
+    var_ptr: np.ndarray
+    # every component row as one CSR over global variable ids; component k
+    # owns rows comp_rows[k]:comp_rows[k + 1]
+    row_ptr: np.ndarray
+    row_cols: np.ndarray
+    comp_rows: np.ndarray
+
+
+def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=dtype), *arrays])
+
+
+def _ptr(sizes: list[int]) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
 
 def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray,
@@ -144,37 +168,156 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray,
             comp_rows.flags.writeable = False
             components.append(_Component(var_ids[used].astype(np.int64), comp_rows))
     components.sort(key=lambda comp: comp.var_ids[0])
-    return ReducedCovering(n_vars, forced, tuple(components))
+    comp_rows = _ptr([len(comp.rows) for comp in components])
+    row_ptr = _ptr(_concat([comp.rows.sum(axis=1) for comp in components], np.int64))
+    row_cols = np.empty(row_ptr[-1], dtype=np.int64)
+    for comp, lo, hi in zip(components, row_ptr[comp_rows[:-1]], row_ptr[comp_rows[1:]]):
+        row_cols[lo:hi] = np.broadcast_to(comp.var_ids, comp.rows.shape)[comp.rows]
+    return ReducedCovering(n_vars, forced, tuple(components),
+                           _concat([comp.var_ids for comp in components], np.int64),
+                           _ptr([len(comp.var_ids) for comp in components]),
+                           row_ptr, row_cols, comp_rows)
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """A component's certified final basis, in the flat form ``_certified`` reads.
+
+    Its columns are the kept columns the simplex saw, its rows the open rows.
+    """
+
+    ids: np.ndarray  # global id per kept column
+    xs: np.ndarray  # x per kept column
+    sign: np.ndarray  # per kept column: 1 at its lower bound, -1 at its upper, 0 basic
+    rows: np.ndarray  # global id per open row
+    row_sign: np.ndarray  # per open row: 1 if its surplus is nonbasic, else 0
+    # the rows of the basis inverse at the structural basic positions, so
+    # that the duals are y[y_row] += y_val * -c[y_var]
+    y_row: np.ndarray
+    y_var: np.ndarray
+    y_val: np.ndarray
+
+    @classmethod
+    def of(cls, ids: np.ndarray, rows: np.ndarray, xs: np.ndarray, basis: np.ndarray,
+           at_upper: np.ndarray, B_inv: np.ndarray) -> _Basis:
+        """The basis ``_dual_simplex`` returned for the kept columns ``ids``
+        and the open rows ``rows``."""
+        m, n = len(rows), len(ids)
+        structural = np.flatnonzero(basis < n)
+        sign = np.where(at_upper[:n], -1.0, 1.0)
+        sign[basis[structural]] = 0.0
+        row_sign = np.ones(m)
+        row_sign[basis[basis >= n] - n] = 0.0
+        return cls(ids, xs, sign, rows, row_sign, np.tile(rows, len(structural)),
+                   np.repeat(ids[basis[structural]], m), B_inv[structural].ravel())
+
+
+# no columns and no rows: gives each field its dtype when no basis is stored
+_NO_BASIS = _Basis.of(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), np.zeros((0, 0)))
 
 
 @dataclass(frozen=True)
 class _Warm:
     """One component after a ``solve_reduced`` call.
 
-    ``free`` to ``gid`` depend only on which variables were pinned; the
-    rest is the last solve on them, with no basis after a fallback.
+    ``free`` to ``rows`` depend only on which variables were pinned;
+    ``basis`` is the last solve on them, None with no open rows or after a
+    fallback.
     """
 
     free: np.ndarray  # bool over the component's variables
     free_ids: np.ndarray  # global ids of the free variables
     R: np.ndarray  # bool incidence, open rows x free columns
     gid: np.ndarray  # identical-column group per free column, -1 in no open row
-    keep: np.ndarray | None = None  # the columns of R the simplex saw
-    R_keep: np.ndarray | None = None  # R[:, keep]
-    basis: tuple[np.ndarray, np.ndarray] | None = None  # final (basis, at_upper)
-    xs: np.ndarray | None = None  # x over keep
+    rows: np.ndarray  # global ids of the open rows
+    basis: _Basis | None = None
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Every component's free columns under one pinning, concatenated."""
+
+    comp: np.ndarray  # component per free column
+    ptr: np.ndarray  # component k owns free columns ptr[k]:ptr[k + 1]
+    ids: np.ndarray  # global id per free column
+    open: np.ndarray  # bool per component: it has open rows
+    alone: np.ndarray  # bool per free column: the only one of its identical-column group
+    # the columns of the groups with several, group by group, each in
+    # column order: group g owns tied[tied_ptr[g]:tied_ptr[g + 1]]
+    tied: np.ndarray
+    tied_ptr: np.ndarray
+
+    @classmethod
+    def of(cls, states: list[_Warm]) -> _Columns:
+        sizes = [len(st.free_ids) for st in states]
+        gid = _concat([st.gid for st in states], np.int64)
+        shift = np.repeat(_ptr([int(st.gid.max(initial=-1)) + 1 for st in states])[:-1], sizes)
+        group = np.where(gid >= 0, gid + shift, -1)
+        count = np.bincount(group + 1, minlength=1)  # count[0]: in no open row
+        members = np.where(group >= 0, count[group + 1], 0)
+        size = count[1:]
+        tied = np.flatnonzero(members > 1)
+        return cls(np.repeat(np.arange(len(states)), sizes), _ptr(sizes),
+                   _concat([st.free_ids for st in states], np.int64),
+                   np.array([len(st.R) > 0 for st in states], dtype=bool),
+                   members == 1, tied[np.argsort(group[tied], kind="stable")],
+                   _ptr(size[size > 1]))
+
+    def kept(self, c: np.ndarray) -> np.ndarray:
+        """The columns the simplex sees under ``c``, as a mask over the free columns.
+
+        Variables with identical row support are interchangeable: keep the
+        first best-coefficient one (exactness-preserving, and duplicate
+        columns would make simplex bases singular); variables in no open
+        row have cost <= 0 and stay at zero.
+        """
+        kept = self.alone.copy()
+        c_tied = c[self.ids[self.tied]]
+        best = np.maximum.reduceat(c_tied, self.tied_ptr[:-1])
+        top = np.flatnonzero(c_tied == np.repeat(best, np.diff(self.tied_ptr)))
+        kept[self.tied[top[np.searchsorted(top, self.tied_ptr[:-1])]]] = True
+        return kept
+
+
+@dataclass(frozen=True)
+class _Bases:
+    """Every stored ``_Basis``, concatenated in component order."""
+
+    comp: np.ndarray  # component per basis
+    col_ptr: np.ndarray  # basis b owns kept columns col_ptr[b]:col_ptr[b + 1]
+    row_ptr: np.ndarray  # and open rows row_ptr[b]:row_ptr[b + 1]
+    col_seg: np.ndarray  # basis per kept column
+    flat: _Basis  # every field of every basis, concatenated
+
+    @classmethod
+    def of(cls, bases: list[_Basis | None]) -> _Bases:
+        """The entries of ``bases`` that are not None; entry k is component k's."""
+        comp = [k for k, b in enumerate(bases) if b is not None]
+        parts = [bases[k] for k in comp]
+        n_cols = [len(b.ids) for b in parts]
+        n_rows = [len(b.rows) for b in parts]
+        flat = _Basis(*(np.concatenate([getattr(b, f.name) for b in [_NO_BASIS, *parts]])
+                        for f in fields(_Basis)))
+        return cls(np.array(comp, dtype=np.int64), _ptr(n_cols), _ptr(n_rows),
+                   np.repeat(np.arange(len(parts)), n_cols), flat)
 
 
 @dataclass(frozen=True)
 class WarmStart:
-    """Per-component state that one ``solve_reduced`` call hands the next."""
+    """Per-component state that one ``solve_reduced`` call hands the next,
+    with its flat views."""
 
     reduced: ReducedCovering
     components: tuple[_Warm, ...]
+    free: np.ndarray  # bool over reduced.var_ids: the pinning of ``columns``
+    columns: _Columns
+    bases: _Bases
 
 
-def _columns(comp: _Component, free: np.ndarray) -> _Warm:
-    """Open rows, free columns and identical-column groups under one pinning."""
+def _columns(comp: _Component, free: np.ndarray, first_row: int) -> _Warm:
+    """Open rows, free columns and identical-column groups under one pinning;
+    the component's rows are global rows ``first_row`` on."""
     open_rows = ~comp.rows[:, ~free].any(axis=1)
     R = comp.rows[np.ix_(open_rows, free)]
     gid = np.full(R.shape[1], -1, dtype=np.int64)
@@ -185,7 +328,47 @@ def _columns(comp: _Component, free: np.ndarray) -> _Warm:
         first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
         gid[order] = np.cumsum(first) - 1
         gid[~R.any(axis=0)] = -1
-    return _Warm(free, comp.var_ids[free], R, gid)
+    return _Warm(free, comp.var_ids[free], R, gid, first_row + np.flatnonzero(open_rows))
+
+
+def _certified(bases: _Bases, c: np.ndarray, reduced: ReducedCovering) -> np.ndarray:
+    """Per stored basis, whether it is dual feasible for ``c``.
+
+    ``_dual_feasible``'s test for every basis at once: the duals are summed
+    from the stored rows of each basis inverse, with zero on every row that
+    is not open, and each basis takes its own tolerance, ``DUAL_TOL`` times
+    its largest kept cost.
+    """
+    flat = bases.flat
+    y = np.bincount(flat.y_row, flat.y_val * -c[flat.y_var], minlength=len(reduced.row_ptr) - 1)
+    r_y = np.bincount(reduced.row_cols, np.repeat(y, np.diff(reduced.row_ptr)),
+                      minlength=reduced.n_vars)
+    cost = -c[flat.ids]  # as _dual_simplex minimizes
+    d = cost - r_y[flat.ids]
+    tol = DUAL_TOL * np.maximum(1.0, np.maximum.reduceat(np.abs(cost), bases.col_ptr[:-1]))
+    # a surplus column's reduced cost is its row's dual
+    worst = np.minimum(np.minimum.reduceat(flat.sign * d, bases.col_ptr[:-1]),
+                       np.minimum.reduceat(flat.row_sign * y[flat.rows], bases.row_ptr[:-1]))
+    return worst >= -tol
+
+
+def _reusable(bases: _Bases, cols: _Columns, kept: np.ndarray, c: np.ndarray,
+              reduced: ReducedCovering) -> np.ndarray:
+    """Per component: it has a stored basis over the kept columns ``kept``
+    marks in ``cols``, and that basis passes ``_certified`` for ``c``."""
+    ok = np.zeros(len(cols.open), dtype=bool)
+    if not len(bases.comp):
+        return ok
+    n_kept = np.bincount(cols.comp[kept], minlength=len(cols.open))
+    same = n_kept[bases.comp] == np.diff(bases.col_ptr)
+    # line up the kept ids of the bases that keep as many columns as before
+    mine = np.zeros(len(cols.open), dtype=bool)
+    mine[bases.comp[same]] = True
+    old = same[bases.col_seg]
+    moved = cols.ids[kept & mine[cols.comp]] != bases.flat.ids[old]
+    same[bases.col_seg[old][moved]] = False
+    ok[bases.comp] = same & _certified(bases, c, reduced)
+    return ok
 
 
 def solve_reduced(
@@ -200,9 +383,11 @@ def solve_reduced(
     Deterministic under the fixed pivot rule.  ``warm`` is the ``warm`` of
     an earlier solution on the same reduction: a component whose pinned
     variables and kept columns are unchanged returns its previous x when
-    the previous basis passes a fresh dual-feasibility check for this
+    the previous basis passes the dual-feasibility check for this
     objective; the basis and the rhs are those of that x, so it is the x a
-    cold solve ending on that basis returns.
+    cold solve ending on that basis returns.  These decisions are made for
+    all components at once on flat arrays; only components that must
+    pivot, or whose pinning changed, are visited one by one.
     When a component's pivot budget runs out, or its final basis is
     singular or fails that check, that component takes the greedy cover
     and the status is ``iteration-limit``; a solution that leaves a row
@@ -211,61 +396,62 @@ def solve_reduced(
     if warm is not None and warm.reduced is not reduced:
         raise ValueError("warm state comes from another reduction")
     c = np.asarray(objective, dtype=np.float64)
-    x = np.zeros(reduced.n_vars, dtype=np.float64)
     # every free column then has c <= 0, which the dual simplex's start
     # needs; a zero-cost column stays free, as 0 and 1 tie there
-    x[c > 0.0] = 1.0
+    x = (c > 0.0).astype(np.float64)
     if len(reduced.forced_ones):
         x[reduced.forced_ones] = 1.0
 
+    comps, var_ptr = reduced.components, reduced.var_ptr
+    free = x[reduced.var_ids] < 0.5
+    if warm is None:
+        states = [None] * len(comps)
+        stale = np.ones(len(comps), dtype=bool)
+    else:
+        states = list(warm.components)
+        stale = np.logical_or.reduceat(free != warm.free, var_ptr[:-1])
+    for k in np.flatnonzero(stale).tolist():
+        states[k] = _columns(comps[k], free[var_ptr[k]:var_ptr[k + 1]],
+                             int(reduced.comp_rows[k]))
+    changed = warm is None or bool(stale.any())
+    cols = _Columns.of(states) if changed else warm.columns
+    kept = cols.kept(c)
+    reused = np.zeros(len(comps), dtype=bool)
+    if warm is not None:
+        reused = ~stale & _reusable(warm.bases, cols, kept, c, reduced)
+        if reused.any():
+            # one assignment writes the stored x of every reused component
+            take = reused[warm.bases.comp][warm.bases.col_seg]
+            x[warm.bases.flat.ids[take]] = warm.bases.flat.xs[take]
+
     status = STATUS_OPTIMAL
-    pivots = solved = reused = 0
-    states = []
-    for k, comp in enumerate(reduced.components):
-        free = x[comp.var_ids] < 0.5
-        st = None if warm is None else warm.components[k]
-        if st is None or not np.array_equal(st.free, free):
-            st = _columns(comp, free)
-        if not len(st.R):
-            states.append(st)
-            continue
-        solved += 1
-        local_c = c[st.free_ids]
-        # variables with identical row support are interchangeable: keep the
-        # first best-coefficient one (exactness-preserving, and duplicate
-        # columns would make simplex bases singular); variables in no open
-        # row have cost <= 0 and stay at zero
-        order = np.lexsort((-local_c, st.gid))
-        gid = st.gid[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = gid[1:] != gid[:-1]
-        keep = np.sort(order[first & (gid >= 0)])
-        solver_c = local_c[keep]
+    pivots = 0
+    todo = np.flatnonzero(cols.open & ~reused).tolist()
+    for k in todo:
+        st = states[k]
+        keep = kept[cols.ptr[k]:cols.ptr[k + 1]]
+        R = st.R[:, keep]
+        solver_c = c[st.free_ids[keep]]
+        xs, piv, final = _dual_simplex(R, solver_c, max_pivots)
+        pivots += piv
+        if xs is None:
+            # degrade honestly: the greedy cover is feasible
+            log.warning("returning the greedy cover")
+            xs = _greedy_local(R, solver_c)
+            status = STATUS_ITERATION_LIMIT
+        xs = np.clip(xs, 0.0, 1.0)  # rounding can leave a basic x just outside its box
+        basis = None if final is None else _Basis.of(st.free_ids[keep], st.rows, xs, *final)
+        states[k] = replace(st, basis=basis)
+        x[st.free_ids[keep]] = xs
+    bases = _Bases.of([st.basis for st in states]) if changed or todo else warm.bases
 
-        if (st.basis is not None and np.array_equal(keep, st.keep)
-                and _dual_feasible(st.R_keep, solver_c, *st.basis)):
-            reused += 1
-        else:
-            R = st.R[:, keep]
-            xs, piv, final = _dual_simplex(R, solver_c, max_pivots)
-            pivots += piv
-            if xs is None:
-                # degrade honestly: the greedy cover is feasible
-                log.warning("returning the greedy cover")
-                xs = _greedy_local(R, solver_c)
-                status = STATUS_ITERATION_LIMIT
-            st = _Warm(st.free, st.free_ids, st.R, st.gid, keep, R, final, xs)
-        states.append(st)
-        x[st.free_ids[keep]] = st.xs
-
-    np.clip(x, 0.0, 1.0, out=x)
-    worst = max((1.0 - float((comp.rows @ x[comp.var_ids]).min())
-                 for comp in reduced.components), default=0.0)
+    row_sums = np.add.reduceat(x[reduced.row_cols], reduced.row_ptr[:-1])
+    worst = 1.0 - float(row_sums.min()) if len(row_sums) else 0.0
     if worst > FEAS_TOL:
         log.error("covering residual %.3e exceeds tolerance", worst)
         status = STATUS_INFEASIBLE
-    return LpSolution(x, float(np.dot(c, x)), status, pivots, solved, reused,
-                      WarmStart(reduced, tuple(states)))
+    return LpSolution(x, float(np.dot(c, x)), status, pivots, int(cols.open.sum()),
+                      int(reused.sum()), WarmStart(reduced, tuple(states), free, cols, bases))
 
 
 def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -285,7 +471,7 @@ def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _dual_simplex(
     R: np.ndarray, c: np.ndarray, max_pivots: int | None
-) -> tuple[np.ndarray | None, int, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[np.ndarray | None, int, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """maximize c@x s.t. R x - s = 1, 0 <= x <= 1, s >= 0, for c <= 0.
 
     ``R`` is the bool incidence of the open rows over the kept columns.
@@ -297,8 +483,9 @@ def _dual_simplex(
     basic variable with the smallest column index leaves, and the minimum
     dual ratio enters, the smallest column index on ties.  The optimal x
     comes from one solve on the final basis, so its bits depend on that
-    basis alone.  Returns ``(x, pivots, (basis, at_upper))``; x and the
-    basis are None when the pivot budget runs out, or the final basis is
+    basis alone.  Returns ``(x, pivots, (basis, at_upper, B_inv))``, with
+    ``B_inv`` a fresh inverse of the final basis matrix; x and the basis
+    are None when the pivot budget runs out, or the final basis is
     singular or fails ``_dual_feasible``, the optimality certificate that
     does not rest on the updated inverse that chose the pivots.
     """
@@ -359,17 +546,19 @@ def _dual_simplex(
     except np.linalg.LinAlgError:
         log.warning("singular final basis after %d pivots", pivots)
         return None, pivots, None
-    if not _dual_feasible(R, c, basis, at_upper):
+    B_inv = _dual_feasible(R, c, basis, at_upper)
+    if B_inv is None:
         log.warning("final basis after %d pivots fails the optimality check", pivots)
         return None, pivots, None
-    return x[:n], pivots, (basis, at_upper)
+    return x[:n], pivots, (basis, at_upper, B_inv)
 
 
 def _dual_feasible(R: np.ndarray, c: np.ndarray, basis: np.ndarray,
-                   at_upper: np.ndarray) -> bool:
-    """Whether ``basis`` is dual feasible for ``c`` in ``_dual_simplex``'s LP.
+                   at_upper: np.ndarray) -> np.ndarray | None:
+    """The inverse of the basis matrix if ``basis`` is dual feasible for
+    ``c`` in ``_dual_simplex``'s LP, else None.
 
-    The duals come from one fresh solve with the basis matrix, and every
+    The duals come from one fresh inverse of the basis matrix, and every
     nonbasic reduced cost must have the sign of an optimal basis, to
     within ``DUAL_TOL`` times the largest cost: nonnegative at the lower
     bound and nonpositive at the upper one.  A basis that is primal
@@ -379,13 +568,13 @@ def _dual_feasible(R: np.ndarray, c: np.ndarray, basis: np.ndarray,
     A = np.hstack([R, -np.eye(m)])
     cost = np.concatenate([-c, np.zeros(m)])  # as _dual_simplex minimizes
     try:
-        y = np.linalg.solve(A[:, basis].T, cost[basis])
+        B_inv = np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError:
-        return False
-    d = cost - y @ A
+        return None
+    d = cost - (cost[basis] @ B_inv) @ A
     d[basis] = 0.0  # basic columns are never at their upper bound
     tol = DUAL_TOL * max(1.0, float(np.abs(c).max()))
-    return not np.where(at_upper, d > tol, d < -tol).any()
+    return None if np.where(at_upper, d > tol, d < -tol).any() else B_inv
 
 
 def dump_problem(objective: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray,

@@ -176,8 +176,15 @@ def _parse_timestamp(token: str, mode: list[str | None], row: int) -> float:
 
 
 def read_utf8(path: str | Path, error: type[ValueError], prefix: str = "") -> io.StringIO:
-    """``path``'s text as a :mod:`csv` stream; a byte that is not UTF-8 raises ``error``."""
-    data = Path(path).read_bytes()
+    """``path``'s text as a :mod:`csv` stream.
+
+    A file that cannot be read (missing, a directory, no permission) or a
+    byte that is not UTF-8 raises ``error``.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         return io.StringIO(data.decode("utf-8"), newline="")
     except UnicodeDecodeError as exc:

@@ -298,6 +298,34 @@ def test_numeric_flag_out_of_range_is_usage_error(workdir, tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+# every flag that names an input file, per subcommand
+INPUT_FLAGS = [
+    ("simulate", "--config"), ("infer", "--trace"), ("baseline", "--trace"),
+    *[("evaluate", flag) for flag in
+      ("--trace", "--inferred", "--truth", "--scores", "--truth-labels")],
+    ("stats", "--trace"), ("stats", "--graph"),
+    ("feascheck", "--trace"), ("feascheck", "--graph"),
+]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command,flag", INPUT_FLAGS)
+def test_unreadable_input_file_is_usage_error(workdir, tmp_path, capsys, command, flag, kind):
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, *_required_args(command, workdir, out)]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("kind,row", [("graph", 2), ("labels", 3)])
 def test_overlong_csv_field_is_usage_error(workdir, tmp_path, capsys, kind, row):
     bad = tmp_path / f"long_{kind}.csv"

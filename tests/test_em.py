@@ -500,7 +500,7 @@ def test_run_cem_raises_when_the_lp_degrades(t1, monkeypatch):
 
 
 def test_run_cem_raises_when_no_basis_is_certified(t1, monkeypatch):
-    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: False)
+    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: None)
     with pytest.raises(RuntimeError, match="iteration-limit"):
         em.run_cem(t1, "er", 1.0, seed=0)
 
@@ -512,9 +512,17 @@ SWEEP500 = dict(n_users=500, block_sizes=[72, 72, 71, 71, 71, 71, 72],
                 post_rate=(0.0035, 0.0035), repost_rate=(0.09, 0.09), seed=9201)
 
 
-@pytest.mark.parametrize("config,lam", [(SIM40, 1.0), (SWEEP500, 0.25)],
+# (pivots, components solved, of those reused) per LP call; a flipped reuse
+# decision changes them even where the x it returns does not change
+SIM40_CALLS = [(9, 8, 0), (5, 8, 4)] + [(0, 8, 8)] * 12
+SWEEP500_CALLS = ([(68, 34, 0), (21, 31, 21)] + [(0, 31, 31)] * 5
+                  + [(5, 31, 29), (2, 31, 29)] + [(0, 31, 31)] * 16)
+
+
+@pytest.mark.parametrize("config,lam,calls", [(SIM40, 1.0, SIM40_CALLS),
+                                              (SWEEP500, 0.25, SWEEP500_CALLS)],
                          ids=["sim40", "sweep500"])
-def test_warm_lp_calls_match_cold_calls(monkeypatch, config, lam):
+def test_warm_lp_calls_match_cold_calls(monkeypatch, config, lam, calls):
     from cemnet.simulate import SimConfig, simulate
 
     prep = em.preprocess(simulate(SimConfig(**config)).trace)
@@ -532,6 +540,7 @@ def test_warm_lp_calls_match_cold_calls(monkeypatch, config, lam):
     assert len(sols) == state.iteration > 2
     assert sols[0].n_reused == 0
     assert sum(s.n_reused for s in sols) > sum(s.n_solved for s in sols) // 2
+    assert [(s.n_pivots, s.n_solved, s.n_reused) for s in sols] == calls
 
 
 def test_lp_reuse_is_logged_per_iteration(monkeypatch, caplog):

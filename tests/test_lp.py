@@ -365,7 +365,7 @@ def test_stale_basis_falls_back_to_a_cold_solve():
 
 
 def test_failed_certificate_returns_greedy_cover(monkeypatch, caplog):
-    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: False)
+    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: None)
     with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
         sol = _solve(PIVOT_C, PIVOT_ROWS)
     assert "fails the optimality check" in caplog.text
@@ -400,3 +400,95 @@ def test_warm_state_from_another_reduction_is_refused():
     other = _reduce(4, PIVOT_ROWS)
     with pytest.raises(ValueError, match="another reduction"):
         lp.solve_reduced(other, PIVOT_C, warm=first.warm)
+
+
+def _edge_costs(rng, R, basis, at_upper, big):
+    """Costs under which ``basis`` has chosen reduced costs, many of them
+    within 1e-12 of the tolerance edge; None if no structural column is
+    nonbasic at its lower bound to carry the largest cost ``big``."""
+    m, n = R.shape
+    basic = np.zeros(n + m, dtype=bool)
+    basic[basis] = True
+    lower = np.flatnonzero(~basic[:n] & ~at_upper[:n])
+    if not len(lower):
+        return None
+    tol = lp.DUAL_TOL * max(1.0, big)
+
+    def reduced_cost(upper):
+        # optimal: d >= -tol at the lower bound, d <= tol at the upper one
+        sign = 1.0 if upper else -1.0
+        kind = rng.choice(["far", "inside", "outside"], p=[0.6, 0.3, 0.1])
+        if kind == "far":
+            return -sign * rng.uniform(0.01, 0.1)
+        step = rng.uniform(1e-13, 1e-12)
+        return sign * (tol + (-step if kind == "inside" else step))
+
+    # duals on a dyadic grid keep R.T @ y exact; a basic surplus pins its dual to 0
+    y = rng.integers(-8, 9, size=m) / 8 * (big / 16)
+    y[basis[basis >= n] - n] = 0.0
+    for r in np.flatnonzero(~basic[n:]):
+        if rng.uniform() < 0.3:
+            y[r] = reduced_cost(False)  # a nonbasic surplus's reduced cost is its dual
+    ry = R.astype(np.float64).T @ y
+    c = -ry  # basic columns: reduced cost zero
+    for j in np.flatnonzero(~basic[:n]):
+        c[j] = -ry[j] - reduced_cost(bool(at_upper[j]))
+    c[lower[0]] = -big
+    return c
+
+
+def test_batched_certificate_agrees_with_dual_feasible(rng):
+    """Random bases of random components, costs at the tolerance edge."""
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        # rows within three blocks of variables: several components per batch
+        sizes = rng.integers(3, 7, size=3)
+        n = int(sizes.sum())
+        rows = []
+        for lo, size in zip(np.cumsum(sizes) - sizes, sizes):
+            rows += [tuple(sorted((lo + rng.choice(size, size=int(rng.integers(2, 4)),
+                                                   replace=False)).tolist()))
+                     for _ in range(int(rng.integers(2, 2 * size)))]
+        reduced = _reduce(n, rows)
+        c = np.zeros(n)
+        bases, expect = [], []
+        for k, comp in enumerate(reduced.components):
+            R = comp.rows
+            m, width = R.shape
+            A = np.hstack([R, -np.eye(m)])
+            for _ in range(20):
+                basis = rng.choice(width + m, size=m, replace=False)
+                if np.linalg.cond(A[:, basis]) < 50:
+                    break
+            else:
+                bases.append(None)
+                continue
+            at_upper = np.zeros(width + m, dtype=bool)
+            at_upper[:width] = rng.uniform(size=width) < 0.4
+            at_upper[basis] = False
+            local = _edge_costs(rng, R, basis, at_upper, big=float(rng.choice([0.5, 10.0])))
+            if local is None:
+                bases.append(None)
+                continue
+            c[comp.var_ids] = local
+            rows_k = np.arange(reduced.comp_rows[k], reduced.comp_rows[k + 1])
+            bases.append(lp._Basis.of(comp.var_ids, rows_k, np.zeros(width), basis, at_upper,
+                                      np.linalg.inv(A[:, basis])))
+            expect.append(lp._dual_feasible(R, local, basis, at_upper) is not None)
+        got = lp._certified(lp._Bases.of(bases), c, reduced)
+        assert got.tolist() == expect
+        for e in expect:
+            seen[e] += 1
+    assert seen[True] >= 40 and seen[False] >= 40
+
+
+def test_basis_failing_only_the_batched_check_is_solved_cold(monkeypatch):
+    reduced = _reduce(4, PIVOT_ROWS)
+    first = lp.solve_reduced(reduced, PIVOT_C)
+    still = PIVOT_C + np.array([0.1, 0.0, 0.0, 0.0])
+    assert lp.solve_reduced(reduced, still, warm=first.warm).n_reused == 1
+    monkeypatch.setattr(lp, "_certified", lambda bases, c, reduced: np.zeros(len(bases.comp), bool))
+    warm = lp.solve_reduced(reduced, still, warm=first.warm)
+    cold = lp.solve_reduced(reduced, still)
+    assert warm.n_reused == 0 and warm.n_pivots == cold.n_pivots > 0
+    assert np.array_equal(warm.x, cold.x) and warm.status == lp.STATUS_OPTIMAL
