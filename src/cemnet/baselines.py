@@ -185,6 +185,12 @@ def newman_em(
     beta = em.clamp(0.5 * rng.uniform())
     rho = em.clamp(rng.uniform())
 
+    # Q depends on a pair only through its (M, direct), which stay fixed for
+    # the fit: one posterior per distinct (M, direct), taken to the pairs
+    classes, key = np.unique(np.column_stack([table.m, direct]), axis=0,
+                             return_inverse=True)
+    key = key.reshape(-1)
+
     n_total = n_users * (n_users - 1)
     q = np.full(table.n_pairs, rho)
     rho_used_prev: float | None = None
@@ -192,8 +198,8 @@ def newman_em(
     it = 0
     for it in range(1, max_iters + 1):
         rho_used = rho
-        q_new = em.posterior(table.m, direct, math.log(rho) - math.log1p(-rho),
-                             alpha, beta)
+        q_new = em.posterior(classes[:, 0], classes[:, 1],
+                             math.log(rho) - math.log1p(-rho), alpha, beta).take(key)
         alpha, beta = em.utilization_rates(table.m, direct, q_new, alpha, beta)
         rho = em.clamp((float(q_new.sum()) + (n_total - table.n_pairs) * rho_used)
                        / n_total)

@@ -64,9 +64,19 @@ def _write_manifests(args: argparse.Namespace, argv: list[str],
         "runtime_seconds": time.time() - started,
     }
     for out in outputs:
-        with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(out + ".manifest.json", _write_json, manifest)
+
+
+def _write(path: str, write, *args) -> None:
+    """``write(*args, path)``; a path that cannot be written exits 2 naming it."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -105,9 +115,9 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
             except ValueError as exc:
                 raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
     out = simulate(config)
-    trace_to_csv(out.trace, args.out_trace)
-    write_graph_csv(out.truth_graph, out.trace.users, args.out_truth)
-    write_labels_csv(out.truth_labels, out.trace.users, args.out_labels)
+    _write(args.out_trace, trace_to_csv, out.trace)
+    _write(args.out_truth, write_graph_csv, out.truth_graph, out.trace.users)
+    _write(args.out_labels, write_labels_csv, out.truth_labels, out.trace.users)
     log.info("simulated %d posts / %d reposts over %d users",
              out.n_posts, out.n_reposts, config.n_users)
     return [args.out_trace, args.out_truth, args.out_labels]
@@ -117,28 +127,31 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
     _require_two_users(args, trace)
     prep = em.preprocess(trace)
-    state, graph = em.run_cem(
-        prep,
-        args.prior,
-        args.lam,
-        beta_fixed=args.beta_fixed,
-        max_iters=args.max_iters,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        dump_lp_path=args.dump_lp,
-    )
-    write_graph_csv(graph, trace.users, args.out_graph)
+    try:
+        state, graph = em.run_cem(
+            prep,
+            args.prior,
+            args.lam,
+            beta_fixed=args.beta_fixed,
+            max_iters=args.max_iters,
+            epsilon=args.epsilon,
+            seed=args.seed,
+            dump_lp_path=args.dump_lp,
+        )
+    except OSError as exc:  # the fit writes no file but --dump-lp
+        raise _unwritable(args.dump_lp, exc) from exc
+    _write(args.out_graph, write_graph_csv, graph, trace.users)
     outputs = [args.out_graph]
     if args.out_state:
         payload = state.to_json()
         payload["n_edges"] = graph.n_edges
         payload["feasibility"] = check_feasibility(graph, prep.episodes).fraction
-        _write_json(payload, args.out_state)
+        _write(args.out_state, _write_json, payload)
         outputs.append(args.out_state)
     if args.out_scores:
         # posterior for every active pair, not only thresholded edges
         scored = InferredGraph(trace.n_users, prep.table.pairs, prep.table.q)
-        write_graph_csv(scored, trace.users, args.out_scores)
+        _write(args.out_scores, write_graph_csv, scored, trace.users)
         outputs.append(args.out_scores)
     return outputs
 
@@ -155,7 +168,7 @@ def _cmd_baseline(args: argparse.Namespace) -> list[str]:
     else:
         _require_two_users(args, trace)
         graph = baselines.newman_em(episodes, trace.n_users, seed=args.seed).graph
-    write_graph_csv(graph, trace.users, args.out_graph)
+    _write(args.out_graph, write_graph_csv, graph, trace.users)
     return [args.out_graph]
 
 
@@ -194,14 +207,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
         "q_hat": q_hat,
         "n_communities": int(lab_pred.max()) + 1,
     }
-    _write_json(payload, args.out)
+    _write(args.out, _write_json, payload)
     return [args.out]
 
 
 def _cmd_stats(args: argparse.Namespace) -> list[str]:
     trace = _load_trace(args)
     graph = read_graph_csv(args.graph, trace.users)
-    _write_json(metrics.graph_stats(graph).to_json(), args.out)
+    _write(args.out, _write_json, metrics.graph_stats(graph).to_json())
     return [args.out]
 
 
@@ -210,7 +223,7 @@ def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
     graph = read_graph_csv(args.graph, trace.users)
     episodes = build_episodes(trace)
     report = check_feasibility(graph, episodes)
-    _write_json(report.to_json(), args.out)
+    _write(args.out, _write_json, report.to_json())
     return [args.out]
 
 
@@ -316,15 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     effective_argv = list(argv) if argv is not None else sys.argv[1:]
     args = parser.parse_args(argv)
-    started = time.time()
-    try:
-        outputs = args.func(args)
-    except (UsageError, GraphFormatError, TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     inputs = [
         p for p in (
             getattr(args, "trace", None), getattr(args, "config", None),
@@ -334,7 +338,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         if p and os.path.exists(p)
     ]
-    _write_manifests(args, effective_argv, inputs, outputs, started)
+    started = time.time()
+    try:
+        outputs = args.func(args)
+        _write_manifests(args, effective_argv, inputs, outputs, started)
+    except (UsageError, GraphFormatError, TraceFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, RuntimeError, FloatingPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

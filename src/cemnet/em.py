@@ -19,6 +19,15 @@ the loop, so fits sharing one ``Preprocessed`` never see each other's.
 Pairs that never co-occur are not materialized: their posterior equals the
 prior, which enters the prior updates, the convergence norm, and the final
 thresholding in closed form.
+
+Q and W are elementwise in a pair's M, sigma and prior class (one class
+under ER; same or cross block under SBM), so pairs that share all three
+share Q and W bit for bit.  The LP's sigma is 0 or 1 almost everywhere, and
+M takes few distinct values, so the E-step evaluates Q, and ``build_w`` W,
+once per class of (M, sigma in {0, 1}, prior class) and takes the values to
+the pairs.  Pairs with a fractional sigma are computed one by one.  The
+M-step's sums stay over the pair vectors, so alpha, beta and the priors
+keep their bits.
 """
 
 from __future__ import annotations
@@ -130,22 +139,66 @@ def posterior(m: np.ndarray, ms: np.ndarray, prior_logit: np.ndarray | float,
     return out
 
 
-def update_q_er(state: EmState) -> np.ndarray:
+@dataclass(frozen=True)
+class Posterior:
+    """One E-step's Q, per pair and per class of pairs.
+
+    Pairs that share M, sigma in {0, 1} and the prior class share Q, and
+    with it the LP weight W, since both are elementwise in these.  Each is
+    computed once per class and taken to the pairs by ``key``.  The pairs in
+    ``frac`` have a fractional sigma and belong to no class: their Q and W
+    are computed pair by pair, and their ``key`` entries are not read.
+    """
+
+    q: np.ndarray  # per pair
+    key: np.ndarray  # class of each pair
+    m_class: np.ndarray  # M of each class
+    q_class: np.ndarray  # Q of each class
+    frac: np.ndarray  # ids of the pairs with fractional sigma
+
+
+def _posterior_by_class(state: EmState, logits: np.ndarray,
+                        prior_class: np.ndarray | None = None) -> Posterior:
+    """Q for the prior logits ``logits[k]`` of prior classes k.
+
+    ``prior_class`` gives each pair's prior class; None means class 0.
+    Class ``(k, s, i)`` holds the pairs of prior class k, sigma s and M
+    ``m_values[i]``; its index is ``i + n_m * (s + 2 * k)``.
+    """
+    p, t = state.params, state.table
+    m_values, m_index = t.m_classes
+    n_m, sigma = len(m_values), t.sigma
+    one = sigma == 1.0
+    key = m_index + n_m * one
+    if prior_class is not None:
+        key += 2 * n_m * prior_class
+    m_class = np.tile(m_values, 2 * len(logits))
+    ms_class = m_class * np.repeat(np.tile([0.0, 1.0], len(logits)), n_m)
+    q_class = posterior(m_class, ms_class, np.repeat(logits, 2 * n_m),
+                        p.alpha, p.beta)
+    q = q_class.take(key)
+    frac = np.flatnonzero((sigma != 0.0) & ~one)
+    if len(frac):
+        m = t.m[frac]
+        logit = logits[0] if prior_class is None else logits[prior_class[frac]]
+        q[frac] = posterior(m, m * sigma[frac], logit, p.alpha, p.beta)
+    return Posterior(q, key, m_class, q_class, frac)
+
+
+def update_q_er(state: EmState) -> Posterior:
     p = state.params
-    t = state.table
-    return posterior(t.m, t.m * t.sigma, math.log(p.rho) - math.log1p(-p.rho),
-                     p.alpha, p.beta)
+    return _posterior_by_class(
+        state, np.array([math.log(p.rho) - math.log1p(-p.rho)]))
 
 
-def update_q_sbm(state: EmState) -> np.ndarray:
+def update_q_sbm(state: EmState) -> Posterior:
     p = state.params
     g = state.groups
     same = g[state.table.pairs[:, 0]] == g[state.table.pairs[:, 1]]
     logit_in = math.log(p.p_in) - math.log1p(-p.p_in)
     logit_out = math.log(p.q_out) - math.log1p(-p.q_out)
-    prior_logit = np.where(same, logit_in, logit_out)
-    t = state.table
-    return posterior(t.m, t.m * t.sigma, prior_logit, p.alpha, p.beta)
+    return _posterior_by_class(state, np.array([logit_out, logit_in]),
+                               same.astype(np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +227,9 @@ def utilization_rates(m: np.ndarray, ms: np.ndarray, q: np.ndarray,
         log.warning("alpha update skipped: zero denominator")
     if beta_fixed is not None:
         return alpha, clamp(beta_fixed)
-    num_b = float(np.dot(ms, 1.0 - q))
-    den_b = float(np.dot(m, 1.0 - q))
+    not_q = 1.0 - q
+    num_b = float(np.dot(ms, not_q))
+    den_b = float(np.dot(m, not_q))
     if den_b > 0.0:
         beta = clamp(num_b / den_b)
     else:
@@ -230,12 +284,22 @@ def update_prior_sbm(state: EmState, q: np.ndarray) -> tuple[float, float]:
     return p_new, q_new
 
 
-def build_w(state: EmState, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair LP weights W and the shifted objective ``W - lambda * max W``."""
+def build_w(state: EmState, post: Posterior) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair LP weights W and the shifted objective ``W - lambda * max W``.
+
+    W is computed on ``post``'s classes and on its fractional-sigma pairs.
+    The maximum is over the pairs, so a class no pair holds does not enter.
+    """
     p = state.params
     logit_a = math.log(p.alpha) - math.log1p(-p.alpha)
     logit_b = math.log(p.beta) - math.log1p(-p.beta)
-    w = state.table.m * (q * logit_a + (1.0 - q) * logit_b)
+
+    def weights(m, q):
+        return m * (q * logit_a + (1.0 - q) * logit_b)
+
+    w = weights(post.m_class, post.q_class).take(post.key)
+    if len(post.frac):
+        w[post.frac] = weights(state.table.m[post.frac], post.q[post.frac])
     if w.size == 0:
         return w, w
     c = float(w.max())
@@ -446,7 +510,8 @@ def run_cem(
         prior_used = params.prior_values()
         groups_used = None if groups is None else groups.copy()
         state.q_prior_used = prior_used
-        q_new = update_q_er(state) if prior == PRIOR_ER else update_q_sbm(state)
+        post = update_q_er(state) if prior == PRIOR_ER else update_q_sbm(state)
+        q_new = post.q
 
         if q_prev is not None:
             acc = float(np.sum((q_new - q_prev) ** 2))
@@ -462,14 +527,16 @@ def run_cem(
             state.delta_q = math.sqrt(acc)
 
         # LP objective uses the previous iteration's utilization rates
-        _, coeffs = build_w(state, q_new)
+        _, coeffs = build_w(state, post)
         if dump_lp_path and it == 1:
             lp.dump_problem(coeffs, prep.constraints.row_ptr,
                             prep.constraints.pair_ids, dump_lp_path)
         sol = lp.solve_reduced(prep.reduced, coeffs, warm=warm)
         warm = sol.warm
-        log.debug("iteration %d: lp %s, %d pivots, %d/%d components reused", it,
-                  sol.status, sol.n_pivots, sol.n_reused, sol.n_solved)
+        log.debug("iteration %d: lp %s, %d pivots, %d/%d components reused, "
+                  "posterior on %d pair classes and %d fractional-sigma pairs",
+                  it, sol.status, sol.n_pivots, sol.n_reused, sol.n_solved,
+                  len(post.q_class), len(post.frac))
         if sol.status != lp.STATUS_OPTIMAL:
             raise RuntimeError(f"sigma LP failed with status {sol.status!r}")
 

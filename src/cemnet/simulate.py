@@ -28,6 +28,10 @@ log = logging.getLogger("cemnet.simulate")
 POST = 0
 REPOST = 1
 
+# generate_sbm_graph draws a dense n x n matrix: at this bound it holds two
+# 800 MB float64 matrices at once
+MAX_USERS = 10_000
+
 
 class ConfigError(ValueError):
     """A simulation config file with unknown keys or invalid values."""
@@ -62,6 +66,8 @@ class SimConfig:
             raise ValueError("connection probabilities must lie in [0, 1]")
         if self.n_users < 1 or self.n_events < 1 or self.feed_capacity < 1:
             raise ValueError("counts and capacities must be positive")
+        if self.n_users > MAX_USERS:
+            raise ValueError(f"n_users must be at most {MAX_USERS}, got {self.n_users}")
         if min(*self.post_rate, *self.repost_rate) < 0:
             raise ValueError("activity rates cannot be negative")
         if max(self.post_rate) + max(self.repost_rate) <= 0:

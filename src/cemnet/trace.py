@@ -412,6 +412,15 @@ class PairTable:
     def n_pairs(self) -> int:
         return len(self.m)
 
+    @cached_property
+    def m_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct counts in ``m``, ascending, and each pair's index into them.
+
+        Built on first use and kept, so the fits sharing one table sort
+        ``m`` once between them.
+        """
+        return np.unique(self.m, return_inverse=True)
+
     def ids(self, src, dst) -> np.ndarray:
         """Row of each pair ``(src, dst)`` in the table, -1 where it is absent."""
         keys = (np.asarray(src, dtype=np.int64) * self.n_users

@@ -230,7 +230,7 @@ def test_c09_closed_form_fixed_points():
         table = PairTable(2, pairs, np.array([m]), np.array([sigma]))
         params = em.ParamSet("er", alpha, beta, rho=prior_val)
         state = em.EmState(params, table, None, 2)
-        got = em.update_q_er(state)[0]
+        got = em.update_q_er(state).q[0]
         with mpmath.workdps(50):
             a, b, pr = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(prior_val)
             ms = mpmath.mpf(m) * mpmath.mpf(sigma)

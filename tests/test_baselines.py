@@ -158,6 +158,33 @@ def test_newman_first_iteration_is_the_shared_posterior(rng):
     assert np.array_equal(res.q, want)
 
 
+@pytest.mark.parametrize("max_iters", [1, 2, 5, 100])
+def test_newman_class_posterior_matches_the_pairwise_formula(monkeypatch, max_iters):
+    """Bit for bit: Q per (M, direct) class, against the formula pair by pair."""
+    out = simulate(SimConfig(seed=3, n_events=20_000))
+    eps = build_episodes(out.trace)
+    posterior, calls = em.posterior, []
+
+    def record(m, ms, prior_logit, alpha, beta):
+        calls.append((len(m), prior_logit, alpha, beta))
+        return posterior(m, ms, prior_logit, alpha, beta)
+
+    monkeypatch.setattr(em, "posterior", record)
+    res = bl.newman_em(eps, out.trace.n_users, seed=1, max_iters=max_iters)
+    n_classes = len(np.unique(np.column_stack([res.table.m, res.direct]), axis=0))
+    assert [c[0] for c in calls] == [n_classes] * res.iterations
+    assert n_classes < res.table.n_pairs
+    want = posterior(res.table.m, res.direct, *calls[-1][1:])
+    assert np.array_equal(res.q, want)
+
+
+def test_newman_on_a_trace_without_pairs():
+    eps = make_episodes([([0], [1.0]), ([1], [2.0])])
+    res = bl.newman_em(eps, 3, seed=1)
+    assert res.table.n_pairs == 0 and len(res.q) == 0
+    assert res.converged
+
+
 def test_baselines_on_synthetic_trace():
     out = simulate(SimConfig(seed=1, n_events=20_000))
     eps = build_episodes(out.trace)

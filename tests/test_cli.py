@@ -326,6 +326,34 @@ def test_unreadable_input_file_is_usage_error(workdir, tmp_path, capsys, command
     assert not list(out.iterdir())
 
 
+# every flag that names an output file, per subcommand
+OUTPUT_FLAGS = [
+    *[("simulate", flag) for flag in ("--out-trace", "--out-truth", "--out-labels")],
+    *[("infer", flag) for flag in ("--out-graph", "--out-state", "--out-scores", "--dump-lp")],
+    ("baseline", "--out-graph"),
+    *[(command, "--out") for command in ("evaluate", "stats", "feascheck")],
+]
+
+
+@pytest.mark.parametrize("kind", ["directory", "in_missing_directory"])
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+def test_unwritable_output_path_is_usage_error(workdir, tmp_path, capsys, command, flag, kind):
+    bad = tmp_path / "output"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad = bad / "out.csv"
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, *_required_args(command, workdir, out)]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind,row", [("graph", 2), ("labels", 3)])
 def test_overlong_csv_field_is_usage_error(workdir, tmp_path, capsys, kind, row):
     bad = tmp_path / f"long_{kind}.csv"
@@ -621,6 +649,27 @@ def test_simulate_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "n_user" in err and str(config) in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_too_many_users_is_usage_error(tmp_path, capsys, monkeypatch):
+    from cemnet import simulate as sim
+
+    def dense_draw(*args):
+        raise AssertionError("the bound must be checked before the graph is drawn")
+
+    monkeypatch.setattr(sim, "generate_sbm_graph", dense_draw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_users": sim.MAX_USERS + 1}) + "\n")
+    rc = main([
+        "simulate", "--config", str(config),
+        "--out-trace", str(tmp_path / "t.csv"),
+        "--out-truth", str(tmp_path / "g.csv"),
+        "--out-labels", str(tmp_path / "l.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n_users must be at most" in err and str(config) in err
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -23,6 +23,11 @@ def make_state(pairs, m, sigma, *, prior="er", alpha=0.8, beta=0.2,
     return em.EmState(params, table, groups, n, q_prior_used=tuple(q_prior_used))
 
 
+def _per_pair(st, q):
+    """A posterior ``q`` in which every pair is a class of its own."""
+    return em.Posterior(q, np.arange(len(q)), st.table.m, q, np.empty(0, dtype=np.intp))
+
+
 def _q_oracle(prior, alpha, beta, m, sigma):
     """Posterior edge probability at 50-digit precision."""
     with mpmath.workdps(50):
@@ -42,20 +47,20 @@ def _q_oracle_ms(prior, alpha, beta, m, ms):
 
 def test_update_q_er_inactive_pair_gets_prior():
     st = make_state([(0, 1)], [0.0], [0.7], rho=0.3)
-    q = em.update_q_er(st)
+    q = em.update_q_er(st).q
     assert q[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_update_q_er_alpha_equals_beta():
     st = make_state([(0, 1), (1, 0)], [3.0, 7.0], [0.2, 0.9],
                     alpha=0.4, beta=0.4, rho=0.31)
-    q = em.update_q_er(st)
+    q = em.update_q_er(st).q
     assert np.allclose(q, 0.31, atol=1e-12)
 
 
 def test_update_q_er_hand_value():
     st = make_state([(0, 1)], [1.0], [1.0], alpha=0.9, beta=0.1, rho=0.5)
-    q = em.update_q_er(st)
+    q = em.update_q_er(st).q
     assert q[0] == pytest.approx(0.9, abs=1e-12)
 
 
@@ -67,7 +72,7 @@ def test_update_q_matches_high_precision_oracle(rng):
         m = float(rng.integers(0, 40))
         sigma = float(rng.uniform())
         st = make_state([(0, 1)], [m], [sigma], alpha=alpha, beta=beta, rho=rho)
-        got = em.update_q_er(st)[0]
+        got = em.update_q_er(st).q[0]
         want = _q_oracle(rho, alpha, beta, m, sigma)
         assert got == pytest.approx(want, abs=1e-12)
         # integer evidence ms <= m, as the Newman baseline passes it
@@ -97,10 +102,70 @@ def test_posterior_matches_the_gathered_reference(rng):
         assert np.array_equal(got, want)
 
 
+def _class_test_states(rng, prior):
+    """States over tables whose sigma mixes 0, 1 and fractional values.
+
+    Among them: an empty table, one-class tables (every sigma 0, so the
+    unheld sigma = 1 class has the larger W, or every sigma 1), and a table
+    where every sigma is fractional.
+    """
+    n_users = 80
+    every_pair = np.array([(i, j) for i in range(n_users) for j in range(n_users) if i != j])
+    cases = [(0, "mixed"), (1, "mixed"), (300, "zero"), (300, "one"),
+             (300, "fractional"), (3000, "integral"), (3000, "mixed")]
+    for n, kind in cases:
+        pairs = every_pair[np.sort(rng.choice(len(every_pair), size=n, replace=False))]
+        m = np.full(n, 4.0) if kind in ("zero", "one") else rng.integers(1, 40, size=n) * 1.0
+        sigma = {"zero": np.zeros(n), "one": np.ones(n),
+                 "fractional": rng.uniform(1e-9, 1.0, size=n)}.get(kind)
+        if sigma is None:
+            sigma = rng.integers(0, 2, size=n) * 1.0
+            if kind == "mixed":
+                hit = rng.uniform(size=n) < 0.1
+                sigma[hit] = rng.uniform(size=int(hit.sum()))
+        yield make_state(pairs, m, sigma, prior=prior, n_users=n_users,
+                         alpha=float(rng.uniform(0.5, 1 - 1e-12)),
+                         beta=float(rng.uniform(1e-12, 0.5)),
+                         rho=float(rng.uniform(0.001, 0.999)),
+                         p_in=float(rng.uniform(0.001, 0.999)),
+                         q_out=float(rng.uniform(0.001, 0.999)),
+                         groups=rng.integers(0, 3, size=n_users))
+
+
+def _pairwise_prior_logit(st):
+    p = st.params
+    if p.prior == "er":
+        return math.log(p.rho) - math.log1p(-p.rho)
+    g = st.groups
+    same = g[st.table.pairs[:, 0]] == g[st.table.pairs[:, 1]]
+    return np.where(same, math.log(p.p_in) - math.log1p(-p.p_in),
+                    math.log(p.q_out) - math.log1p(-p.q_out))
+
+
+@pytest.mark.parametrize("prior", ["er", "sbm"])
+def test_class_posterior_and_weights_match_the_pairwise_formula(rng, prior):
+    """Bit for bit, Q and W by pair class against the formulas pair by pair."""
+    for st in _class_test_states(rng, prior):
+        t, p = st.table, st.params
+        post = em.update_q_er(st) if prior == "er" else em.update_q_sbm(st)
+        want_q = em.posterior(t.m, t.m * t.sigma, _pairwise_prior_logit(st), p.alpha, p.beta)
+        assert np.array_equal(post.q, want_q)
+        assert np.array_equal(post.frac, np.flatnonzero((t.sigma != 0) & (t.sigma != 1)))
+        logit_a = math.log(p.alpha) - math.log1p(-p.alpha)
+        logit_b = math.log(p.beta) - math.log1p(-p.beta)
+        want_w = t.m * (want_q * logit_a + (1.0 - want_q) * logit_b)
+        for lam in (0.0, 0.5, 1.0):
+            p.lam = lam
+            w, coeffs = em.build_w(st, post)
+            assert np.array_equal(w, want_w)
+            want_c = want_w - lam * want_w.max() if t.n_pairs else want_w
+            assert np.array_equal(coeffs, want_c)
+
+
 def test_update_q_sbm_inactive_pairs():
     st = make_state([(0, 1), (1, 2)], [0.0, 0.0], [0.5, 0.5], prior="sbm",
                     p_in=0.4, q_out=0.05, groups=[0, 0, 1], n_users=3)
-    q = em.update_q_sbm(st)
+    q = em.update_q_sbm(st).q
     assert q[0] == pytest.approx(0.4, abs=1e-15)  # same block
     assert q[1] == pytest.approx(0.05, abs=1e-15)  # across blocks
 
@@ -112,7 +177,7 @@ def test_update_q_sbm_reduces_to_er_when_p_equals_q(rng):
     st_er = make_state(pairs, m, sigma, rho=0.27, n_users=3)
     st_sbm = make_state(pairs, m, sigma, prior="sbm", p_in=0.27, q_out=0.27,
                         groups=[0, 1, 0], n_users=3)
-    assert np.array_equal(em.update_q_er(st_er), em.update_q_sbm(st_sbm))
+    assert np.array_equal(em.update_q_er(st_er).q, em.update_q_sbm(st_sbm).q)
 
 
 def test_update_q_sbm_matches_oracle(rng):
@@ -126,7 +191,7 @@ def test_update_q_sbm_matches_oracle(rng):
                         beta=beta, p_in=p_in, q_out=q_out,
                         groups=[0, 0] if same else [0, 1], n_users=2)
         want = _q_oracle(p_in if same else q_out, alpha, beta, m, sigma)
-        assert em.update_q_sbm(st)[0] == pytest.approx(want, abs=1e-12)
+        assert em.update_q_sbm(st).q[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_update_alpha_beta_all_q_one_keeps_beta(caplog):
@@ -217,20 +282,20 @@ def test_update_prior_sbm_indicator_case():
 def test_build_w_vanishes_at_half():
     st = make_state([(0, 1), (1, 0)], [5.0, 2.0], [0.1, 0.9],
                     alpha=0.5, beta=0.5)
-    w, coeffs = em.build_w(st, np.array([0.3, 0.8]))
+    w, coeffs = em.build_w(st, _per_pair(st, np.array([0.3, 0.8])))
     assert np.allclose(w, 0.0)
 
 
 def test_build_w_hand_value():
     st = make_state([(0, 1)], [2.0], [1.0], alpha=0.9, beta=0.2)
-    w, _ = em.build_w(st, np.array([1.0]))
+    w, _ = em.build_w(st, _per_pair(st, np.array([1.0])))
     assert w[0] == pytest.approx(2.0 * math.log(9.0), rel=1e-12)
 
 
 def test_build_w_lambda_regimes(rng):
     st = make_state([(0, 1), (1, 0), (0, 2)], [3.0, 1.0, 2.0],
                     rng.uniform(size=3), alpha=0.9, beta=0.05, lam=1.0)
-    q = rng.uniform(size=3)
+    q = _per_pair(st, rng.uniform(size=3))
     w, coeffs = em.build_w(st, q)
     assert np.all(coeffs <= 1e-12)
     st.params.lam = 0.0
@@ -247,13 +312,13 @@ def test_q_monotone_in_sigma_and_mass(rng):
         sig = np.sort(rng.uniform(size=8))
         st = make_state([(0, 1)] * 8, [m] * 8, sig, alpha=alpha, beta=beta,
                         rho=rho, n_users=2)
-        q = em.update_q_er(st)
+        q = em.update_q_er(st).q
         assert np.all(np.diff(q) >= -1e-15)
         # and in M at fixed sigma
         ms = np.arange(1.0, 9.0)
         st2 = make_state([(0, 1)] * 8, ms, [0.8] * 8, alpha=alpha, beta=beta,
                          rho=rho, n_users=2)
-        q2 = em.update_q_er(st2)
+        q2 = em.update_q_er(st2).q
         assert np.all(np.diff(q2) >= -1e-15)
 
 
@@ -557,10 +622,15 @@ def test_lp_reuse_is_logged_per_iteration(monkeypatch, caplog):
     with caplog.at_level("DEBUG", logger="cemnet.em"):
         state, _ = em.run_cem(prep, "er", 1.0, seed=7)
     lines = [r.getMessage() for r in caplog.records if ": lp " in r.getMessage()]
+    # each E-step reads the previous LP's sigma; the first reads a random one
+    n_frac = [prep.table.n_pairs] + [int(np.sum((s.x != 0) & (s.x != 1)))
+                                     for s in sols[:-1]]
+    n_classes = 2 * len(np.unique(prep.table.m))
     assert lines == [
         f"iteration {it}: lp optimal, {s.n_pivots} pivots, "
-        f"{s.n_reused}/{s.n_solved} components reused"
-        for it, s in enumerate(sols, start=1)
+        f"{s.n_reused}/{s.n_solved} components reused, "
+        f"posterior on {n_classes} pair classes and {f} fractional-sigma pairs"
+        for it, (s, f) in enumerate(zip(sols, n_frac), start=1)
     ]
     assert len(lines) == state.iteration and any(s.n_reused for s in sols)
 

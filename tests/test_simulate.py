@@ -15,6 +15,10 @@ def test_config_validation():
         sim.SimConfig(post_rate=(-0.1, 0.2))
     with pytest.raises(ValueError):
         sim.SimConfig(post_rate=(0.0, 0.0), repost_rate=(0.0, 0.0))
+    # the bound is checked before anything is drawn; only the config is built
+    assert sim.SimConfig(n_users=sim.MAX_USERS).n_users == sim.MAX_USERS
+    with pytest.raises(ValueError, match="n_users must be at most"):
+        sim.SimConfig(n_users=sim.MAX_USERS + 1)
 
 
 def test_config_json_roundtrip(tmp_path):
