@@ -3,6 +3,9 @@
 Every run writes a manifest JSON next to each output artifact recording the
 command, arguments, seed, input digests, tool version, and wall-clock time.
 Primary outputs (graphs, reports, traces) are byte-stable for a fixed seed.
+A run writes all of its outputs or none: each file goes to a temporary file
+in its target directory, and the temporaries are renamed into place only
+once the whole run has succeeded.
 Exit codes: 0 success, 1 computational failure, 2 usage/schema errors.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import logging
@@ -51,9 +55,57 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+class _Outputs:
+    """The files of one run, each written to a temporary file beside its
+    target: ``commit`` renames them all into place, ``discard`` removes
+    them, so a failed run leaves every output path as it was."""
+
+    def __init__(self) -> None:
+        self.staged: list[tuple[str, str]] = []  # (temporary, target)
+
+    def path(self, target: str) -> str:
+        """A new empty temporary file that ``commit`` renames to ``target``."""
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{len(self.staged)}.tmp")
+        try:
+            # here, not at the rename, which comes after other files are in place
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            open(tmp, "x").close()
+        except OSError as exc:
+            raise _unwritable(target, exc) from exc
+        self.staged.append((tmp, target))
+        return tmp
+
+    def write(self, target: str, write, *args) -> None:
+        """``write(*args, path)`` to a temporary file for ``target``; a
+        target that cannot be written exits 2 naming it."""
+        tmp = self.path(target)
+        try:
+            write(*args, tmp)
+        except OSError as exc:
+            raise _unwritable(target, exc) from exc
+
+    def commit(self) -> None:
+        for tmp, target in self.staged:
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise _unwritable(target, exc) from exc
+        self.staged.clear()
+
+    def discard(self) -> None:
+        for tmp, _ in self.staged:
+            try:
+                os.remove(tmp)
+            except FileNotFoundError:
+                pass
+        self.staged.clear()
+
+
 def _write_manifests(args: argparse.Namespace, argv: list[str],
                      inputs: list[str], outputs: list[str],
-                     started: float) -> None:
+                     started: float, files: _Outputs) -> None:
     manifest = {
         "command": args.command,
         "argv": argv,
@@ -64,15 +116,7 @@ def _write_manifests(args: argparse.Namespace, argv: list[str],
         "runtime_seconds": time.time() - started,
     }
     for out in outputs:
-        _write(out + ".manifest.json", _write_json, manifest)
-
-
-def _write(path: str, write, *args) -> None:
-    """``write(*args, path)``; a path that cannot be written exits 2 naming it."""
-    try:
-        write(*args, path)
-    except OSError as exc:
-        raise _unwritable(path, exc) from exc
+        files.write(out + ".manifest.json", _write_json, manifest)
 
 
 def _unwritable(path: str, exc: OSError) -> UsageError:
@@ -100,7 +144,7 @@ def _require_two_users(args: argparse.Namespace, trace) -> None:
                          "an edge prior needs at least two")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> list[str]:
+def _cmd_simulate(args: argparse.Namespace, files: _Outputs) -> list[str]:
     from .simulate import ConfigError, SimConfig, simulate
 
     try:
@@ -115,18 +159,19 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
             except ValueError as exc:
                 raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
     out = simulate(config)
-    _write(args.out_trace, trace_to_csv, out.trace)
-    _write(args.out_truth, write_graph_csv, out.truth_graph, out.trace.users)
-    _write(args.out_labels, write_labels_csv, out.truth_labels, out.trace.users)
+    files.write(args.out_trace, trace_to_csv, out.trace)
+    files.write(args.out_truth, write_graph_csv, out.truth_graph, out.trace.users)
+    files.write(args.out_labels, write_labels_csv, out.truth_labels, out.trace.users)
     log.info("simulated %d posts / %d reposts over %d users",
              out.n_posts, out.n_reposts, config.n_users)
     return [args.out_trace, args.out_truth, args.out_labels]
 
 
-def _cmd_infer(args: argparse.Namespace) -> list[str]:
+def _cmd_infer(args: argparse.Namespace, files: _Outputs) -> list[str]:
     trace = _load_trace(args)
     _require_two_users(args, trace)
     prep = em.preprocess(trace)
+    dump_lp = files.path(args.dump_lp) if args.dump_lp else None
     try:
         state, graph = em.run_cem(
             prep,
@@ -136,27 +181,27 @@ def _cmd_infer(args: argparse.Namespace) -> list[str]:
             max_iters=args.max_iters,
             epsilon=args.epsilon,
             seed=args.seed,
-            dump_lp_path=args.dump_lp,
+            dump_lp_path=dump_lp,
         )
     except OSError as exc:  # the fit writes no file but --dump-lp
         raise _unwritable(args.dump_lp, exc) from exc
-    _write(args.out_graph, write_graph_csv, graph, trace.users)
+    files.write(args.out_graph, write_graph_csv, graph, trace.users)
     outputs = [args.out_graph]
     if args.out_state:
         payload = state.to_json()
         payload["n_edges"] = graph.n_edges
         payload["feasibility"] = check_feasibility(graph, prep.episodes).fraction
-        _write(args.out_state, _write_json, payload)
+        files.write(args.out_state, _write_json, payload)
         outputs.append(args.out_state)
     if args.out_scores:
         # posterior for every active pair, not only thresholded edges
         scored = InferredGraph(trace.n_users, prep.table.pairs, prep.table.q)
-        _write(args.out_scores, write_graph_csv, scored, trace.users)
+        files.write(args.out_scores, write_graph_csv, scored, trace.users)
         outputs.append(args.out_scores)
     return outputs
 
 
-def _cmd_baseline(args: argparse.Namespace) -> list[str]:
+def _cmd_baseline(args: argparse.Namespace, files: _Outputs) -> list[str]:
     trace = _load_trace(args)
     episodes = build_episodes(trace)
     if args.method == "star":
@@ -168,11 +213,11 @@ def _cmd_baseline(args: argparse.Namespace) -> list[str]:
     else:
         _require_two_users(args, trace)
         graph = baselines.newman_em(episodes, trace.n_users, seed=args.seed).graph
-    _write(args.out_graph, write_graph_csv, graph, trace.users)
+    files.write(args.out_graph, write_graph_csv, graph, trace.users)
     return [args.out_graph]
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
+def _cmd_evaluate(args: argparse.Namespace, files: _Outputs) -> list[str]:
     trace = _load_trace(args)
     users = trace.users
     inferred = read_graph_csv(args.inferred, users)
@@ -207,23 +252,23 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
         "q_hat": q_hat,
         "n_communities": int(lab_pred.max()) + 1,
     }
-    _write(args.out, _write_json, payload)
+    files.write(args.out, _write_json, payload)
     return [args.out]
 
 
-def _cmd_stats(args: argparse.Namespace) -> list[str]:
+def _cmd_stats(args: argparse.Namespace, files: _Outputs) -> list[str]:
     trace = _load_trace(args)
     graph = read_graph_csv(args.graph, trace.users)
-    _write(args.out, _write_json, metrics.graph_stats(graph).to_json())
+    files.write(args.out, _write_json, metrics.graph_stats(graph).to_json())
     return [args.out]
 
 
-def _cmd_feascheck(args: argparse.Namespace) -> list[str]:
+def _cmd_feascheck(args: argparse.Namespace, files: _Outputs) -> list[str]:
     trace = _load_trace(args)
     graph = read_graph_csv(args.graph, trace.users)
     episodes = build_episodes(trace)
     report = check_feasibility(graph, episodes)
-    _write(args.out, _write_json, report.to_json())
+    files.write(args.out, _write_json, report.to_json())
     return [args.out]
 
 
@@ -339,15 +384,19 @@ def main(argv: list[str] | None = None) -> int:
         if p and os.path.exists(p)
     ]
     started = time.time()
+    files = _Outputs()
     try:
-        outputs = args.func(args)
-        _write_manifests(args, effective_argv, inputs, outputs, started)
+        outputs = args.func(args, files)
+        _write_manifests(args, effective_argv, inputs, outputs, started, files)
+        files.commit()
     except (UsageError, GraphFormatError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        files.discard()
     return 0
 
 

@@ -14,26 +14,27 @@ all-surplus basis, which no remaining positive cost leaves dual infeasible;
 the result must cover every component row to within ``FEAS_TOL``.
 
 Consecutive EM objectives mostly pin the same variables and leave the same
-basis optimal, so each solution carries a ``WarmStart`` for the next call:
-per component, the open rows, free columns and identical-column groups
-(rebuilt only when the pinned set changes), and the last certified basis
-with its kept columns and x.  A cold solve's final basis is accepted only
-when a fresh inverse of its basis matrix gives reduced costs of an optimal
-basis (the dual-feasibility certificate, see Koberstein 2005, *The dual
-simplex method*).  The rows of that inverse at the structural basic
-positions are kept, so a later objective's duals and reduced costs are
-sums over stored entries, with no solve.  The ``WarmStart`` also holds
-flat views, every component's free columns and every stored basis
-concatenated, so each call decides for all components at once, in a few
-array operations, whose pinning or kept columns changed and whose basis
-still passes the certificate; only the components that must pivot, or
-whose pinning changed, are visited one by one.
+basis optimal, so each solution carries a ``WarmStart`` for the next call.
+Per component it holds only the open rows and their bool incidence over
+the free columns, rebuilt when the component's pinning changes.  The rest
+is flat: the pinning, each variable's identical-column group, and one store
+of the last certified bases (kept columns, x, bound signs and the rows of
+the basis inverse at the structural basic positions), concatenated in
+component order; a call keeps the other components' segments and splices
+in those it solved.  One test, ``_certified``, decides that a basis is
+optimal: the duals and reduced costs summed from the stored inverse rows
+must have the signs of an optimal basis (dual feasibility, see Koberstein
+2005, *The dual simplex method*).  A cold solve's final basis passes it,
+after one fresh inverse, before it is stored, and a stored basis passes it
+for the next objective before its x is reused.  That check runs for all
+components at once, so only the components that must pivot, or whose
+pinning changed, are visited one by one.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -180,92 +181,60 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray,
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """A component's certified final basis, in the flat form ``_certified`` reads.
-
-    Its columns are the kept columns the simplex saw, its rows the open rows.
-    """
-
-    ids: np.ndarray  # global id per kept column
-    xs: np.ndarray  # x per kept column
-    sign: np.ndarray  # per kept column: 1 at its lower bound, -1 at its upper, 0 basic
-    rows: np.ndarray  # global id per open row
-    row_sign: np.ndarray  # per open row: 1 if its surplus is nonbasic, else 0
-    # the rows of the basis inverse at the structural basic positions, so
-    # that the duals are y[y_row] += y_val * -c[y_var]
-    y_row: np.ndarray
-    y_var: np.ndarray
-    y_val: np.ndarray
-
-    @classmethod
-    def of(cls, ids: np.ndarray, rows: np.ndarray, xs: np.ndarray, basis: np.ndarray,
-           at_upper: np.ndarray, B_inv: np.ndarray) -> _Basis:
-        """The basis ``_dual_simplex`` returned for the kept columns ``ids``
-        and the open rows ``rows``."""
-        m, n = len(rows), len(ids)
-        structural = np.flatnonzero(basis < n)
-        sign = np.where(at_upper[:n], -1.0, 1.0)
-        sign[basis[structural]] = 0.0
-        row_sign = np.ones(m)
-        row_sign[basis[basis >= n] - n] = 0.0
-        return cls(ids, xs, sign, rows, row_sign, np.tile(rows, len(structural)),
-                   np.repeat(ids[basis[structural]], m), B_inv[structural].ravel())
-
-
-# no columns and no rows: gives each field its dtype when no basis is stored
-_NO_BASIS = _Basis.of(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
-                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), np.zeros((0, 0)))
-
-
-@dataclass(frozen=True)
 class _Warm:
-    """One component after a ``solve_reduced`` call.
+    """One component's open rows and free columns under one pinning."""
 
-    ``free`` to ``rows`` depend only on which variables were pinned;
-    ``basis`` is the last solve on them, None with no open rows or after a
-    fallback.
-    """
-
-    free: np.ndarray  # bool over the component's variables
-    free_ids: np.ndarray  # global ids of the free variables
     R: np.ndarray  # bool incidence, open rows x free columns
-    gid: np.ndarray  # identical-column group per free column, -1 in no open row
     rows: np.ndarray  # global ids of the open rows
-    basis: _Basis | None = None
+
+
+def _columns(comp: _Component, free: np.ndarray, first_row: int) -> tuple[_Warm, np.ndarray]:
+    """Open rows and free columns under one pinning, with the identical-column
+    group of each of the component's variables; its rows are global rows
+    ``first_row`` on.
+
+    A group is labelled by the global id of one of its columns, so labels of
+    different components never clash; -1 marks a variable that is pinned or
+    in no open row.
+    """
+    open_rows = ~comp.rows[:, ~free].any(axis=1)
+    R = comp.rows[np.ix_(open_rows, free)]
+    group = np.full(len(free), -1, dtype=np.int64)
+    if len(R):
+        order = np.lexsort(R)
+        grouped = R[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+        label = comp.var_ids[free][order[first]][np.cumsum(first) - 1]  # in sorted order
+        group[np.flatnonzero(free)[order]] = np.where(grouped.any(axis=0), label, -1)
+    return _Warm(R, first_row + np.flatnonzero(open_rows)), group
 
 
 @dataclass(frozen=True)
 class _Columns:
-    """Every component's free columns under one pinning, concatenated."""
+    """Every component's free columns under one pinning, as flags over the
+    component variables ``reduced.var_ids``."""
 
-    comp: np.ndarray  # component per free column
-    ptr: np.ndarray  # component k owns free columns ptr[k]:ptr[k + 1]
-    ids: np.ndarray  # global id per free column
-    open: np.ndarray  # bool per component: it has open rows
-    alone: np.ndarray  # bool per free column: the only one of its identical-column group
-    # the columns of the groups with several, group by group, each in
-    # column order: group g owns tied[tied_ptr[g]:tied_ptr[g + 1]]
+    group: np.ndarray  # identical-column group per variable, as _columns labels it
+    open: np.ndarray  # bool per component: it has open rows, so a variable in a group
+    alone: np.ndarray  # bool per variable: the only one of its group
+    # the variables of the groups with several, group by group, each in
+    # variable order: group g owns tied[tied_ptr[g]:tied_ptr[g + 1]]
     tied: np.ndarray
     tied_ptr: np.ndarray
 
     @classmethod
-    def of(cls, states: list[_Warm]) -> _Columns:
-        sizes = [len(st.free_ids) for st in states]
-        gid = _concat([st.gid for st in states], np.int64)
-        shift = np.repeat(_ptr([int(st.gid.max(initial=-1)) + 1 for st in states])[:-1], sizes)
-        group = np.where(gid >= 0, gid + shift, -1)
-        count = np.bincount(group + 1, minlength=1)  # count[0]: in no open row
+    def of(cls, group: np.ndarray, reduced: ReducedCovering) -> _Columns:
+        opened = np.logical_or.reduceat(group >= 0, reduced.var_ptr[:-1])
+        count = np.bincount(group + 1, minlength=reduced.n_vars + 1)  # count[0]: in no group
         members = np.where(group >= 0, count[group + 1], 0)
         size = count[1:]
         tied = np.flatnonzero(members > 1)
-        return cls(np.repeat(np.arange(len(states)), sizes), _ptr(sizes),
-                   _concat([st.free_ids for st in states], np.int64),
-                   np.array([len(st.R) > 0 for st in states], dtype=bool),
-                   members == 1, tied[np.argsort(group[tied], kind="stable")],
+        return cls(group, opened, members == 1, tied[np.argsort(group[tied], kind="stable")],
                    _ptr(size[size > 1]))
 
-    def kept(self, c: np.ndarray) -> np.ndarray:
-        """The columns the simplex sees under ``c``, as a mask over the free columns.
+    def kept(self, c: np.ndarray, var_ids: np.ndarray) -> np.ndarray:
+        """The columns the simplex sees under ``c``, as a mask over ``var_ids``.
 
         Variables with identical row support are interchangeable: keep the
         first best-coefficient one (exactness-preserving, and duplicate
@@ -273,40 +242,87 @@ class _Columns:
         row have cost <= 0 and stay at zero.
         """
         kept = self.alone.copy()
-        c_tied = c[self.ids[self.tied]]
+        c_tied = c[var_ids[self.tied]]
         best = np.maximum.reduceat(c_tied, self.tied_ptr[:-1])
         top = np.flatnonzero(c_tied == np.repeat(best, np.diff(self.tied_ptr)))
         kept[self.tied[top[np.searchsorted(top, self.tied_ptr[:-1])]]] = True
         return kept
 
 
+# the per-entry arrays of ``_Bases``, with their dtypes, by the pointer
+# that cuts them into bases
+_SEGMENTS = {"col_ptr": {"ids": np.int64, "xs": np.float64, "sign": np.float64},
+             "row_ptr": {"rows": np.int64, "row_sign": np.float64},
+             "y_ptr": {"y_row": np.int64, "y_var": np.int64, "y_val": np.float64}}
+
+
 @dataclass(frozen=True)
 class _Bases:
-    """Every stored ``_Basis``, concatenated in component order."""
+    """Final bases of the simplex, at most one per component, concatenated
+    in component order.
 
-    comp: np.ndarray  # component per basis
-    col_ptr: np.ndarray  # basis b owns kept columns col_ptr[b]:col_ptr[b + 1]
-    row_ptr: np.ndarray  # and open rows row_ptr[b]:row_ptr[b + 1]
-    col_seg: np.ndarray  # basis per kept column
-    flat: _Basis  # every field of every basis, concatenated
+    A basis's columns are the kept columns the simplex saw and its rows the
+    open rows.  Its inverse entries are the rows of the basis inverse at the
+    structural basic positions, so that the duals are
+    ``y[y_row] += y_val * -c[y_var]``.
+    """
+
+    comp: np.ndarray  # component per basis, ascending
+    col_ptr: np.ndarray  # basis b owns kept columns col_ptr[b]:col_ptr[b + 1],
+    row_ptr: np.ndarray  # open rows row_ptr[b]:row_ptr[b + 1]
+    y_ptr: np.ndarray  # and inverse entries y_ptr[b]:y_ptr[b + 1]
+    ids: np.ndarray  # global id per kept column
+    xs: np.ndarray  # x per kept column
+    sign: np.ndarray  # per kept column: 1 at its lower bound, -1 at its upper, 0 basic
+    rows: np.ndarray  # global id per open row
+    row_sign: np.ndarray  # per open row: 1 if its surplus is nonbasic, else 0
+    y_row: np.ndarray
+    y_var: np.ndarray
+    y_val: np.ndarray
 
     @classmethod
-    def of(cls, bases: list[_Basis | None]) -> _Bases:
-        """The entries of ``bases`` that are not None; entry k is component k's."""
-        comp = [k for k, b in enumerate(bases) if b is not None]
-        parts = [bases[k] for k in comp]
-        n_cols = [len(b.ids) for b in parts]
-        n_rows = [len(b.rows) for b in parts]
-        flat = _Basis(*(np.concatenate([getattr(b, f.name) for b in [_NO_BASIS, *parts]])
-                        for f in fields(_Basis)))
-        return cls(np.array(comp, dtype=np.int64), _ptr(n_cols), _ptr(n_rows),
-                   np.repeat(np.arange(len(parts)), n_cols), flat)
+    def of(cls, comp: list[int], parts: list[dict[str, np.ndarray]]) -> _Bases:
+        """The bases ``parts`` of the components ``comp``, each a dict of the
+        per-entry arrays of one basis."""
+        flat = {}
+        for ptr, names in _SEGMENTS.items():
+            flat[ptr] = _ptr([len(p[next(iter(names))]) for p in parts])
+            flat.update((name, _concat([p[name] for p in parts], dtype))
+                        for name, dtype in names.items())
+        return cls(np.array(comp, dtype=np.int64), **flat)
+
+    def merge(self, keep: np.ndarray, other: _Bases, other_keep: np.ndarray) -> _Bases:
+        """The bases ``keep`` marks here and those ``other_keep`` marks in
+        ``other``, of distinct components, in component order."""
+        if not keep.any() and other_keep.all():
+            return other  # as it is, with no copy
+        # number other's bases on after these; pick the kept ones by component
+        n = len(self.comp)
+        pick = np.concatenate([np.flatnonzero(keep), n + np.flatnonzero(other_keep)])
+        comp = np.concatenate([self.comp, other.comp])[pick]
+        pick = pick[np.argsort(comp)]
+        # runs of picked bases that lie next to each other in one store
+        head = (np.diff(pick, prepend=-2) != 1) | (pick == n)
+        first, in_other = pick[head], pick[head] >= n
+        end = first + np.diff(np.flatnonzero(np.append(head, True)))
+        flat = {}
+        for ptr, names in _SEGMENTS.items():
+            a, b = getattr(self, ptr), getattr(other, ptr)
+            starts = np.concatenate([a, a[-1] + b[1:]])  # of both stores' bases, one numbering
+            flat[ptr] = _ptr(np.diff(starts)[pick])
+            lo, hi = starts[first] - a[-1] * in_other, starts[end] - a[-1] * in_other
+            runs = list(zip(in_other.tolist(), lo.tolist(), hi.tolist()))
+            for name, dtype in names.items():
+                both = getattr(self, name), getattr(other, name)
+                flat[name] = _concat([both[s][lo:hi] for s, lo, hi in runs], dtype)
+        return _Bases(np.sort(comp), **flat)
 
 
 @dataclass(frozen=True)
 class WarmStart:
-    """Per-component state that one ``solve_reduced`` call hands the next,
-    with its flat views."""
+    """The state one ``solve_reduced`` call hands the next: per component,
+    its open rows and free columns; flat, the pinning, the identical-column
+    groups and the certified bases."""
 
     reduced: ReducedCovering
     components: tuple[_Warm, ...]
@@ -315,59 +331,43 @@ class WarmStart:
     bases: _Bases
 
 
-def _columns(comp: _Component, free: np.ndarray, first_row: int) -> _Warm:
-    """Open rows, free columns and identical-column groups under one pinning;
-    the component's rows are global rows ``first_row`` on."""
-    open_rows = ~comp.rows[:, ~free].any(axis=1)
-    R = comp.rows[np.ix_(open_rows, free)]
-    gid = np.full(R.shape[1], -1, dtype=np.int64)
-    if len(R):
-        order = np.lexsort(R)
-        grouped = R[:, order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
-        gid[order] = np.cumsum(first) - 1
-        gid[~R.any(axis=0)] = -1
-    return _Warm(free, comp.var_ids[free], R, gid, first_row + np.flatnonzero(open_rows))
-
-
 def _certified(bases: _Bases, c: np.ndarray, reduced: ReducedCovering) -> np.ndarray:
-    """Per stored basis, whether it is dual feasible for ``c``.
+    """Per basis, whether it is dual feasible for ``c``: the optimality
+    certificate.
 
-    ``_dual_feasible``'s test for every basis at once: the duals are summed
-    from the stored rows of each basis inverse, with zero on every row that
-    is not open, and each basis takes its own tolerance, ``DUAL_TOL`` times
-    its largest kept cost.
+    The duals are summed from the stored rows of each basis inverse, with
+    zero on every row that is not open, and every nonbasic reduced cost
+    must have the sign of an optimal basis, to within ``DUAL_TOL`` times the
+    basis's largest kept cost: nonnegative at the lower bound and
+    nonpositive at the upper one.  A basis that is primal feasible for the
+    LP's rhs and passes is optimal.
     """
-    flat = bases.flat
-    y = np.bincount(flat.y_row, flat.y_val * -c[flat.y_var], minlength=len(reduced.row_ptr) - 1)
+    y = np.bincount(bases.y_row, bases.y_val * -c[bases.y_var],
+                    minlength=len(reduced.row_ptr) - 1)
     r_y = np.bincount(reduced.row_cols, np.repeat(y, np.diff(reduced.row_ptr)),
                       minlength=reduced.n_vars)
-    cost = -c[flat.ids]  # as _dual_simplex minimizes
-    d = cost - r_y[flat.ids]
+    cost = -c[bases.ids]  # as _dual_simplex minimizes
+    d = cost - r_y[bases.ids]
     tol = DUAL_TOL * np.maximum(1.0, np.maximum.reduceat(np.abs(cost), bases.col_ptr[:-1]))
     # a surplus column's reduced cost is its row's dual
-    worst = np.minimum(np.minimum.reduceat(flat.sign * d, bases.col_ptr[:-1]),
-                       np.minimum.reduceat(flat.row_sign * y[flat.rows], bases.row_ptr[:-1]))
+    worst = np.minimum(np.minimum.reduceat(bases.sign * d, bases.col_ptr[:-1]),
+                       np.minimum.reduceat(bases.row_sign * y[bases.rows], bases.row_ptr[:-1]))
     return worst >= -tol
 
 
-def _reusable(bases: _Bases, cols: _Columns, kept: np.ndarray, c: np.ndarray,
+def _reusable(bases: _Bases, kept: np.ndarray, c: np.ndarray,
               reduced: ReducedCovering) -> np.ndarray:
     """Per component: it has a stored basis over the kept columns ``kept``
-    marks in ``cols``, and that basis passes ``_certified`` for ``c``."""
-    ok = np.zeros(len(cols.open), dtype=bool)
-    if not len(bases.comp):
-        return ok
-    n_kept = np.bincount(cols.comp[kept], minlength=len(cols.open))
-    same = n_kept[bases.comp] == np.diff(bases.col_ptr)
-    # line up the kept ids of the bases that keep as many columns as before
-    mine = np.zeros(len(cols.open), dtype=bool)
-    mine[bases.comp[same]] = True
-    old = same[bases.col_seg]
-    moved = cols.ids[kept & mine[cols.comp]] != bases.flat.ids[old]
-    same[bases.col_seg[old][moved]] = False
-    ok[bases.comp] = same & _certified(bases, c, reduced)
+    marks in ``reduced.var_ids``, and that basis passes ``_certified`` for ``c``."""
+    ok = np.zeros(len(reduced.components), dtype=bool)
+    if len(bases.comp):
+        now = np.zeros(reduced.n_vars, dtype=bool)
+        now[reduced.var_ids[kept]] = True
+        # as many kept columns as the basis has, and each of its columns kept
+        width = np.add.reduceat(kept, reduced.var_ptr[:-1], dtype=np.int64)[bases.comp]
+        same = (width == np.diff(bases.col_ptr)) \
+            & np.logical_and.reduceat(now[bases.ids], bases.col_ptr[:-1])
+        ok[bases.comp] = same & _certified(bases, c, reduced)
     return ok
 
 
@@ -375,7 +375,6 @@ def solve_reduced(
     reduced: ReducedCovering,
     objective: np.ndarray,
     *,
-    max_pivots: int | None = None,
     warm: WarmStart | None = None,
 ) -> LpSolution:
     """Optimal basic solution of a reduced covering LP for one objective vector.
@@ -383,15 +382,16 @@ def solve_reduced(
     Deterministic under the fixed pivot rule.  ``warm`` is the ``warm`` of
     an earlier solution on the same reduction: a component whose pinned
     variables and kept columns are unchanged returns its previous x when
-    the previous basis passes the dual-feasibility check for this
-    objective; the basis and the rhs are those of that x, so it is the x a
-    cold solve ending on that basis returns.  These decisions are made for
-    all components at once on flat arrays; only components that must
-    pivot, or whose pinning changed, are visited one by one.
-    When a component's pivot budget runs out, or its final basis is
-    singular or fails that check, that component takes the greedy cover
-    and the status is ``iteration-limit``; a solution that leaves a row
-    short of one comes back ``infeasible``.
+    the previous basis passes ``_certified`` for this objective; the basis
+    and the rhs are those of that x, so it is the x a cold solve ending on
+    that basis returns.  These decisions are made for all components at
+    once on flat arrays; only components that must pivot, or whose pinning
+    changed, are visited one by one.  A cold solve's final basis passes the
+    same ``_certified`` test before it is kept.  When a component's pivot
+    budget runs out, or its final basis is singular or fails that test,
+    that component takes the greedy cover and the status is
+    ``iteration-limit``; a solution that leaves a row short of one comes
+    back ``infeasible``.
     """
     if warm is not None and warm.reduced is not reduced:
         raise ValueError("warm state comes from another reduction")
@@ -405,45 +405,63 @@ def solve_reduced(
     comps, var_ptr = reduced.components, reduced.var_ptr
     free = x[reduced.var_ids] < 0.5
     if warm is None:
-        states = [None] * len(comps)
+        states, cols, bases = [None] * len(comps), None, _Bases.of([], [])
         stale = np.ones(len(comps), dtype=bool)
     else:
-        states = list(warm.components)
+        states, cols, bases = list(warm.components), warm.columns, warm.bases
         stale = np.logical_or.reduceat(free != warm.free, var_ptr[:-1])
-    for k in np.flatnonzero(stale).tolist():
-        states[k] = _columns(comps[k], free[var_ptr[k]:var_ptr[k + 1]],
-                             int(reduced.comp_rows[k]))
-    changed = warm is None or bool(stale.any())
-    cols = _Columns.of(states) if changed else warm.columns
-    kept = cols.kept(c)
-    reused = np.zeros(len(comps), dtype=bool)
-    if warm is not None:
-        reused = ~stale & _reusable(warm.bases, cols, kept, c, reduced)
-        if reused.any():
-            # one assignment writes the stored x of every reused component
-            take = reused[warm.bases.comp][warm.bases.col_seg]
-            x[warm.bases.flat.ids[take]] = warm.bases.flat.xs[take]
+    if cols is None or stale.any():
+        group = np.full(len(free), -1, dtype=np.int64) if cols is None else cols.group.copy()
+        for k in np.flatnonzero(stale).tolist():
+            lo, hi = var_ptr[k], var_ptr[k + 1]
+            states[k], group[lo:hi] = _columns(comps[k], free[lo:hi], int(reduced.comp_rows[k]))
+        cols = _Columns.of(group, reduced)
+    kept = cols.kept(c, reduced.var_ids)
+    reused = ~stale & _reusable(bases, kept, c, reduced)
+    if reused.any():
+        # one assignment writes the stored x of every reused component
+        take = np.repeat(reused[bases.comp], np.diff(bases.col_ptr))
+        x[bases.ids[take]] = bases.xs[take]
 
-    status = STATUS_OPTIMAL
+    def kept_problem(k: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = var_ptr[k], var_ptr[k + 1]
+        keep = kept[lo:hi]
+        return reduced.var_ids[lo:hi][keep], states[k].R[:, keep[free[lo:hi]]]
+
     pivots = 0
-    todo = np.flatnonzero(cols.open & ~reused).tolist()
-    for k in todo:
-        st = states[k]
-        keep = kept[cols.ptr[k]:cols.ptr[k + 1]]
-        R = st.R[:, keep]
-        solver_c = c[st.free_ids[keep]]
-        xs, piv, final = _dual_simplex(R, solver_c, max_pivots)
+    todo = np.flatnonzero(cols.open & ~reused)
+    solved, parts, failed = [], [], []
+    for k in todo.tolist():
+        ids, R = kept_problem(k)
+        xs, piv, final = _dual_simplex(R, c[ids])
         pivots += piv
-        if xs is None:
-            # degrade honestly: the greedy cover is feasible
-            log.warning("returning the greedy cover")
-            xs = _greedy_local(R, solver_c)
-            status = STATUS_ITERATION_LIMIT
+        if final is None:
+            failed.append(k)
+            continue
         xs = np.clip(xs, 0.0, 1.0)  # rounding can leave a basic x just outside its box
-        basis = None if final is None else _Basis.of(st.free_ids[keep], st.rows, xs, *final)
-        states[k] = replace(st, basis=basis)
-        x[st.free_ids[keep]] = xs
-    bases = _Bases.of([st.basis for st in states]) if changed or todo else warm.bases
+        x[ids] = xs
+        solved.append(k)
+        sign, row_sign, basic, inv = final
+        rows = states[k].rows
+        parts.append(dict(ids=ids, xs=xs, sign=sign, rows=rows, row_sign=row_sign,
+                          y_row=np.tile(rows, len(basic)), y_var=np.repeat(ids[basic], len(rows)),
+                          y_val=inv.ravel()))
+    if stale.any() or len(todo):
+        new = _Bases.of(solved, parts)
+        del parts  # ``new`` holds copies: free these before the merge
+        ok = _certified(new, c, reduced) if solved else np.zeros(0, dtype=bool)
+        for k in new.comp[~ok].tolist():
+            log.warning("component %d: final basis fails the optimality check", k)
+            failed.append(k)
+        replaced = stale.copy()
+        replaced[todo] = True
+        bases = bases.merge(~replaced[bases.comp], new, ok)
+    status = STATUS_ITERATION_LIMIT if failed else STATUS_OPTIMAL
+    for k in failed:
+        # degrade honestly: the greedy cover is feasible
+        log.warning("returning the greedy cover")
+        ids, R = kept_problem(k)
+        x[ids] = _greedy_local(R, c[ids])
 
     row_sums = np.add.reduceat(x[reduced.row_cols], reduced.row_ptr[:-1])
     worst = 1.0 - float(row_sums.min()) if len(row_sums) else 0.0
@@ -469,8 +487,15 @@ def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:
 # dual simplex on 0/1-row covering components with variable bounds
 
 
+def _pivot_budget(m: int, n: int) -> int:
+    """Pivots ``_dual_simplex`` may take on ``m`` open rows and ``n`` kept
+    columns: proportional to the size, clipped so one pathological
+    component cannot burn minutes (each pivot costs about m * (m + n) flops)."""
+    return min(30 * (m + n) + 500, max(2000, int(4e9 / (m * (m + n) + 1))))
+
+
 def _dual_simplex(
-    R: np.ndarray, c: np.ndarray, max_pivots: int | None
+    R: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray | None, int, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """maximize c@x s.t. R x - s = 1, 0 <= x <= 1, s >= 0, for c <= 0.
 
@@ -483,11 +508,13 @@ def _dual_simplex(
     basic variable with the smallest column index leaves, and the minimum
     dual ratio enters, the smallest column index on ties.  The optimal x
     comes from one solve on the final basis, so its bits depend on that
-    basis alone.  Returns ``(x, pivots, (basis, at_upper, B_inv))``, with
-    ``B_inv`` a fresh inverse of the final basis matrix; x and the basis
-    are None when the pivot budget runs out, or the final basis is
-    singular or fails ``_dual_feasible``, the optimality certificate that
-    does not rest on the updated inverse that chose the pivots.
+    basis alone.  Returns ``(x, pivots, final)``, with ``final`` the final
+    basis as ``_Bases`` stores it: the signs of the columns and of the
+    surpluses, the structural basic columns, and the rows at their
+    positions of a fresh inverse of the basis matrix, for the optimality
+    certificate that does not rest on the updated inverse that chose the
+    pivots.  x and ``final`` are None when the pivot budget
+    (``_pivot_budget``) runs out or the final basis is singular.
     """
     m, n = R.shape
     R = R.astype(np.float64)
@@ -500,10 +527,7 @@ def _dual_simplex(
     at_upper = np.zeros(n + m, dtype=bool)  # nonbasic structural at one
     B_inv = -np.eye(m)
 
-    if max_pivots is None:
-        # size-proportional budget, clipped so one pathological component
-        # cannot burn minutes (each pivot costs about m * (m + n) flops)
-        max_pivots = min(30 * (m + n) + 500, max(2000, int(4e9 / (m * (m + n) + 1))))
+    budget = _pivot_budget(m, n)
     pivots = 0
     while True:
         rhs = 1.0 - R @ at_upper[:n]
@@ -512,7 +536,7 @@ def _dual_simplex(
         short = (xb < -FEAS_TOL) | high
         if not short.any():
             break
-        if pivots == max_pivots:
+        if pivots == budget:
             log.warning("dual simplex pivot budget exhausted (%d pivots)", pivots)
             return None, pivots, None
         r = int(np.flatnonzero(short)[np.argmin(basis[short])])
@@ -543,38 +567,13 @@ def _dual_simplex(
     x = np.concatenate([at_upper[:n].astype(np.float64), np.zeros(m)])
     try:
         x[basis] = np.linalg.solve(A[:, basis], rhs)
+        B_inv = np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError:
         log.warning("singular final basis after %d pivots", pivots)
         return None, pivots, None
-    B_inv = _dual_feasible(R, c, basis, at_upper)
-    if B_inv is None:
-        log.warning("final basis after %d pivots fails the optimality check", pivots)
-        return None, pivots, None
-    return x[:n], pivots, (basis, at_upper, B_inv)
-
-
-def _dual_feasible(R: np.ndarray, c: np.ndarray, basis: np.ndarray,
-                   at_upper: np.ndarray) -> np.ndarray | None:
-    """The inverse of the basis matrix if ``basis`` is dual feasible for
-    ``c`` in ``_dual_simplex``'s LP, else None.
-
-    The duals come from one fresh inverse of the basis matrix, and every
-    nonbasic reduced cost must have the sign of an optimal basis, to
-    within ``DUAL_TOL`` times the largest cost: nonnegative at the lower
-    bound and nonpositive at the upper one.  A basis that is primal
-    feasible for the LP's rhs and passes is optimal.
-    """
-    m = len(R)
-    A = np.hstack([R, -np.eye(m)])
-    cost = np.concatenate([-c, np.zeros(m)])  # as _dual_simplex minimizes
-    try:
-        B_inv = np.linalg.inv(A[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-    d = cost - (cost[basis] @ B_inv) @ A
-    d[basis] = 0.0  # basic columns are never at their upper bound
-    tol = DUAL_TOL * max(1.0, float(np.abs(c).max()))
-    return None if np.where(at_upper, d > tol, d < -tol).any() else B_inv
+    structural = np.flatnonzero(basis < n)
+    sign = np.where(nonbasic[:n], np.where(at_upper[:n], -1.0, 1.0), 0.0)
+    return x[:n], pivots, (sign, nonbasic[n:] * 1.0, basis[structural], B_inv[structural])
 
 
 def dump_problem(objective: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray,

@@ -31,7 +31,7 @@ def main() -> None:
     prep = em.preprocess(trace)
     calls = []
 
-    def capture(R, c, max_pivots):
+    def capture(R, c):
         calls.append((R, c))
         if len(calls) > COMPONENT:
             raise _Captured

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -352,6 +354,59 @@ def test_unwritable_output_path_is_usage_error(workdir, tmp_path, capsys, comman
         argv += [flag, str(bad)]
     assert main(argv) == 2
     assert f"cannot write {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("infer", "--out-state"), ("simulate", "--out-truth")])
+def test_failed_run_writes_no_output(workdir, tmp_path, capsys, command, flag):
+    """A later output that cannot be written leaves no earlier one behind."""
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / "nodir" / "out.json"
+    argv = [command, *_required_args(command, workdir, out)]
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+    assert not list(out.iterdir())  # no output, manifest or temporary file
+
+
+@pytest.mark.parametrize("failure", ["unwritable", "computational"])
+def test_failed_run_keeps_existing_outputs(workdir, tmp_path, capsys, monkeypatch, failure):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["infer", *_required_args("infer", workdir, out), "--out-scores", str(out / "q.csv")]
+    for name in ("g.csv", "g.csv.manifest.json", "q.csv"):
+        (out / name).write_text(f"earlier {name}\n")
+    if failure == "unwritable":
+        argv[argv.index("--out-state") + 1] = str(tmp_path / "nodir" / "s.json")
+        expected = 2
+    else:
+        # fails after the graph is written, before the state is
+        def fail(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr("cemnet.cli.check_feasibility", fail)
+        expected = 1
+    assert main(argv) == expected
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["g.csv", "g.csv.manifest.json", "q.csv"]
+    for name in ("g.csv", "g.csv.manifest.json", "q.csv"):
+        assert (out / name).read_text() == f"earlier {name}\n"
+
+
+def test_successful_run_replaces_outputs_and_leaves_no_temporary_file(workdir, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "g.csv").write_text("earlier\n")
+    argv = ["infer", *_required_args("infer", workdir, out), "--dump-lp", str(out / "p.lp")]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "g.csv", "g.csv.manifest.json", "p.lp", "s.json", "s.json.manifest.json"]
+    assert (out / "g.csv").read_text().startswith("src,dst")
+    # the mode a plain open would give
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in out.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("kind,row", [("graph", 2), ("labels", 3)])

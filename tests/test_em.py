@@ -559,13 +559,13 @@ def test_run_cem_rejects_unknown_prior(t1):
 
 
 def test_run_cem_raises_when_the_lp_degrades(t1, monkeypatch):
-    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (None, 0, None))
+    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c: (None, 0, None))
     with pytest.raises(RuntimeError, match="iteration-limit"):
         em.run_cem(t1, "er", 1.0, seed=0)
 
 
 def test_run_cem_raises_when_no_basis_is_certified(t1, monkeypatch):
-    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: None)
+    monkeypatch.setattr(lp, "_certified", lambda bases, c, reduced: np.zeros(len(bases.comp), bool))
     with pytest.raises(RuntimeError, match="iteration-limit"):
         em.run_cem(t1, "er", 1.0, seed=0)
 

@@ -211,14 +211,15 @@ PIVOT_C = np.array([-2.5, -1.0, -1.0, -1.0])
 PIVOT_ROWS = [(0, 1), (0, 2), (0, 3)]
 
 
-def test_iteration_limit_returns_feasible_point():
-    capped = _solve(PIVOT_C, PIVOT_ROWS, max_pivots=0)
-    assert capped.status == lp.STATUS_ITERATION_LIMIT
-    assert capped.objective == -3.0
-    assert _covers(capped.x, PIVOT_ROWS)
+def test_iteration_limit_returns_feasible_point(monkeypatch):
     full = _solve(PIVOT_C, PIVOT_ROWS)
     assert full.status == lp.STATUS_OPTIMAL
     assert full.objective == -2.5
+    monkeypatch.setattr(lp, "_pivot_budget", lambda m, n: 0)
+    capped = _solve(PIVOT_C, PIVOT_ROWS)
+    assert capped.status == lp.STATUS_ITERATION_LIMIT
+    assert capped.objective == -3.0
+    assert _covers(capped.x, PIVOT_ROWS)
 
 
 def test_structural_reduction_reuse(rng):
@@ -276,7 +277,10 @@ def test_singular_final_basis_returns_greedy_cover(monkeypatch, caplog):
 
 
 def test_residual_check_flags_uncovered_rows(monkeypatch, caplog):
-    monkeypatch.setattr(lp, "_dual_simplex", lambda R, c, max_pivots: (np.zeros(len(c)), 0, None))
+    dual_simplex = lp._dual_simplex
+    # a certified final basis with an x that covers no row
+    monkeypatch.setattr(lp, "_dual_simplex",
+                        lambda R, c: (np.zeros(len(c)), *dual_simplex(R, c)[1:]))
     with caplog.at_level(logging.ERROR, logger="cemnet.lp"):
         sol = _solve(PIVOT_C, PIVOT_ROWS)
     assert sol.status == lp.STATUS_INFEASIBLE
@@ -361,17 +365,17 @@ def test_stale_basis_falls_back_to_a_cold_solve():
     assert warm.n_reused == 0 and warm.n_pivots == cold.n_pivots > 0
     assert warm.status == cold.status == lp.STATUS_OPTIMAL
     assert np.array_equal(warm.x, cold.x) and warm.objective == -3.0
-    assert warm.warm.components[0].basis is not None
+    assert warm.warm.bases.comp.tolist() == [0]
 
 
 def test_failed_certificate_returns_greedy_cover(monkeypatch, caplog):
-    monkeypatch.setattr(lp, "_dual_feasible", lambda R, c, basis, at_upper: None)
+    monkeypatch.setattr(lp, "_certified", lambda bases, c, reduced: np.zeros(len(bases.comp), bool))
     with caplog.at_level(logging.WARNING, logger="cemnet.lp"):
         sol = _solve(PIVOT_C, PIVOT_ROWS)
     assert "fails the optimality check" in caplog.text
     assert sol.status == lp.STATUS_ITERATION_LIMIT
     assert np.array_equal(sol.x, lp._greedy_local(_dense(4, PIVOT_ROWS), PIVOT_C))
-    assert sol.warm.components[0].basis is None
+    assert len(sol.warm.bases.comp) == 0
 
 
 def test_pinning_a_column_rebuilds_only_its_component(rng):
@@ -384,9 +388,17 @@ def test_pinning_a_column_rebuilds_only_its_component(rng):
     flipped[4] = 0.5
     sol = lp.solve_reduced(reduced, flipped, warm=first.warm)
     (a0, a1), (b0, b1) = first.warm.components, sol.warm.components
-    assert b0.R is a0.R and b0.gid is a0.gid
-    assert b1.R is not a1.R and b1.free.tolist() == [True, False, True]
+    a, b, split = first.warm.columns, sol.warm.columns, reduced.var_ptr[1]
+    assert b0 is a0 and b1 is not a1
+    assert np.array_equal(b.group[:split], a.group[:split])
+    assert sol.warm.free[split:].tolist() == [True, False, True]
+    assert b.group[split:][1] == -1 and a.group[split:][1] >= 0
     assert sol.n_reused == 1 and sol.n_solved == 2
+    # component 0's stored basis is carried over as it was
+    old, new = first.warm.bases, sol.warm.bases
+    assert new.comp.tolist() == old.comp.tolist() == [0, 1]
+    assert np.array_equal(new.ids[:new.col_ptr[1]], old.ids[:old.col_ptr[1]])
+    assert np.array_equal(new.y_val[:new.y_ptr[1]], old.y_val[:old.y_ptr[1]])
     cold = lp.solve_reduced(reduced, flipped)
     assert np.array_equal(sol.x, cold.x) and sol.status == cold.status
     # and back: the restored pinning rebuilds the structure it had
@@ -437,7 +449,20 @@ def _edge_costs(rng, R, basis, at_upper, big):
     return c
 
 
-def test_batched_certificate_agrees_with_dual_feasible(rng):
+def _dense_certificate(R, c, basis, at_upper):
+    """The optimality test on one basis, computed anew: a fresh inverse, dense
+    reduced costs, and every nonbasic one of the optimal sign to within
+    ``DUAL_TOL`` times the largest cost."""
+    m = len(R)
+    A = np.hstack([R, -np.eye(m)])
+    cost = np.concatenate([-c, np.zeros(m)])  # the simplex minimizes
+    d = cost - (cost[basis] @ np.linalg.inv(A[:, basis])) @ A
+    d[basis] = 0.0
+    tol = lp.DUAL_TOL * max(1.0, float(np.abs(c).max()))
+    return not np.where(at_upper, d > tol, d < -tol).any()
+
+
+def test_batched_certificate_agrees_with_a_dense_check(rng):
     """Random bases of random components, costs at the tolerance edge."""
     seen = {True: 0, False: 0}
     for _ in range(60):
@@ -451,7 +476,7 @@ def test_batched_certificate_agrees_with_dual_feasible(rng):
                      for _ in range(int(rng.integers(2, 2 * size)))]
         reduced = _reduce(n, rows)
         c = np.zeros(n)
-        bases, expect = [], []
+        comps, parts, expect = [], [], []
         for k, comp in enumerate(reduced.components):
             R = comp.rows
             m, width = R.shape
@@ -461,21 +486,27 @@ def test_batched_certificate_agrees_with_dual_feasible(rng):
                 if np.linalg.cond(A[:, basis]) < 50:
                     break
             else:
-                bases.append(None)
                 continue
             at_upper = np.zeros(width + m, dtype=bool)
             at_upper[:width] = rng.uniform(size=width) < 0.4
             at_upper[basis] = False
             local = _edge_costs(rng, R, basis, at_upper, big=float(rng.choice([0.5, 10.0])))
             if local is None:
-                bases.append(None)
                 continue
             c[comp.var_ids] = local
             rows_k = np.arange(reduced.comp_rows[k], reduced.comp_rows[k + 1])
-            bases.append(lp._Basis.of(comp.var_ids, rows_k, np.zeros(width), basis, at_upper,
-                                      np.linalg.inv(A[:, basis])))
-            expect.append(lp._dual_feasible(R, local, basis, at_upper) is not None)
-        got = lp._certified(lp._Bases.of(bases), c, reduced)
+            comps.append(k)
+            structural = np.flatnonzero(basis < width)
+            sign = np.where(at_upper[:width], -1.0, 1.0)
+            sign[basis[structural]] = 0.0
+            row_sign = np.ones(m)
+            row_sign[basis[basis >= width] - width] = 0.0
+            parts.append(dict(ids=comp.var_ids, xs=np.zeros(width), sign=sign, rows=rows_k,
+                              row_sign=row_sign, y_row=np.tile(rows_k, len(structural)),
+                              y_var=np.repeat(comp.var_ids[basis[structural]], m),
+                              y_val=np.linalg.inv(A[:, basis])[structural].ravel()))
+            expect.append(_dense_certificate(R, local, basis, at_upper))
+        got = lp._certified(lp._Bases.of(comps, parts), c, reduced)
         assert got.tolist() == expect
         for e in expect:
             seen[e] += 1
@@ -487,8 +518,74 @@ def test_basis_failing_only_the_batched_check_is_solved_cold(monkeypatch):
     first = lp.solve_reduced(reduced, PIVOT_C)
     still = PIVOT_C + np.array([0.1, 0.0, 0.0, 0.0])
     assert lp.solve_reduced(reduced, still, warm=first.warm).n_reused == 1
-    monkeypatch.setattr(lp, "_certified", lambda bases, c, reduced: np.zeros(len(bases.comp), bool))
+    certified, checked = lp._certified, []
+
+    def fail_stored(bases, c, reduced):
+        # the first check of a warm call is that of the stored bases
+        checked.append(bases)
+        ok = certified(bases, c, reduced)
+        return ok & (len(checked) > 1)
+
+    monkeypatch.setattr(lp, "_certified", fail_stored)
     warm = lp.solve_reduced(reduced, still, warm=first.warm)
+    assert checked[0] is first.warm.bases and len(checked) == 2
+    monkeypatch.undo()
     cold = lp.solve_reduced(reduced, still)
     assert warm.n_reused == 0 and warm.n_pivots == cold.n_pivots > 0
     assert np.array_equal(warm.x, cold.x) and warm.status == lp.STATUS_OPTIMAL
+    # the cold solve's basis passed the real check and is stored
+    assert warm.warm.bases.comp.tolist() == [0]
+
+
+def _chain_instance(rng):
+    """3-6 components, each a block of variables chained by pair rows, with
+    random wider rows on top."""
+    rows, lo = [], 0
+    for size in rng.integers(4, 9, size=int(rng.integers(3, 7))).tolist():
+        rows += [(lo + i, lo + i + 1) for i in range(size - 1)]
+        rows += [tuple(sorted((lo + rng.choice(size, size=int(rng.integers(2, 4)),
+                                               replace=False)).tolist()))
+                 for _ in range(int(rng.integers(1, size)))]
+        lo += size
+    return lo, rows
+
+
+def test_warm_chain_matches_cold_solves(rng):
+    """Chains of objectives on one reduction: small perturbations (reuse),
+    sign flips in some components (their pinning changes, the others' state
+    is spliced in) and large cost changes (a stored basis goes stale).
+    Every warm call returns the bits of a cold call."""
+    seen = {"reused": 0, "spliced": 0, "stale": 0}
+    for _ in range(25):
+        n, rows = _chain_instance(rng)
+        reduced = _reduce(n, rows)
+        var_ptr, n_comp = reduced.var_ptr, len(reduced.components)
+        assert 3 <= n_comp <= 6
+        c = -rng.uniform(0.5, 3.0, size=n)
+        warm = None
+        for step in range(12):
+            move = ["perturb", "flip", "perturb", "stale"][step % 4]
+            if step and move == "perturb":
+                c = c * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=n))
+            elif step and move == "flip":
+                for k in rng.choice(n_comp, size=int(rng.integers(1, n_comp)), replace=False):
+                    v = reduced.var_ids[rng.integers(var_ptr[k], var_ptr[k + 1])]
+                    c[v] = -c[v]
+            elif step:
+                k = rng.integers(n_comp)
+                v = reduced.var_ids[rng.integers(var_ptr[k], var_ptr[k + 1])]
+                c[v] = c[v] * 4.0 if c[v] < 0 else c[v]
+            sol = lp.solve_reduced(reduced, c, warm=warm)
+            cold = lp.solve_reduced(reduced, c)
+            assert np.array_equal(sol.x, cold.x)
+            assert sol.objective == cold.objective and sol.status == cold.status
+            assert sol.n_solved == cold.n_solved
+            if warm is not None:
+                pinned = np.logical_or.reduceat(sol.warm.free != warm.free, var_ptr[:-1])
+                kept_basis = np.isin(warm.bases.comp, np.flatnonzero(~pinned))
+                seen["reused"] += sol.n_reused
+                seen["spliced"] += bool(pinned.any() and kept_basis.any())
+                # components with an unchanged pinning and a stored basis, solved cold
+                seen["stale"] += int(kept_basis.sum()) - sol.n_reused
+            warm = sol.warm
+    assert min(seen.values()) > 0, seen
