@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,9 @@ log = logging.getLogger("cemnet.lp")
 FEAS_TOL = 1e-9  # constraint satisfaction
 PIV_TOL = 1e-9  # smallest pivot element the ratio test accepts
 DUAL_TOL = 1e-9  # reduced-cost sign slack, relative to the largest cost
+# slots per block of the passes over every component row: keeps their
+# per-slot temporaries near 2 MB
+BLOCK_SLOTS = 1 << 18
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
@@ -85,6 +89,19 @@ class ReducedCovering:
     row_ptr: np.ndarray
     row_cols: np.ndarray
     comp_rows: np.ndarray
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, int]]:
+        """The component rows in order, as ``(first, end)`` row runs of whole
+        components, each of at most ``BLOCK_SLOTS`` slots unless one
+        component alone has more."""
+        at = self.row_ptr[self.comp_rows]  # first slot of each component, and the end
+        cuts = [0]
+        while cuts[-1] < len(self.components):
+            k = int(np.searchsorted(at, at[cuts[-1]] + BLOCK_SLOTS, side="right")) - 1
+            cuts.append(max(k, cuts[-1] + 1))
+        rows = self.comp_rows[cuts].tolist()
+        return list(zip(rows[:-1], rows[1:]))
 
 
 def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
@@ -344,8 +361,13 @@ def _certified(bases: _Bases, c: np.ndarray, reduced: ReducedCovering) -> np.nda
     """
     y = np.bincount(bases.y_row, bases.y_val * -c[bases.y_var],
                     minlength=len(reduced.row_ptr) - 1)
-    r_y = np.bincount(reduced.row_cols, np.repeat(y, np.diff(reduced.row_ptr)),
-                      minlength=reduced.n_vars)
+    # a variable's terms all lie in its component's rows, so block by block
+    # they are summed in row order, as by one pass; a block of zero duals adds nothing
+    r_y = np.zeros(reduced.n_vars)
+    for lo, hi in reduced.blocks:
+        if y[lo:hi].any():
+            ptr = reduced.row_ptr[lo:hi + 1]
+            np.add.at(r_y, reduced.row_cols[ptr[0]:ptr[-1]], np.repeat(y[lo:hi], np.diff(ptr)))
     cost = -c[bases.ids]  # as _dual_simplex minimizes
     d = cost - r_y[bases.ids]
     tol = DUAL_TOL * np.maximum(1.0, np.maximum.reduceat(np.abs(cost), bases.col_ptr[:-1]))
@@ -463,8 +485,12 @@ def solve_reduced(
         ids, R = kept_problem(k)
         x[ids] = _greedy_local(R, c[ids])
 
-    row_sums = np.add.reduceat(x[reduced.row_cols], reduced.row_ptr[:-1])
-    worst = 1.0 - float(row_sums.min()) if len(row_sums) else 0.0
+    low = 1.0  # the smallest row sum, or NaN
+    for lo, hi in reduced.blocks:
+        ptr = reduced.row_ptr[lo:hi + 1]
+        row_sums = np.add.reduceat(x[reduced.row_cols[ptr[0]:ptr[-1]]], ptr[:-1] - ptr[0])
+        low = np.minimum(low, row_sums.min())
+    worst = 1.0 - float(low)
     if worst > FEAS_TOL:
         log.error("covering residual %.3e exceeds tolerance", worst)
         status = STATUS_INFEASIBLE

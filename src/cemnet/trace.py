@@ -19,13 +19,19 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 log = logging.getLogger("cemnet.trace")
 
 ORIGINAL_RID = "-1"
+_HEADER = "pid,t,uid,rid\n"
+# a stamp of at most this many digits is below 2**53, so exact as a float64
+_MAX_STAMP_DIGITS = 15
+# the bytes of a canonical trace: newline and printable ASCII but space and '"'
+_CANONICAL_BYTES = b"\n" + bytes(range(0x21, 0x7F)).replace(b'"', b"")
+_LINE_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 
 
 class TraceFormatError(ValueError):
@@ -72,10 +78,10 @@ class Trace:
         line = range(2, n + 2) if lines is None else lines
         pid, names = np.array(pid, dtype=object), list(pid)
         t = np.asarray(t, dtype=np.float64)
-        if len(set(names)) < n:
+        parent, distinct = _parent_rows(names, rid)
+        if not distinct:
             r = np.setdiff1d(np.arange(n), np.unique(pid, return_index=True)[1])[0]
             raise TraceFormatError(f"duplicate pid {pid[r]!r} at row {line[r]}")
-        parent = _parent_rows(names, rid)
         # checking each parent suffices: no repost then precedes its root
         early = (parent >= 0) & (t < t[np.maximum(parent, 0)])
         bad = np.flatnonzero((parent == -2) | early)
@@ -127,11 +133,17 @@ class Trace:
                                   self.uid_tokens()[:n_rows], self.rid_tokens()[:n_rows])
 
 
-def _parent_rows(pid: list[str], rid: Sequence[str]) -> np.ndarray:
-    """The row each row reshares: -1 for originals, -2 for a rid that is no pid."""
+def _parent_rows(pid: list[str], rid: Sequence[str]) -> tuple[np.ndarray, bool]:
+    """The row each row reshares, and whether the pids are distinct.
+
+    The row is -1 for an original and -2 for a rid that is no pid; a rid
+    naming a repeated pid gets that pid's last row.
+    """
     row_of = dict(zip(pid, range(len(pid))))
+    distinct = len(row_of) == len(pid)
     row_of[ORIGINAL_RID] = -1
-    return np.fromiter(map(row_of.get, rid, repeat(-2)), dtype=np.int64, count=len(rid))
+    parent = np.fromiter(map(row_of.get, rid, repeat(-2)), dtype=np.int64, count=len(rid))
+    return parent, distinct
 
 
 def _root_rows(parent: np.ndarray) -> np.ndarray:
@@ -175,8 +187,8 @@ def _parse_timestamp(token: str, mode: list[str | None], row: int) -> float:
     return stamp.timestamp()
 
 
-def read_utf8(path: str | Path, error: type[ValueError], prefix: str = "") -> io.StringIO:
-    """``path``'s text as a :mod:`csv` stream.
+def read_text(path: str | Path, error: type[ValueError], prefix: str = "") -> str:
+    """``path``'s bytes decoded as UTF-8.
 
     A file that cannot be read (missing, a directory, no permission) or a
     byte that is not UTF-8 raises ``error``.
@@ -186,10 +198,15 @@ def read_utf8(path: str | Path, error: type[ValueError], prefix: str = "") -> io
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        return io.StringIO(data.decode("utf-8"), newline="")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{prefix}row {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
+def read_utf8(path: str | Path, error: type[ValueError], prefix: str = "") -> io.StringIO:
+    """``path``'s text as a :mod:`csv` stream, failing as :func:`read_text` does."""
+    return io.StringIO(read_text(path, error, prefix), newline="")
 
 
 def parse_trace(source: str | Path | IO[str], *, drop_orphans: bool = False) -> Trace:
@@ -201,9 +218,91 @@ def parse_trace(source: str | Path | IO[str], *, drop_orphans: bool = False) -> 
     does not resolve to a post in the trace is a hard error unless
     ``drop_orphans`` is set, in which case the offending rows are dropped
     with a warning.  Every error names the file line (the header is line 1).
+
+    The source is read once.  Text in the canonical form that
+    :func:`trace_to_csv` writes for integer stamps is split in bulk
+    (:func:`_bulk_columns`); any other text goes through the csv row loop
+    (:func:`_row_columns`), the only source of per-row messages.  Both give
+    the same trace.
+    """
+    return _trace(_columns(source), drop_orphans)
+
+
+_Columns = tuple[list, Sequence[float], list, list, Sequence[int]]
+
+
+def _columns(source: str | Path | IO[str]) -> _Columns:
+    """``source``'s pid, t, uid and rid columns and each row's file line.
+
+    Returning drops the text before the trace is built from the columns.
     """
     if isinstance(source, (str, Path)):
-        return parse_trace(read_utf8(source, TraceFormatError), drop_orphans=drop_orphans)
+        text = read_text(source, TraceFormatError)
+        return _bulk_columns(text) or _row_columns(io.StringIO(text, newline=""))
+    lines = source.readlines()  # the row loop sees the stream's own line breaks
+    return _bulk_columns("".join(lines)) or _row_columns(lines)
+
+
+def _trace(columns: _Columns, drop_orphans: bool) -> Trace:
+    """The validated trace of the columns, less the orphans if asked."""
+    pid, t, uid, rid, lines = columns
+    if drop_orphans:
+        keep = _kept_rows(pid, rid)
+        pid, t, uid, rid, lines = ([col[k] for k in keep] for col in (pid, t, uid, rid, lines))
+    return Trace.from_columns(pid, t, uid, rid, lines)
+
+
+def _bulk_columns(text: str) -> _Columns | None:
+    """The columns of a canonical trace, from one ``str.split`` of
+    ``text``; None for any other text.
+
+    Canonical means: the header is exactly ``pid,t,uid,rid``; every byte
+    is a newline or printable ASCII other than space and ``"``; every line
+    holds three commas, none is blank and none is longer than the csv
+    field limit; no pid or uid is empty; every stamp is 1 to
+    ``_MAX_STAMP_DIGITS`` digits.  With no quote, CR or whitespace to
+    handle, the row loop would read such text as the same columns, with
+    row ``r`` on line ``r + 2``.  Never raises.
+    """
+    if not (text.startswith(_HEADER) and text.isascii()):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    data = text.encode("ascii")
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if len(seps) % 4 or not (raw[seps].reshape(-1, 4) == _LINE_SEPARATORS).all():
+        return None
+    seps = seps.reshape(-1, 4)
+    start = seps[:-1, 3] + 1  # of each row's line
+    pid_end, t_end, uid_end, line_end = seps[1:].T
+    width = t_end - pid_end - 1
+    if not (len(start) and (pid_end > start).all() and (uid_end > t_end + 1).all()
+            and (width >= 1).all() and (width <= _MAX_STAMP_DIGITS).all()
+            and (line_end - start <= _csv.field_size_limit()).all()):
+        return None
+    t = np.zeros(len(width))
+    for k in range(int(width.max()), 0, -1):  # each stamp's k-th digit from its end
+        digit = raw[t_end - k] - np.uint8(ord("0"))
+        digit[width < k] = 0
+        if (digit > 9).any():
+            return None
+        t = t * 10 + digit  # exact: integers below 2**53
+    # split the rows without their stamps: strings made only to be freed
+    # would leave holes between the kept ones that raise the peak RSS
+    in_t = np.zeros(len(raw), dtype=np.int8)
+    in_t[pid_end], in_t[t_end] = 1, -1  # from the comma ahead of each stamp
+    rows = slice(len(_HEADER), -1)
+    kept = raw[rows][np.cumsum(in_t, dtype=np.int8)[rows] == 0]
+    cells = kept.tobytes().decode("ascii").replace(",", "\n").split("\n")
+    return cells[0::3], t, cells[1::3], cells[2::3], range(2, len(t) + 2)
+
+
+def _row_columns(source: Iterable[str]) -> _Columns:
+    """The columns of any trace text by :mod:`csv`, row by row, with each
+    row's own message for a malformed row."""
     reader = _csv.reader(source)
     mode: list[str | None] = [None]
     pid, t, uid, rid, lines = [], [], [], [], []  # columns, and each row's file line
@@ -229,15 +328,12 @@ def parse_trace(source: str | Path | IO[str], *, drop_orphans: bool = False) -> 
             lines.append(row)
     except _csv.Error as exc:
         raise TraceFormatError(f"row {reader.line_num}: {exc}") from None
-    if drop_orphans:
-        keep = _kept_rows(pid, rid)
-        pid, t, uid, rid, lines = ([col[k] for k in keep] for col in (pid, t, uid, rid, lines))
-    return Trace.from_columns(pid, t, uid, rid, lines)
+    return pid, t, uid, rid, lines
 
 
 def _kept_rows(pid: list[str], rid: list[str]) -> list[int]:
     """Rows whose rid chain stays in the trace; each other row is logged."""
-    parent = _parent_rows(pid, rid)
+    parent, _ = _parent_rows(pid, rid)
     orphan = parent[_root_rows(parent)] == -2
     for r in np.flatnonzero(orphan).tolist():
         log.warning("dropping orphan repost %s (rid %s)", pid[r], rid[r])

@@ -4,14 +4,19 @@ import logging
 import numpy as np
 import pytest
 
+from cemnet.simulate import SimConfig, simulate
 from cemnet.trace import (
     Episodes,
     Trace,
     TraceFormatError,
     TraceRecord,
+    _bulk_columns,
+    _row_columns,
+    _trace,
     build_episodes,
     pair_counts,
     parse_trace,
+    read_utf8,
     trace_from_string,
     trace_to_csv,
 )
@@ -115,6 +120,9 @@ def test_unreadable_input_is_a_format_error(tmp_path):
         parse_trace(path)
     with pytest.raises(TraceFormatError, match="row 2: field larger than field limit"):
         trace_from_string("pid,t,uid,rid\n\"" + "x" * 200_000 + "\",1,U1,-1\n")
+    # unquoted, the line is otherwise canonical: the row loop still refuses it
+    with pytest.raises(TraceFormatError, match="row 2: field larger than field limit"):
+        trace_from_string("pid,t,uid,rid\n" + "x" * 200_000 + ",1,U1,-1\n")
     with pytest.raises(TraceFormatError, match="row 2: timestamp '1000.*out of range"):
         trace_from_string("pid,t,uid,rid\nP1,1" + "0" * 400 + ",U1,-1\n")
 
@@ -139,6 +147,126 @@ def test_parse_rfc3339_and_homogeneity():
              "P2,600,U2,P1\n")
     with pytest.raises(TraceFormatError, match="mixed|unparsable"):
         trace_from_string(mixed)
+
+
+# token characters of a canonical file: printable ASCII but space, '"' and ','
+_TOKEN_CHARS = "".join(chr(b) for b in range(0x21, 0x7F) if chr(b) not in '",')
+
+
+def _canonical_lines(rng) -> list[str]:
+    """A random trace in canonical form, one string per line with the header.
+
+    Rows may repeat a pid, point at a missing or later pid, or precede
+    their parent, so some files fail in ``Trace.from_columns``.
+    """
+    n_rows = int(rng.integers(1, 40))
+    lines = ["pid,t,uid,rid"]
+    for row in range(n_rows):
+        pick = rng.uniform()
+        rid = ("-1" if row == 0 or pick < 0.25 else
+               f"x{int(rng.integers(0, 3))}" if pick < 0.3 else
+               f"p{int(rng.integers(0, n_rows))}" if pick < 0.35 else
+               f"p{int(rng.integers(0, row))}")
+        pid = f"p{row}" if rng.uniform() > 0.02 else f"p{int(rng.integers(0, n_rows))}"
+        # mostly in row order, sometimes zero-padded or 15 digits wide
+        stamp = str(row * 10 + int(rng.integers(0, 15)))
+        if rng.uniform() < 0.1:
+            stamp = stamp.zfill(int(rng.integers(1, 16)))
+        uid = "u" + "".join(rng.choice(list(_TOKEN_CHARS), size=int(rng.integers(0, 3))))
+        lines.append(f"{pid},{stamp},{uid},{rid}")
+    return lines
+
+
+def _token(change):
+    """A row change that rewrites field ``k`` by ``change``."""
+    return lambda fields, k: fields[:k] + [change(fields[k])] + fields[k + 1:]
+
+
+def _stamp(stamp):
+    return lambda fields, k: [fields[0], stamp, *fields[2:]]
+
+
+def _with_blank_line(lines, k):
+    return "\n".join(lines[:k] + [""] + lines[k:]) + "\n"
+
+
+# one change each to one random row (field k of it, k random)
+_ROW_CHANGES = {
+    "quote": _token(lambda tok: f'"{tok}"'),
+    "space": _token(lambda tok: " " + tok),
+    "tab": _token(lambda tok: tok + "\t"),
+    "nul": _token(lambda tok: tok + "\0"),
+    "e_acute": _token(lambda tok: tok + "\u00e9"),
+    "plus": _stamp("+5"),
+    "minus": _stamp("-5"),
+    "digits16": _stamp("1234567890123456"),
+    "rfc3339": _stamp("2017-03-01T09:20:00Z"),
+    "empty_pid": lambda fields, k: ["", *fields[1:]],
+    "empty_uid": lambda fields, k: [*fields[:2], "", fields[3]],
+    "three_fields": lambda fields, k: fields[:k] + fields[k + 1:],
+    "five_fields": lambda fields, k: fields[:k] + ["x"] + fields[k:],
+}
+# one change each to the file as a whole, from its lines
+_FILE_CHANGES = {
+    "cr": lambda lines, rng: "\n".join(lines[:-1]) + "\r" + lines[-1] + "\n",
+    "crlf": lambda lines, rng: "\r\n".join(lines) + "\r\n",
+    "bom": lambda lines, rng: "\ufeff" + "\n".join(lines) + "\n",
+    "blank": lambda lines, rng: _with_blank_line(lines, int(rng.integers(1, len(lines) + 1))),
+    "bad_header": lambda lines, rng: "\n".join(
+        [str(rng.choice(["pid,t,uid,rd", "pid,t,uid", "PID,t,uid,rid"])), *lines[1:]]) + "\n",
+}
+
+
+def _changed_files(lines, rng):
+    """``(name, text)`` per change above, each applied to ``lines`` once."""
+    for name, change in _ROW_CHANGES.items():
+        row = int(rng.integers(1, len(lines)))
+        fields = change(lines[row].split(","), int(rng.integers(0, 4)))
+        yield name, "\n".join([*lines[:row], ",".join(fields), *lines[row + 1:]]) + "\n"
+    for name, change in _FILE_CHANGES.items():
+        yield name, change(lines, rng)
+
+
+def _outcome(parse):
+    """The trace's arrays, users and uid index, or the exception's type and message."""
+    try:
+        tr = parse()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return ([getattr(tr, name).tolist() for name in ("pid", "t", "uid", "parent", "root")],
+            tr.users, tr.uid_index)
+
+
+def _assert_same_as_row_loop(text, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for drop in (False, True):
+        want = _outcome(lambda: _trace(_row_columns(io.StringIO(text)), drop))
+        assert _outcome(lambda: parse_trace(io.StringIO(text), drop_orphans=drop)) == want
+        want = _outcome(lambda: _trace(_row_columns(read_utf8(path, TraceFormatError)), drop))
+        assert _outcome(lambda: parse_trace(path, drop_orphans=drop)) == want
+
+
+def test_bulk_reader_matches_the_row_loop(rng, tmp_path):
+    """Canonical files take the bulk path, and one change puts them on the
+    row loop; either way, the trace or the error is the row loop's."""
+    for _ in range(30):
+        lines = _canonical_lines(rng)
+        text = "\n".join(lines) + ("\n" if rng.uniform() < 0.8 else "")
+        assert _bulk_columns(text) is not None
+        _assert_same_as_row_loop(text, tmp_path)
+        for name, changed in _changed_files(lines, rng):
+            assert _bulk_columns(changed) is None, name
+            _assert_same_as_row_loop(changed, tmp_path)
+
+
+def test_simulated_trace_takes_the_bulk_path(tmp_path):
+    trace = simulate(SimConfig(n_users=30, n_blocks=2, n_events=2000, seed=4)).trace
+    path = tmp_path / "t.csv"
+    trace_to_csv(trace, path)
+    assert _bulk_columns(path.read_text()) is not None
+    back = parse_trace(path)
+    assert back.records == trace.records and back.uid_index == trace.uid_index
 
 
 def test_drop_orphans_transitive(caplog):
