@@ -162,7 +162,7 @@ def louvain(n_nodes: int, edges: np.ndarray, seed: int = 0) -> CommunityResult:
     assignment = np.arange(n_nodes)
     level, n_level = base, n_nodes
     history: list[float] = []
-    best_q = _modularity(base, assignment)
+    best_q = q_now = _modularity(base, assignment)
     while True:
         labels, improved = _one_level(level, n_level, two_m, rng)
         if not improved:
@@ -176,10 +176,11 @@ def louvain(n_nodes: int, edges: np.ndarray, seed: int = 0) -> CommunityResult:
             break
         best_q = q_now
 
-    # canonical dense labels ordered by first appearance
+    # canonical dense labels ordered by first appearance: the same partition
+    # in the same first-appearance order, so q_now is its modularity
     _, first, inv = np.unique(assignment, return_index=True, return_inverse=True)
     final = np.argsort(np.argsort(first))[inv]
-    return CommunityResult(final, _modularity(base, final), tuple(history))
+    return CommunityResult(final, q_now, tuple(history))
 
 
 def louvain_graph(graph: InferredGraph, seed: int = 0) -> CommunityResult:

@@ -423,8 +423,8 @@ class Preprocessed:
     users: tuple[str, ...]
 
 
-def preprocess(trace: Trace, *, retweeted_only: bool = True) -> Preprocessed:
-    episodes = build_episodes(trace, retweeted_only=retweeted_only)
+def preprocess(trace: Trace) -> Preprocessed:
+    episodes = build_episodes(trace)
     table = pair_counts(episodes, trace.n_users)
     constraints = build_constraints(episodes, table)
     reduced = lp.reduce_covering(table.n_pairs, constraints.row_ptr,

@@ -163,11 +163,13 @@ def write_graph_csv(
             writer.writerow([src, dst, repr(float(q))])
 
 
-def _csv_rows(fh, path: str | Path) -> Iterator[list[str]]:
-    """The CSV rows of ``fh``; a ``csv.Error`` becomes a format error naming the line."""
+def _csv_rows(fh, path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The CSV rows of ``fh``, each with the file line it ends on; a
+    ``csv.Error`` becomes a format error naming the line."""
     reader = _csv.reader(fh)
     try:
-        yield from reader
+        for fields in reader:
+            yield reader.line_num, fields
     except _csv.Error as exc:
         raise GraphFormatError(f"{path}: row {reader.line_num}: {exc}") from None
 
@@ -179,10 +181,10 @@ def read_graph_csv(path: str | Path, users: Sequence[str]) -> InferredGraph:
     scores: dict[tuple[int, int], float] = {}
     with read_utf8(path, GraphFormatError, f"{path}: ") as fh:
         reader = _csv_rows(fh, path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
             raise GraphFormatError(f"{path}: expected header src,dst[,q]")
-        for row, parts in enumerate(reader, start=2):
+        for row, parts in reader:
             if not parts:
                 continue
             if len(parts) not in (2, 3):
@@ -225,10 +227,10 @@ def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
     out = [-1] * len(users)
     with read_utf8(path, GraphFormatError, f"{path}: ") as fh:
         reader = _csv_rows(fh, path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None or [h.strip() for h in header] != ["uid", "community"]:
             raise GraphFormatError(f"{path}: expected header uid,community")
-        for row, parts in enumerate(reader, start=2):
+        for row, parts in reader:
             if not parts:
                 continue
             if len(parts) != 2:

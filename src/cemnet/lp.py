@@ -14,19 +14,19 @@ all-surplus basis, which no remaining positive cost leaves dual infeasible;
 the result must cover every component row to within ``FEAS_TOL``.
 
 Consecutive EM objectives mostly pin the same variables and leave the same
-basis optimal, so each solution carries a ``WarmStart`` for the next call.
-Per component it holds only the open rows and their bool incidence over
-the free columns, rebuilt when the component's pinning changes.  The rest
-is flat: the pinning, each variable's identical-column group, and one store
-of the last certified bases (kept columns, x, bound signs and the rows of
-the basis inverse at the structural basic positions), concatenated in
-component order; a call keeps the other components' segments and splices
-in those it solved.  One test, ``_certified``, decides that a basis is
-optimal: the duals and reduced costs summed from the stored inverse rows
-must have the signs of an optimal basis (dual feasibility, see Koberstein
-2005, *The dual simplex method*).  A cold solve's final basis passes it,
-after one fresh inverse, before it is stored, and a stored basis passes it
-for the next objective before its x is reused.  That check runs for all
+basis optimal, so each solution carries a ``WarmStart`` for the next call:
+flat arrays in component order holding the pinning, the open rows, each
+variable's identical-column group and the last certified bases (kept
+columns, x, bound signs and the rows of the basis inverse at the
+structural basic positions).  A call rebuilds the open rows and groups of
+the components whose pinning changed and splices the bases it solved into
+the store; a component that pivots cuts its matrix from the reduction's
+incidence.  One test, ``_certified``, decides that a basis is optimal: the
+duals and reduced costs summed from the stored inverse rows must have the
+signs of an optimal basis (dual feasibility, see Koberstein 2005, *The
+dual simplex method*).  A cold solve's final basis passes it, after one
+fresh inverse, before it is stored, and a stored basis passes it for the
+next objective before its x is reused.  That check runs for all
 components at once, so only the components that must pivot, or whose
 pinning changed, are visited one by one.
 """
@@ -45,8 +45,8 @@ log = logging.getLogger("cemnet.lp")
 FEAS_TOL = 1e-9  # constraint satisfaction
 PIV_TOL = 1e-9  # smallest pivot element the ratio test accepts
 DUAL_TOL = 1e-9  # reduced-cost sign slack, relative to the largest cost
-# slots per block of the passes over every component row: keeps their
-# per-slot temporaries near 2 MB
+# entries per block of the passes over every component row or stored
+# basis: keeps their per-entry temporaries near 2 MB
 BLOCK_SLOTS = 1 << 18
 
 STATUS_OPTIMAL = "optimal"
@@ -71,7 +71,7 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class _Component:
-    var_ids: np.ndarray  # global variable ids, ascending
+    var_ids: np.ndarray  # global variable ids, ascending: a view of ReducedCovering.var_ids
     rows: np.ndarray  # bool incidence, kept rows x len(var_ids), read-only
 
 
@@ -92,16 +92,19 @@ class ReducedCovering:
 
     @cached_property
     def blocks(self) -> list[tuple[int, int]]:
-        """The component rows in order, as ``(first, end)`` row runs of whole
-        components, each of at most ``BLOCK_SLOTS`` slots unless one
-        component alone has more."""
-        at = self.row_ptr[self.comp_rows]  # first slot of each component, and the end
-        cuts = [0]
-        while cuts[-1] < len(self.components):
-            k = int(np.searchsorted(at, at[cuts[-1]] + BLOCK_SLOTS, side="right")) - 1
-            cuts.append(max(k, cuts[-1] + 1))
-        rows = self.comp_rows[cuts].tolist()
-        return list(zip(rows[:-1], rows[1:]))
+        """The component rows as ``(first, end)`` runs of whole components, cut by slots."""
+        rows = self.comp_rows.tolist()
+        return [(rows[a], rows[b]) for a, b in _runs(self.row_ptr[self.comp_rows])]
+
+
+def _runs(at: np.ndarray) -> list[tuple[int, int]]:
+    """``(first, end)`` runs of the items whose entries start at ``at[:-1]``
+    (ends at ``at[1:]``), each of at most ``BLOCK_SLOTS`` entries unless one item has more."""
+    cuts = [0]
+    while cuts[-1] < len(at) - 1:
+        k = int(np.searchsorted(at, at[cuts[-1]] + BLOCK_SLOTS, side="right")) - 1
+        cuts.append(max(k, cuts[-1] + 1))
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
@@ -154,7 +157,7 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray,
     # each slot's row within its target
     slot_row = np.repeat(np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds)), row_len)
 
-    components = []
+    pieces = []
     for lo, hi in zip(slot_ptr[bounds[:-1]].tolist(), slot_ptr[bounds[1:]].tolist()):
         var_ids, col = np.unique(var[lo:hi], return_inverse=True)
         R = np.zeros((slot_row[hi - 1] + 1, len(var_ids)), dtype=bool)
@@ -184,47 +187,38 @@ def reduce_covering(n_vars: int, row_ptr: np.ndarray, cols: np.ndarray,
             used = comp_rows.any(axis=0)
             comp_rows = comp_rows[:, used]
             comp_rows.flags.writeable = False
-            components.append(_Component(var_ids[used].astype(np.int64), comp_rows))
-    components.sort(key=lambda comp: comp.var_ids[0])
+            pieces.append((var_ids[used], comp_rows))
+    pieces.sort(key=lambda piece: piece[0][0])
+    var_ptr = _ptr([len(ids) for ids, _ in pieces])
+    var_ids = _concat([ids for ids, _ in pieces], np.int64)
+    var_ids.flags.writeable = False
+    components = tuple(_Component(var_ids[lo:hi], rows) for (_, rows), lo, hi
+                       in zip(pieces, var_ptr[:-1].tolist(), var_ptr[1:].tolist()))
+    del pieces
     comp_rows = _ptr([len(comp.rows) for comp in components])
     row_ptr = _ptr(_concat([comp.rows.sum(axis=1) for comp in components], np.int64))
     row_cols = np.empty(row_ptr[-1], dtype=np.int64)
     for comp, lo, hi in zip(components, row_ptr[comp_rows[:-1]], row_ptr[comp_rows[1:]]):
         row_cols[lo:hi] = np.broadcast_to(comp.var_ids, comp.rows.shape)[comp.rows]
-    return ReducedCovering(n_vars, forced, tuple(components),
-                           _concat([comp.var_ids for comp in components], np.int64),
-                           _ptr([len(comp.var_ids) for comp in components]),
+    return ReducedCovering(n_vars, forced, components, var_ids, var_ptr,
                            row_ptr, row_cols, comp_rows)
 
 
-@dataclass(frozen=True)
-class _Warm:
-    """One component's open rows and free columns under one pinning."""
-
-    R: np.ndarray  # bool incidence, open rows x free columns
-    rows: np.ndarray  # global ids of the open rows
-
-
-def _columns(comp: _Component, free: np.ndarray, first_row: int) -> tuple[_Warm, np.ndarray]:
-    """Open rows and free columns under one pinning, with the identical-column
-    group of each of the component's variables; its rows are global rows
-    ``first_row`` on.
-
-    A group is labelled by the global id of one of its columns, so labels of
-    different components never clash; -1 marks a variable that is pinned or
-    in no open row.
-    """
+def _columns(comp: _Component, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The component's open rows under one pinning, as a mask over its rows,
+    and the identical-column group of each of its variables: the global id
+    of the group's lowest-index column, so labels of different components
+    never clash, or -1 for a variable that is pinned or in no open row."""
     open_rows = ~comp.rows[:, ~free].any(axis=1)
-    R = comp.rows[np.ix_(open_rows, free)]
     group = np.full(len(free), -1, dtype=np.int64)
-    if len(R):
-        order = np.lexsort(R)
-        grouped = R[:, order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
-        label = comp.var_ids[free][order[first]][np.cumsum(first) - 1]  # in sorted order
-        group[np.flatnonzero(free)[order]] = np.where(grouped.any(axis=0), label, -1)
-    return _Warm(R, first_row + np.flatnonzero(open_rows)), group
+    if open_rows.any():
+        cols = np.flatnonzero(free)
+        # each free column's open rows as bytes: identical columns, equal bytes
+        packed = np.ascontiguousarray(np.packbits(comp.rows[open_rows][:, free], axis=0).T)
+        _, first, inv = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                  return_index=True, return_inverse=True)
+        group[cols] = np.where(packed.any(axis=1), comp.var_ids[cols[first]][inv], -1)
+    return open_rows, group
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,6 @@ class _Columns:
     component variables ``reduced.var_ids``."""
 
     group: np.ndarray  # identical-column group per variable, as _columns labels it
-    open: np.ndarray  # bool per component: it has open rows, so a variable in a group
     alone: np.ndarray  # bool per variable: the only one of its group
     # the variables of the groups with several, group by group, each in
     # variable order: group g owns tied[tied_ptr[g]:tied_ptr[g + 1]]
@@ -242,12 +235,11 @@ class _Columns:
 
     @classmethod
     def of(cls, group: np.ndarray, reduced: ReducedCovering) -> _Columns:
-        opened = np.logical_or.reduceat(group >= 0, reduced.var_ptr[:-1])
         count = np.bincount(group + 1, minlength=reduced.n_vars + 1)  # count[0]: in no group
         members = np.where(group >= 0, count[group + 1], 0)
         size = count[1:]
         tied = np.flatnonzero(members > 1)
-        return cls(group, opened, members == 1, tied[np.argsort(group[tied], kind="stable")],
+        return cls(group, members == 1, tied[np.argsort(group[tied], kind="stable")],
                    _ptr(size[size > 1]))
 
     def kept(self, c: np.ndarray, var_ids: np.ndarray) -> np.ndarray:
@@ -337,13 +329,13 @@ class _Bases:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """The state one ``solve_reduced`` call hands the next: per component,
-    its open rows and free columns; flat, the pinning, the identical-column
+    """The state one ``solve_reduced`` call hands the next, as flat arrays
+    in component order: the pinning, the open rows, the identical-column
     groups and the certified bases."""
 
     reduced: ReducedCovering
-    components: tuple[_Warm, ...]
-    free: np.ndarray  # bool over reduced.var_ids: the pinning of ``columns``
+    free: np.ndarray  # bool over reduced.var_ids: the pinning of the rest
+    open_rows: np.ndarray  # bool over the component rows: none of its variables pinned
     columns: _Columns
     bases: _Bases
 
@@ -359,8 +351,13 @@ def _certified(bases: _Bases, c: np.ndarray, reduced: ReducedCovering) -> np.nda
     nonpositive at the upper one.  A basis that is primal feasible for the
     LP's rhs and passes is optimal.
     """
-    y = np.bincount(bases.y_row, bases.y_val * -c[bases.y_var],
-                    minlength=len(reduced.row_ptr) - 1)
+    # blocks of whole bases bound the temporaries; each row's terms are
+    # added in store order, as by one pass
+    runs = _runs(bases.y_ptr + bases.col_ptr + bases.row_ptr)
+    y = np.zeros(len(reduced.row_ptr) - 1)
+    for a, b in runs:
+        e = slice(bases.y_ptr[a], bases.y_ptr[b])
+        np.add.at(y, bases.y_row[e], bases.y_val[e] * -c[bases.y_var[e]])
     # a variable's terms all lie in its component's rows, so block by block
     # they are summed in row order, as by one pass; a block of zero duals adds nothing
     r_y = np.zeros(reduced.n_vars)
@@ -368,13 +365,20 @@ def _certified(bases: _Bases, c: np.ndarray, reduced: ReducedCovering) -> np.nda
         if y[lo:hi].any():
             ptr = reduced.row_ptr[lo:hi + 1]
             np.add.at(r_y, reduced.row_cols[ptr[0]:ptr[-1]], np.repeat(y[lo:hi], np.diff(ptr)))
-    cost = -c[bases.ids]  # as _dual_simplex minimizes
-    d = cost - r_y[bases.ids]
-    tol = DUAL_TOL * np.maximum(1.0, np.maximum.reduceat(np.abs(cost), bases.col_ptr[:-1]))
-    # a surplus column's reduced cost is its row's dual
-    worst = np.minimum(np.minimum.reduceat(bases.sign * d, bases.col_ptr[:-1]),
-                       np.minimum.reduceat(bases.row_sign * y[bases.rows], bases.row_ptr[:-1]))
-    return worst >= -tol
+    ok = np.zeros(len(bases.comp), dtype=bool)
+    for a, b in runs:
+        cols = slice(bases.col_ptr[a], bases.col_ptr[b])
+        rows = slice(bases.row_ptr[a], bases.row_ptr[b])
+        cut = bases.col_ptr[a:b] - bases.col_ptr[a]
+        cost = -c[bases.ids[cols]]  # as _dual_simplex minimizes
+        d = cost - r_y[bases.ids[cols]]
+        tol = DUAL_TOL * np.maximum(1.0, np.maximum.reduceat(np.abs(cost), cut))
+        # a surplus column's reduced cost is its row's dual
+        worst = np.minimum(np.minimum.reduceat(bases.sign[cols] * d, cut),
+                           np.minimum.reduceat(bases.row_sign[rows] * y[bases.rows[rows]],
+                                               bases.row_ptr[a:b] - bases.row_ptr[a]))
+        ok[a:b] = worst >= -tol
+    return ok
 
 
 def _reusable(bases: _Bases, kept: np.ndarray, c: np.ndarray,
@@ -406,10 +410,8 @@ def solve_reduced(
     variables and kept columns are unchanged returns its previous x when
     the previous basis passes ``_certified`` for this objective; the basis
     and the rhs are those of that x, so it is the x a cold solve ending on
-    that basis returns.  These decisions are made for all components at
-    once on flat arrays; only components that must pivot, or whose pinning
-    changed, are visited one by one.  A cold solve's final basis passes the
-    same ``_certified`` test before it is kept.  When a component's pivot
+    that basis returns.  A cold solve's final basis passes the same
+    ``_certified`` test before it is kept.  When a component's pivot
     budget runs out, or its final basis is singular or fails that test,
     that component takes the greedy cover and the status is
     ``iteration-limit``; a solution that leaves a row short of one comes
@@ -421,40 +423,39 @@ def solve_reduced(
     # every free column then has c <= 0, which the dual simplex's start
     # needs; a zero-cost column stays free, as 0 and 1 tie there
     x = (c > 0.0).astype(np.float64)
-    if len(reduced.forced_ones):
-        x[reduced.forced_ones] = 1.0
+    x[reduced.forced_ones] = 1.0
 
-    comps, var_ptr = reduced.components, reduced.var_ptr
+    comps, var_ptr, comp_rows = reduced.components, reduced.var_ptr, reduced.comp_rows
     free = x[reduced.var_ids] < 0.5
-    if warm is None:
-        states, cols, bases = [None] * len(comps), None, _Bases.of([], [])
-        stale = np.ones(len(comps), dtype=bool)
-    else:
-        states, cols, bases = list(warm.components), warm.columns, warm.bases
-        stale = np.logical_or.reduceat(free != warm.free, var_ptr[:-1])
-    if cols is None or stale.any():
-        group = np.full(len(free), -1, dtype=np.int64) if cols is None else cols.group.copy()
+    if warm is None:  # a state whose pinning differs in every component
+        warm = WarmStart(reduced, ~free, np.zeros(comp_rows[-1], dtype=bool),
+                         _Columns.of(np.full(len(free), -1), reduced), _Bases.of([], []))
+    stale = np.logical_or.reduceat(free != warm.free, var_ptr[:-1])
+    open_rows, cols, bases = warm.open_rows, warm.columns, warm.bases
+    if stale.any():
+        open_rows, group = open_rows.copy(), cols.group.copy()
         for k in np.flatnonzero(stale).tolist():
-            lo, hi = var_ptr[k], var_ptr[k + 1]
-            states[k], group[lo:hi] = _columns(comps[k], free[lo:hi], int(reduced.comp_rows[k]))
+            open_rows[comp_rows[k]:comp_rows[k + 1]], group[var_ptr[k]:var_ptr[k + 1]] = \
+                _columns(comps[k], free[var_ptr[k]:var_ptr[k + 1]])
         cols = _Columns.of(group, reduced)
+    opened = np.logical_or.reduceat(open_rows, comp_rows[:-1])
     kept = cols.kept(c, reduced.var_ids)
     reused = ~stale & _reusable(bases, kept, c, reduced)
-    if reused.any():
-        # one assignment writes the stored x of every reused component
-        take = np.repeat(reused[bases.comp], np.diff(bases.col_ptr))
-        x[bases.ids[take]] = bases.xs[take]
+    # one assignment writes the stored x of every reused component
+    take = np.repeat(reused[bases.comp], np.diff(bases.col_ptr))
+    x[bases.ids[take]] = bases.xs[take]
 
-    def kept_problem(k: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = var_ptr[k], var_ptr[k + 1]
-        keep = kept[lo:hi]
-        return reduced.var_ids[lo:hi][keep], states[k].R[:, keep[free[lo:hi]]]
+    def kept_problem(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the kept columns, the global ids of the open rows, and their incidence
+        keep, open_k = kept[var_ptr[k]:var_ptr[k + 1]], open_rows[comp_rows[k]:comp_rows[k + 1]]
+        return (comps[k].var_ids[keep], comp_rows[k] + np.flatnonzero(open_k),
+                comps[k].rows[open_k][:, keep])
 
     pivots = 0
-    todo = np.flatnonzero(cols.open & ~reused)
+    cold = opened & ~reused
     solved, parts, failed = [], [], []
-    for k in todo.tolist():
-        ids, R = kept_problem(k)
+    for k in np.flatnonzero(cold).tolist():
+        ids, rows, R = kept_problem(k)
         xs, piv, final = _dual_simplex(R, c[ids])
         pivots += piv
         if final is None:
@@ -464,25 +465,22 @@ def solve_reduced(
         x[ids] = xs
         solved.append(k)
         sign, row_sign, basic, inv = final
-        rows = states[k].rows
         parts.append(dict(ids=ids, xs=xs, sign=sign, rows=rows, row_sign=row_sign,
                           y_row=np.tile(rows, len(basic)), y_var=np.repeat(ids[basic], len(rows)),
                           y_val=inv.ravel()))
-    if stale.any() or len(todo):
+    if stale.any() or cold.any():
         new = _Bases.of(solved, parts)
         del parts  # ``new`` holds copies: free these before the merge
         ok = _certified(new, c, reduced) if solved else np.zeros(0, dtype=bool)
         for k in new.comp[~ok].tolist():
             log.warning("component %d: final basis fails the optimality check", k)
             failed.append(k)
-        replaced = stale.copy()
-        replaced[todo] = True
-        bases = bases.merge(~replaced[bases.comp], new, ok)
+        bases = bases.merge(~(stale | cold)[bases.comp], new, ok)
     status = STATUS_ITERATION_LIMIT if failed else STATUS_OPTIMAL
     for k in failed:
         # degrade honestly: the greedy cover is feasible
         log.warning("returning the greedy cover")
-        ids, R = kept_problem(k)
+        ids, _, R = kept_problem(k)
         x[ids] = _greedy_local(R, c[ids])
 
     low = 1.0  # the smallest row sum, or NaN
@@ -494,8 +492,8 @@ def solve_reduced(
     if worst > FEAS_TOL:
         log.error("covering residual %.3e exceeds tolerance", worst)
         status = STATUS_INFEASIBLE
-    return LpSolution(x, float(np.dot(c, x)), status, pivots, int(cols.open.sum()),
-                      int(reused.sum()), WarmStart(reduced, tuple(states), free, cols, bases))
+    return LpSolution(x, float(np.dot(c, x)), status, pivots, int(opened.sum()),
+                      int(reused.sum()), WarmStart(reduced, free, open_rows, cols, bases))
 
 
 def _greedy_local(R: np.ndarray, c: np.ndarray) -> np.ndarray:

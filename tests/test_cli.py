@@ -630,17 +630,20 @@ def test_malformed_graph_is_usage_error(workdir, tmp_path):
 @pytest.mark.parametrize("row", ["u0001", "u0001,0,extra", "u0001,blue", "u0001,-1"])
 def test_malformed_labels_is_usage_error(workdir, tmp_path, capsys, row):
     bad = tmp_path / "bad_labels.csv"
-    bad.write_text(f"uid,community\n{row}\n")
-    rc = main([
-        "evaluate", "--inferred", str(workdir / "truth.csv"),
-        "--truth", str(workdir / "truth.csv"),
-        "--trace", str(workdir / "trace.csv"),
-        "--truth-labels", str(bad),
-        "--out", str(tmp_path / "x.json"),
-    ])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(bad) in err and "row 2" in err
+    # the row on line 2, then after a community quoted across lines 3-4
+    for text, line in [(f"uid,community\n{row}\n", 2),
+                       (f'uid,community\nu0001,0\nu0002,"1\n"\n{row}\n', 5)]:
+        bad.write_text(text)
+        rc = main([
+            "evaluate", "--inferred", str(workdir / "truth.csv"),
+            "--truth", str(workdir / "truth.csv"),
+            "--trace", str(workdir / "trace.csv"),
+            "--truth-labels", str(bad),
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"row {line}:" in err
 
 
 def test_stats_and_feascheck(workdir):

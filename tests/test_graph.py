@@ -122,3 +122,7 @@ def test_csv_bad_row_is_named(tmp_path, row, message):
     path.write_text(f"src,dst,q\na,b,0.5\n{row}\n")
     with pytest.raises(GraphFormatError, match=rf"g\.csv: row 3: {message}"):
         read_graph_csv(path, ["a", "b"])
+    # a score quoted across lines 2-3 puts the bad row on line 4
+    path.write_text(f'src,dst,q\na,b,"0.5\n"\n{row}\n')
+    with pytest.raises(GraphFormatError, match=rf"g\.csv: row 4: {message}"):
+        read_graph_csv(path, ["a", "b"])

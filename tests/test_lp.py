@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 from pathlib import Path
@@ -319,8 +320,11 @@ def _check_against_reference(n, rows, targets):
     assert reduced.n_vars == n
     assert reduced.forced_ones.dtype == np.int64
     assert reduced.forced_ones.tolist() == forced
-    for c in reduced.components:
+    for c, lo in zip(reduced.components, reduced.var_ptr.tolist()):
         assert c.rows.dtype == bool and c.rows.shape[1] == len(c.var_ids)
+        # a read-only view of the one flat store
+        assert c.var_ids.base is reduced.var_ids and not c.var_ids.flags.writeable
+        assert np.array_equal(c.var_ids, reduced.var_ids[lo:lo + len(c.var_ids)])
     assert [(c.var_ids.tolist(), [tuple(np.flatnonzero(r).tolist()) for r in c.rows])
             for c in reduced.components] == comps
 
@@ -387,24 +391,79 @@ def test_pinning_a_column_rebuilds_only_its_component(rng):
     flipped = c.copy()
     flipped[4] = 0.5
     sol = lp.solve_reduced(reduced, flipped, warm=first.warm)
-    (a0, a1), (b0, b1) = first.warm.components, sol.warm.components
-    a, b, split = first.warm.columns, sol.warm.columns, reduced.var_ptr[1]
-    assert b0 is a0 and b1 is not a1
-    assert np.array_equal(b.group[:split], a.group[:split])
-    assert sol.warm.free[split:].tolist() == [True, False, True]
-    assert b.group[split:][1] == -1 and a.group[split:][1] >= 0
+    a, b = first.warm, sol.warm
+    split, row_split = reduced.var_ptr[1], reduced.comp_rows[1]
+    # component 0's open rows and groups are carried over as they were
+    assert np.array_equal(b.open_rows[:row_split], a.open_rows[:row_split])
+    assert np.array_equal(b.columns.group[:split], a.columns.group[:split])
+    # component 1's are rebuilt: only the row without variable 4 stays open
+    assert b.free[split:].tolist() == [True, False, True]
+    assert a.open_rows[row_split:].all()
+    assert np.array_equal(b.open_rows[row_split:], ~reduced.components[1].rows[:, 1])
+    assert b.columns.group[split:][1] == -1 and a.columns.group[split:][1] >= 0
     assert sol.n_reused == 1 and sol.n_solved == 2
     # component 0's stored basis is carried over as it was
-    old, new = first.warm.bases, sol.warm.bases
+    old, new = a.bases, b.bases
     assert new.comp.tolist() == old.comp.tolist() == [0, 1]
     assert np.array_equal(new.ids[:new.col_ptr[1]], old.ids[:old.col_ptr[1]])
     assert np.array_equal(new.y_val[:new.y_ptr[1]], old.y_val[:old.y_ptr[1]])
     cold = lp.solve_reduced(reduced, flipped)
     assert np.array_equal(sol.x, cold.x) and sol.status == cold.status
+    # an unchanged pinning rebuilds nothing
+    again = lp.solve_reduced(reduced, flipped, warm=b)
+    assert again.warm.open_rows is b.open_rows and again.warm.columns is b.columns
     # and back: the restored pinning rebuilds the structure it had
     back = lp.solve_reduced(reduced, c, warm=sol.warm)
-    assert np.array_equal(back.warm.components[1].R, a1.R)
+    assert np.array_equal(back.warm.open_rows, a.open_rows)
+    assert np.array_equal(back.warm.columns.group, a.columns.group)
     assert np.array_equal(back.x, first.x)
+
+
+def _arrays(value):
+    """Every array a (nested) warm state holds; anything else fails."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    assert dataclasses.is_dataclass(value), type(value)
+    return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
+
+
+def test_warm_state_is_flat(rng):
+    n, rows = _chain_instance(rng)
+    sol = lp.solve_reduced(_reduce(n, rows), -rng.uniform(1, 2, size=n))
+    assert len(sol.warm.bases.comp) > 1
+    held = [a for f in dataclasses.fields(sol.warm) if f.name != "reduced"
+            for a in _arrays(getattr(sol.warm, f.name))]
+    assert len(held) > 10 and all(a.ndim == 1 for a in held)
+
+
+def _reference_columns(comp, free):
+    """``_columns`` by tuples: a free column in an open row takes the global
+    id of the first column with the same entries in the open rows."""
+    open_rows = ~comp.rows[:, ~free].any(axis=1)
+    first, group = {}, []
+    for j, var in enumerate(comp.var_ids.tolist()):
+        key = tuple(comp.rows[open_rows, j].tolist())
+        group.append(first.setdefault(key, var) if free[j] and any(key) else -1)
+    return open_rows, group
+
+
+def test_columns_match_tuple_grouping(rng):
+    for trial in range(400):
+        m = trial % 20 + 1  # open row counts on both sides of a packed byte
+        n = int(rng.integers(1, 16))
+        # columns drawn from a few patterns, so that many are identical
+        patterns = rng.uniform(size=(m, 4)) < rng.uniform(0.2, 0.8)
+        patterns[:, 0] = False  # all-zero columns
+        R = patterns[:, rng.integers(0, 4, size=n)]
+        var_ids = np.sort(rng.choice(1000, size=n, replace=False))
+        comp = lp._Component(var_ids, R)
+        free = rng.uniform(size=n) < (0.0 if trial % 10 == 0 else 0.85)
+        open_rows, group = lp._columns(comp, free)
+        want_open, want_group = _reference_columns(comp, free)
+        assert np.array_equal(open_rows, want_open)
+        assert group.tolist() == want_group
 
 
 def test_warm_state_from_another_reduction_is_refused():
@@ -506,8 +565,13 @@ def test_batched_certificate_agrees_with_a_dense_check(rng):
                               y_var=np.repeat(comp.var_ids[basis[structural]], m),
                               y_val=np.linalg.inv(A[:, basis])[structural].ravel()))
             expect.append(_dense_certificate(R, local, basis, at_upper))
-        got = lp._certified(lp._Bases.of(comps, parts), c, reduced)
+        bases = lp._Bases.of(comps, parts)
+        got = lp._certified(bases, c, reduced)
         assert got.tolist() == expect
+        # blocks of a few bases, and of a few component rows, decide alike
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "BLOCK_SLOTS", int(rng.integers(1, 40)))
+            assert lp._certified(bases, c, _reduce(n, rows)).tolist() == expect
         for e in expect:
             seen[e] += 1
     assert seen[True] >= 40 and seen[False] >= 40
