@@ -488,7 +488,9 @@ class PairTable:
 
     Rows are sorted lexicographically by ``(i, j)``.  ``m`` holds the
     episode counts; ``sigma``/``q`` are mutable slots used by the EM loop
-    and start at zero.
+    and start at zero.  A table from :func:`pair_counts` may carry a dense
+    index, each key's row or -1 over all ``n_users**2`` keys, and then
+    looks pairs up with one gather; any other table searches its sorted keys.
     """
 
     n_users: int
@@ -496,17 +498,22 @@ class PairTable:
     m: np.ndarray  # (P,) float64
     sigma: np.ndarray = field(default=None, repr=False)
     q: np.ndarray = field(default=None, repr=False)
+    _index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma is None:
             self.sigma = np.zeros(len(self.m))
         if self.q is None:
             self.q = np.zeros(len(self.m))
-        self._keys = self.pairs[:, 0].astype(np.int64) * self.n_users + self.pairs[:, 1]
 
     @property
     def n_pairs(self) -> int:
         return len(self.m)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The pairs' keys ``i * n_users + j``, ascending; read only without an index."""
+        return self.pairs[:, 0].astype(np.int64) * self.n_users + self.pairs[:, 1]
 
     @cached_property
     def m_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -518,16 +525,25 @@ class PairTable:
         return np.unique(self.m, return_inverse=True)
 
     def ids(self, src, dst) -> np.ndarray:
-        """Row of each pair ``(src, dst)`` in the table, -1 where it is absent."""
-        keys = (np.asarray(src, dtype=np.int64) * self.n_users
-                + np.asarray(dst, dtype=np.int64))
-        return self.ids_of_keys(keys)
+        """Row of each pair ``(src, dst)`` in the table, -1 where it is absent.
+
+        A user outside ``0..n_users-1`` is in no pair.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        n = self.n_users
+        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        return self.ids_of_keys(np.where(inside, src * n + dst, -1))
 
     def ids_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """:meth:`ids` for keys ``src * n_users + dst``, as :meth:`Slots.keys` makes them."""
-        if not len(self._keys):
-            return np.full(np.shape(keys), -1, dtype=np.int64)
+        if not self.n_pairs:
+            return np.full(np.shape(keys), -1, dtype=np.intp)
         flat = np.ravel(keys)
+        if self._index is not None:
+            at = self._index.take(flat, mode="clip").astype(np.intp)
+            at[(flat < 0) | (flat >= len(self._index))] = -1
+            return at.reshape(np.shape(keys))
         # numpy's binary search narrows from the previous hit, so sorted
         # queries run about twice as fast
         order = np.argsort(flat)
@@ -538,19 +554,47 @@ class PairTable:
         return at.reshape(np.shape(keys))
 
 
+def _dense_index(keys: np.ndarray, n_users: int) -> np.ndarray:
+    """Row of each of the ``n_users**2`` keys in a table whose pairs have the
+    ascending ``keys``, -1 for every other key, as :func:`key_dtype`."""
+    index = np.full(n_users * n_users, -1, dtype=key_dtype(n_users))
+    index[keys] = np.arange(len(keys))
+    return index
+
+
 def pair_counts(episodes: Episodes, n_users: int) -> PairTable:
-    """Count, per ordered user pair, the episodes where ``i`` precedes ``j``."""
+    """Count, per ordered user pair, the episodes where ``i`` precedes ``j``.
+
+    Where the trace has at least as many slots as there are keys, the keys
+    are counted into one array over all keys, and the table gets the dense
+    index; otherwise they are sorted in place, the only way that scales to
+    sparse traces over many users.
+    """
     keys = predecessor_slots(episodes).keys(n_users)
-    # np.unique would sort a copy; sorting in place keeps one key array
-    keys.sort()
-    fresh = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    del fresh
-    counts = np.diff(np.append(starts, len(keys)))
-    pairs = np.empty((len(starts), 2), dtype=np.int32)
-    pairs[:, 0], pairs[:, 1] = np.divmod(keys[starts], n_users)
-    return PairTable(n_users, pairs, counts.astype(np.float64))
+    dense = n_users * n_users <= len(keys)
+    if dense:
+        # np.add.at reads the int32 keys as they are; np.bincount would
+        # copy them to intp first
+        counts = np.zeros(n_users * n_users, dtype=np.int64)
+        np.add.at(counts, keys, 1)
+        del keys
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        # np.unique would sort a copy; sorting in place keeps one key array
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        starts = np.flatnonzero(fresh)
+        del fresh
+        counts = np.diff(np.append(starts, len(keys)))
+        keys = keys[starts]
+    pairs = np.empty((len(keys), 2), dtype=np.int32)
+    pairs[:, 0], pairs[:, 1] = np.divmod(keys, n_users)
+    table = PairTable(n_users, pairs, counts.astype(np.float64))
+    if dense:
+        table._index = _dense_index(keys, n_users)
+    return table
 
 
 def trace_to_csv(trace: Trace, path: str | Path) -> None:

@@ -194,13 +194,19 @@ def _mixed_episodes(rng, n_users, n_episodes):
 @pytest.mark.parametrize("n_users", [10, 40, 50_000])
 def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_slots):
     """50_000 users push the pair keys past int32 (the int64 branch); four
-    slots per block split rows across blocks and leave long rows alone."""
+    slots per block split rows across blocks and leave long rows alone.
+    10 users take the dense index wherever the slots reach the 100 keys,
+    and the larger pools keep to the sorted keys."""
     if block_slots is not None:
         monkeypatch.setattr(trace_mod, "BLOCK_SLOTS", block_slots)
+    n_dense = 0
     for _ in range(10):
         eps = _mixed_episodes(rng, n_users, int(rng.integers(0, 30)))
         pairs, m, rows = _reference_counts_and_rows(eps)
         table = pair_counts(eps, n_users)
+        dense = table._index is not None
+        assert dense == (n_users * n_users <= sum(len(ids) for _, _, ids in rows))
+        n_dense += dense
         assert table.pairs.dtype == np.int32 and table.pairs.shape == (len(pairs), 2)
         assert [tuple(p) for p in table.pairs.tolist()] == pairs
         assert table.m.tolist() == m
@@ -211,3 +217,4 @@ def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_s
             src, dst = np.array(pairs).T
             assert table.ids(src, dst).tolist() == list(range(len(pairs)))
             assert table.ids(dst[:1] + n_users, src[:1]).tolist() == [-1]
+    assert n_dense > 0 if n_users == 10 else n_dense == 0

@@ -7,10 +7,12 @@ import pytest
 from cemnet.simulate import SimConfig, simulate
 from cemnet.trace import (
     Episodes,
+    PairTable,
     Trace,
     TraceFormatError,
     TraceRecord,
     _bulk_columns,
+    _dense_index,
     _row_columns,
     _trace,
     build_episodes,
@@ -437,6 +439,84 @@ def test_pair_counts_order_insensitive(rng):
     t_rev = pair_counts(make_episodes(reversed(episode_lists(eps))), 8)
     assert np.array_equal(t_fwd.pairs, t_rev.pairs)
     assert np.array_equal(t_fwd.m, t_rev.m)
+
+
+def _indexed(table: PairTable) -> PairTable:
+    """A copy of ``table`` that looks pairs up through the dense index."""
+    out = PairTable(table.n_users, table.pairs, table.m)
+    out._index = _dense_index(table._keys, table.n_users)
+    return out
+
+
+def _assert_same_ids(indexed: PairTable, plain: PairTable, rng) -> None:
+    n_keys = indexed.n_users ** 2
+    queries = [
+        rng.integers(0, max(n_keys, 1), size=200),
+        rng.integers(-3 * n_keys - 5, 0, size=50),
+        rng.integers(n_keys, 3 * n_keys + 5, size=50),
+        rng.integers(-5, n_keys + 5, size=(4, 7)),
+        np.int64(n_keys // 2), np.array(-1), np.array(n_keys), 0,
+        np.zeros(0, dtype=np.int32),
+    ]
+    for keys in queries:
+        got, want = indexed.ids_of_keys(keys), plain.ids_of_keys(keys)
+        assert got.shape == want.shape == np.shape(keys)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    n = indexed.n_users
+    src = rng.integers(-2, n + 2, size=300)
+    dst = rng.integers(-2, n + 2, size=300)
+    assert np.array_equal(indexed.ids(src, dst), plain.ids(src, dst))
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    assert (plain.ids(src, dst)[outside] == -1).all()
+
+
+@pytest.mark.parametrize("n_users", [2, 3, 5, 8])
+def test_dense_index_and_sorted_keys_give_the_same_ids(rng, n_users):
+    """A table from pair_counts carries the dense index when the trace has
+    at least one slot per key; one built from its pairs and counts does not."""
+    for _ in range(20):
+        # every episode has a slot, so N**2 episodes reach the dense path
+        eps = random_episodes(rng, n_users=n_users,
+                              n_episodes=int(rng.integers(n_users ** 2, 2 * n_users ** 2)),
+                              max_len=int(rng.integers(2, n_users + 1)))
+        table = pair_counts(eps, n_users)
+        assert table._index is not None and table._index.shape == (n_users ** 2,)
+        plain = PairTable(n_users, table.pairs, table.m)
+        assert plain._index is None
+        _assert_same_ids(table, plain, rng)
+        assert "_keys" not in vars(table)  # a dense table never builds its key copy
+
+
+@pytest.mark.parametrize("n_users", [0, 1, 2, 6])
+def test_lookup_paths_agree_without_pairs(rng, n_users):
+    plain = PairTable(n_users, np.zeros((0, 2), dtype=np.int32), np.zeros(0))
+    _assert_same_ids(_indexed(plain), plain, rng)
+    if n_users == 0:  # zero keys and zero slots: pair_counts takes the dense path
+        table = pair_counts(make_episodes([]), 0)
+        assert table._index is not None and len(table._index) == 0
+        _assert_same_ids(table, plain, rng)
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_users_out_of_range_are_in_no_pair(indexed):
+    table = PairTable(4, np.array([[1, 2], [2, 3]], dtype=np.int32), np.ones(2))
+    if indexed:
+        table = _indexed(table)
+    assert int(table.ids(1, 2)) == 0 and int(table.ids(2, 3)) == 1
+    # 0 * 4 + 6 and 3 * 4 - 1 are the keys of (1, 2) and (2, 3)
+    assert int(table.ids(0, 6)) == -1
+    assert int(table.ids(3, -1)) == -1
+    assert table.ids([0, 1, 4, 2], [6, 2, -10, 3]).tolist() == [-1, 0, -1, 1]
+
+
+def test_simulated_trace_gets_the_dense_index():
+    trace = simulate(SimConfig(seed=3)).trace
+    assert trace.n_users == 100
+    table = pair_counts(build_episodes(trace), trace.n_users)
+    assert table._index is not None
+    assert np.array_equal(table._index[table._keys], np.arange(table.n_pairs))
+    assert (np.delete(table._index, table._keys) == -1).all()
 
 
 def test_episode_is_permutation_with_author_first(t1):
