@@ -113,7 +113,7 @@ def _write_manifests(args: argparse.Namespace, argv: list[str],
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": sorted(outputs),
         "version": __version__,
-        "runtime_seconds": time.time() - started,
+        "runtime_seconds": time.perf_counter() - started,
     }
     for out in outputs:
         files.write(out + ".manifest.json", _write_json, manifest)
@@ -383,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if p and os.path.exists(p)
     ]
-    started = time.time()
+    started = time.perf_counter()
     files = _Outputs()
     try:
         outputs = args.func(args, files)

@@ -320,19 +320,22 @@ def threshold_graph(
 
     ``prior_spec`` describes the implicit posterior of non-materialized
     pairs — ``("er", rho)`` or ``("sbm", p, q, groups)``; those pairs join
-    the graph only when that prior itself exceeds 0.5.
+    the graph only when that prior itself exceeds 0.5.  The edges come out
+    in ascending key ``i * n_users + j`` order, so the graph takes them
+    without a sort.  Only a prior above 0.5 costs a pass over all n² keys;
+    otherwise the edges are the hot rows of the already sorted table.
     """
     hot = q > 0.5
-    src, dst, val = table.pairs[hot, 0], table.pairs[hot, 1], q[hot]
-    if prior_spec is not None:
-        prior = _prior_matrix(n_users, prior_spec)
-        mask = prior > 0.5
-        np.fill_diagonal(mask, False)
-        mask[table.pairs[:, 0], table.pairs[:, 1]] = False
-        i, j = np.nonzero(mask)
-        src, dst = np.concatenate([src, i]), np.concatenate([dst, j])
-        val = np.concatenate([val, prior[i, j]])
-    return InferredGraph(n_users, np.column_stack([src, dst]), val)
+    # the prior's values are (rho,) or (p, q)
+    if prior_spec is None or max(prior_spec[1:3]) <= 0.5:
+        return InferredGraph(n_users, table.pairs[hot], q[hot])
+    flat = _prior_matrix(n_users, prior_spec).ravel()
+    edge = flat > 0.5
+    edge[:: n_users + 1] = False
+    edge[table._keys] = hot
+    flat[table._keys] = q
+    keys = np.flatnonzero(edge)
+    return InferredGraph(n_users, np.column_stack(np.divmod(keys, n_users)), flat[keys])
 
 
 def _prior_matrix(n_users: int, prior_spec: tuple) -> np.ndarray:

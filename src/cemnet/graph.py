@@ -31,7 +31,9 @@ class InferredGraph:
 
     ``edges`` is an (E, 2) integer array or an iterable of ``(i, j)``
     pairs; ``scores`` is aligned with it.  A repeated edge keeps the score
-    of its last occurrence.
+    of its last occurrence.  Edges given in strictly ascending key order,
+    as ``em.threshold_graph`` builds them, are copied as they are, with no
+    sort; the graph never shares an array with the caller.
     """
 
     def __init__(
@@ -43,7 +45,9 @@ class InferredGraph:
         self.n_users = n_users
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                        dtype=np.int64).reshape(-1, 2)
-        src, dst = e[:, 0], e[:, 1]
+        # contiguous copies: faster to check than strided columns, and never
+        # the caller's arrays
+        src, dst = e[:, 0].copy(), e[:, 1].copy()
         bad = (src == dst) | (src < 0) | (dst < 0) | (src >= n_users) | (dst >= n_users)
         if bad.any():
             i, j = e[int(np.argmax(bad))].tolist()
@@ -51,20 +55,20 @@ class InferredGraph:
                 raise ValueError(f"self-loop on node {i}")
             raise ValueError(f"edge ({i}, {j}) outside of 0..{n_users - 1}")
         keys = src * n_users + dst
-        order = np.argsort(keys)
-        if len(order):
+        score = None
+        if scores is not None:
+            score = np.array(scores, dtype=np.float64).reshape(-1)
+            if len(score) != len(keys):
+                raise ValueError(f"{len(score)} scores for {len(keys)} edges")
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(keys)
             # one entry per key, its last occurrence (the largest position)
             starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
             order = np.maximum.reduceat(order, starts)
-        self._keys = keys[order]
-        self.src = src[order]
-        self.dst = dst[order]
-        self.score = None
-        if scores is not None:
-            score = np.asarray(scores, dtype=np.float64).reshape(-1)
-            if len(score) != len(keys):
-                raise ValueError(f"{len(score)} scores for {len(keys)} edges")
-            self.score = score[order]
+            keys, src, dst = keys[order], src[order], dst[order]
+            if score is not None:
+                score = score[order]
+        self._keys, self.src, self.dst, self.score = keys, src, dst, score
         for arr in (self._keys, self.src, self.dst, self.score):
             if arr is not None:
                 arr.flags.writeable = False

@@ -4,6 +4,10 @@ The classification universe is all N(N-1) ordered pairs.  AUC ranks every
 pair by its score (posterior where available, the prior for pairs the trace
 never ordered, 1/0 indicators for score-free heuristics) and uses midranks
 for ties, which coincides with trapezoidal integration of the ROC curve.
+It sorts the scores once and finds each positive's midrank by binary
+search, so no permutation of the N(N-1) scores is ever built; the rank sum
+is a sum of half-integers, exact in any order, so the AUC does not depend
+on how the sort breaks ties.
 """
 
 from __future__ import annotations
@@ -46,27 +50,39 @@ def _adjacency(graph: InferredGraph) -> np.ndarray:
     return a
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, each run of equal values sharing the mean of its ranks."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    # sorted positions where a run of equal values starts and where it ends
-    start = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    end = np.r_[start[1:], len(values)] - 1
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
-    return ranks
-
-
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Mann-Whitney AUC with midrank tie handling."""
+    """Mann-Whitney AUC with midrank tie handling.
+
+    The scores are sorted once, and each positive's midrank comes from two
+    binary searches into the sorted numbers: a run of equal values spans
+    sorted positions ``lo..hi-1`` and each of its members ranks
+    ``(lo + hi + 1) / 2``.  Every rank is a half-integer, so the rank sum
+    is exact in any order of summation.  A NaN equals nothing, so each NaN
+    is a run of its own; the NaNs rank after every number, in input order.
+    """
     labels = np.asarray(labels, dtype=bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.ndim != 1 or scores.ndim != 1 or len(labels) != len(scores):
+        raise ValueError(
+            f"labels and scores must be 1-D of one length, got "
+            f"{labels.shape} labels and {scores.shape} scores"
+        )
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = _midranks(np.asarray(scores, dtype=np.float64))
-    pos_rank_sum = float(ranks[labels].sum())
+    nan = np.isnan(scores)
+    n_nan = int(nan.sum())
+    numbers = np.sort(scores)[: len(scores) - n_nan]  # np.sort puts NaNs last
+    pos = scores[labels & ~nan]
+    # twice each rank, an integer: lo + hi + 1 over the run lo..hi-1
+    twice = int(np.searchsorted(numbers, pos, "left").sum()
+                + np.searchsorted(numbers, pos, "right").sum()) + len(pos)
+    if n_nan:
+        # the k-th NaN of the input (k = 1, 2, ...) ranks len(numbers) + k
+        k = np.cumsum(nan)[labels & nan]
+        twice += 2 * int((len(numbers) + k).sum())
+    pos_rank_sum = 0.5 * twice
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -512,7 +512,11 @@ class PairTable:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """The pairs' keys ``i * n_users + j``, ascending; read only without an index."""
+        """The pairs' keys ``i * n_users + j``, ascending.
+
+        Built on first read: lookups read it only when the table has no
+        index, and ``em.threshold_graph`` only under a prior above 0.5.
+        """
         return self.pairs[:, 0].astype(np.int64) * self.n_users + self.pairs[:, 1]
 
     @cached_property

@@ -4,11 +4,13 @@ import os
 import stat
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cemnet import cli
 from cemnet.cli import main
 
 SIM_ARGS = ["simulate", "--seed", "5", "--n-events", "15000"]
@@ -34,6 +36,18 @@ def test_simulate_outputs_and_manifest(workdir):
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 5
         assert manifest["version"]
+
+
+def test_manifest_runtime_is_a_monotonic_clock_difference(tmp_path, monkeypatch):
+    # a module without time.time: the run may read the monotonic clock only
+    clock = iter([100.0, 102.25])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--seed", "5", "--n-events", "2000", "--out-trace", str(out),
+                 "--out-truth", str(tmp_path / "truth.csv"),
+                 "--out-labels", str(tmp_path / "labels.csv")]) == 0
+    manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
+    assert manifest["runtime_seconds"] == 2.25
 
 
 def test_infer_roundtrip_and_determinism(workdir):

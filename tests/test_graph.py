@@ -81,6 +81,48 @@ def test_duplicate_edge_keeps_last_score():
     assert _score_map(g) == {(0, 1): 0.7, (1, 2): 0.5, (2, 0): 0.4}
 
 
+def _graph_arrays(g):
+    return g.src, g.dst, g.score
+
+
+def test_ascending_shuffled_and_repeated_edges_build_one_graph(rng):
+    n = 40
+    keys = rng.choice(n * n, size=300, replace=False)
+    keys = np.sort(keys[keys // n != keys % n])
+    edges = np.column_stack(np.divmod(keys, n))
+    scores = rng.uniform(size=len(keys))
+    perm = rng.permutation(len(keys))
+    ascending = InferredGraph(n, edges, scores)
+    shuffled = InferredGraph(n, edges[perm], scores[perm])
+    # every edge a second time, first with a decoy score: the last score wins,
+    # also where the repeats sit side by side in ascending order
+    repeated = InferredGraph(n, np.r_[edges[perm], edges], np.r_[scores[perm] + 1.0, scores])
+    adjacent = InferredGraph(n, np.repeat(edges, 2, axis=0),
+                             np.column_stack([scores + 1.0, scores]).ravel())
+    for g in (ascending, shuffled, repeated, adjacent):
+        for got, want in zip(_graph_arrays(g), (keys // n, keys % n, scores)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+
+
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_graph_keeps_no_reference_to_caller_arrays(order):
+    edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
+    scores = np.array([0.6, 0.7, 0.8])
+    if order == "shuffled":
+        edges, scores = edges[::-1].copy(), scores[::-1].copy()
+    g = InferredGraph(3, edges, scores)
+    for arr in _graph_arrays(g):
+        assert not np.shares_memory(arr, edges) and not np.shares_memory(arr, scores)
+    edges[:] = [[1, 0], [2, 1], [0, 2]]
+    scores[:] = 0.0
+    assert g.edges == {(0, 1), (1, 2), (2, 0)}
+    assert _score_map(g) == {(0, 1): 0.6, (1, 2): 0.7, (2, 0): 0.8}
+    assert (1, 0) not in g
+
+
 def test_csv_repeated_row_keeps_last_given_score(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("src,dst,q\na,b,0.2\nb,c,0.5\na,b,0.3\na,b\nc,a\n")

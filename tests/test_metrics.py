@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cemnet.graph import InferredGraph
-from cemnet.metrics import _midranks, classification_scores, graph_stats, roc_auc
+from cemnet.metrics import classification_scores, graph_stats, roc_auc
 
 
 def _random_graph(rng, n, density):
@@ -195,7 +197,8 @@ def test_scores_shape_validation():
 
 
 def _midranks_loop(values):
-    """The per-run while loop that ``_midranks`` replaced, kept as the reference."""
+    """1-based midranks by a per-run while loop over a stable sort: the
+    reference ``roc_auc`` must reproduce bit for bit."""
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.float64)
     sorted_vals = values[order]
@@ -209,12 +212,26 @@ def _midranks_loop(values):
     return ranks
 
 
-def _auc_loop(labels, scores):
+def _rank_auc(labels, ranks):
     labels = np.asarray(labels, dtype=bool)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
-    ranks = _midranks_loop(np.asarray(scores, dtype=np.float64))
     return (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _auc_loop(labels, scores):
+    return _rank_auc(labels, _midranks_loop(np.asarray(scores, dtype=np.float64)))
+
+
+def _fitted_scores(rng, n):
+    """The off-diagonal scores of a fitted ER score matrix over ``n`` users:
+    the prior on every unordered pair, and a posterior on each active pair
+    from a few hundred pair classes, some at the fixed points 0 and 1."""
+    scores = np.full(n * (n - 1), 0.578)
+    active = rng.uniform(size=len(scores)) < 0.2
+    classes = np.r_[1e-9, 1.0 - 1e-9, rng.uniform(size=300)]
+    scores[active] = rng.choice(classes, size=int(active.sum()))
+    return scores
 
 
 def _rank_cases():
@@ -235,18 +252,34 @@ def _rank_cases():
         "random": rng.uniform(size=5000),
         "indicator": (rng.uniform(size=999) < 0.2).astype(np.float64),
         "nans": np.array([0.5, np.nan, 0.1, np.nan, 0.5, 0.1]),  # each NaN its own run
+        # mostly NaN, so half the labels drawn positive put NaNs among them
+        "nan_positives": np.r_[np.full(30, np.nan), rng.choice([0.2, 0.7], size=10)],
+        # +0.0 and -0.0 are one value, whichever class holds which sign
+        "signed_zeros_split": rng.choice([0.0, -0.0, 1.0, -1.0], size=400),
+        "fitted_250k": _fitted_scores(rng, 500),
     }
 
 
 @pytest.mark.parametrize("name", list(_rank_cases()))
 def test_midranks_match_loop_and_scipy(name):
+    """roc_auc equals the AUC of scipy's average ranks, bit for bit, and the
+    loop reference ranks as scipy does; scipy's ranks propagate NaN, so a
+    case with NaNs is held to the loop's ranks instead."""
     stats = pytest.importorskip("scipy.stats")
     values = _rank_cases()[name]
-    ranks = _midranks(values)
-    assert ranks.dtype == np.float64 and ranks.shape == values.shape
-    assert ranks.tobytes() == _midranks_loop(values).tobytes()
-    if not np.isnan(values).any():  # rankdata propagates NaN
-        np.testing.assert_array_equal(ranks, stats.rankdata(values, method="average"))
+    ranks = _midranks_loop(values)
+    if not np.isnan(values).any():
+        scipy_ranks = stats.rankdata(values, method="average")
+        np.testing.assert_array_equal(ranks, scipy_ranks)
+        ranks = scipy_ranks
+    rng = np.random.default_rng(len(values) + 1)
+    for frac in (0.05, 0.5):
+        labels = rng.uniform(size=len(values)) < frac
+        got = roc_auc(labels, values)
+        if labels.all() or not labels.any():
+            assert np.isnan(got)
+            continue
+        assert np.float64(got).tobytes() == np.float64(_rank_auc(labels, ranks)).tobytes()
 
 
 @pytest.mark.parametrize("name", list(_rank_cases()))
@@ -263,6 +296,16 @@ def test_roc_auc_matches_loop_bitwise(name):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if len(values) > 1 and np.all(values == values[0]):
         assert roc_auc(np.arange(len(values)) % 2 == 0, values) == 0.5
+
+
+@pytest.mark.parametrize("label_shape, score_shape", [
+    ((5,), (4,)), ((4,), (5,)), ((2, 2), (2, 2)), ((4,), (2, 2)),
+])
+def test_roc_auc_rejects_mismatched_shapes(label_shape, score_shape):
+    labels = np.arange(np.prod(label_shape)).reshape(label_shape) % 2 == 0
+    message = f"got {label_shape} labels and {score_shape} scores"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        roc_auc(labels, np.zeros(score_shape))
 
 
 def test_graph_stats_match_networkx(rng):
