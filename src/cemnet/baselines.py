@@ -8,7 +8,8 @@ noisy-measurement EM fed with direct author-to-resharer counts only; it
 runs on the E-step, rate update, norm and thresholding of ``em``, so it is
 CEM-er without the LP.  Neither EM baseline sees hidden multi-hop paths,
 which is exactly what costs them feasibility.  Both keep the pairs whose
-final probability exceeds 0.5.
+final probability exceeds 0.5, and both read each slot's pair id from
+``pair_counts(...).slot_ids``, the one pass kept on the ``Episodes``.
 """
 
 from __future__ import annotations
@@ -78,20 +79,18 @@ def saito_em(
     window_ids: list[np.ndarray] = []
     window_len: list[np.ndarray] = []
     no_trial = np.zeros(p_count)
-    for blk in slots.blocks():
+    for at, blk in slots.blocks():
         src = blk.gather()
-        dst = np.repeat(slots.users[blk.stop], blk.row_len)
+        ids = table.slot_ids[at:at + len(src)]
         t_src = slots.times[src]
         t_before = np.repeat(slots.times[blk.stop] - 1.0, blk.row_len)
         # candidate parents of each reshare: members active one unit earlier
         in_window = t_src == t_before
-        window_ids.append(table.ids(slots.users[src[in_window]], dst[in_window]))
+        window_ids.append(ids[in_window])
         window_len.append(np.add.reduceat(in_window, blk.row_ptr[:-1], dtype=np.intp))
         # trials require j susceptible at t_i + 1: simultaneous activations
         # (t_i == t_j) present no chance at all
-        late = t_src > t_before
-        no_trial += np.bincount(table.ids(slots.users[src[late]], dst[late]),
-                                minlength=p_count)
+        no_trial += np.bincount(ids[t_src > t_before], minlength=p_count)
     flat_ids = np.concatenate(window_ids)
     per_row = np.concatenate(window_len)
     per_row = per_row[per_row > 0]
@@ -141,6 +140,16 @@ def saito_em(
     return SaitoResult(table, kappa, graph, it, converged)
 
 
+def _classes(m: np.ndarray, direct: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of the integer-valued ``(m, direct)``, ascending, as two
+    float64 columns, and each pair's row: with direct < span, one key sorts as the rows."""
+    span = int(direct.max(initial=0)) + 1
+    classes, key = np.unique(m.astype(np.int64) * span + direct.astype(np.int64),
+                             return_inverse=True)
+    m_class, direct_class = np.divmod(classes, span)
+    return m_class.astype(np.float64), direct_class.astype(np.float64), key
+
+
 @dataclass
 class NewmanResult:
     table: PairTable
@@ -173,9 +182,8 @@ def newman_em(
     if n_users < 2:
         raise ValueError("need at least two users for an edge prior")
     table = pair_counts(episodes, n_users)
-    slots = predecessor_slots(episodes)
     # each covering row's first slot is the author
-    author_ids = table.ids(slots.users[slots.start], slots.users[slots.stop])
+    author_ids = table.slot_ids[predecessor_slots(episodes).row_ptr[:-1]]
     direct = np.bincount(author_ids, minlength=table.n_pairs).astype(np.float64)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -187,9 +195,7 @@ def newman_em(
 
     # Q depends on a pair only through its (M, direct), which stay fixed for
     # the fit: one posterior per distinct (M, direct), taken to the pairs
-    classes, key = np.unique(np.column_stack([table.m, direct]), axis=0,
-                             return_inverse=True)
-    key = key.reshape(-1)
+    m_class, direct_class, key = _classes(table.m, direct)
 
     n_total = n_users * (n_users - 1)
     q = np.full(table.n_pairs, rho)
@@ -198,7 +204,7 @@ def newman_em(
     it = 0
     for it in range(1, max_iters + 1):
         rho_used = rho
-        q_new = em.posterior(classes[:, 0], classes[:, 1],
+        q_new = em.posterior(m_class, direct_class,
                              math.log(rho) - math.log1p(-rho), alpha, beta).take(key)
         alpha, beta = em.utilization_rates(table.m, direct, q_new, alpha, beta)
         rho = em.clamp((float(q_new.sum()) + (n_total - table.n_pairs) * rho_used)

@@ -27,7 +27,7 @@ class ConstraintSystem:
     """
 
     row_ptr: np.ndarray  # (R + 1,) int64
-    pair_ids: np.ndarray  # (S,) int32 indices into the PairTable (int64 past 2**31 pairs)
+    pair_ids: np.ndarray  # (S,) indices into the PairTable, read-only, as trace.key_dtype
     episode_ids: np.ndarray  # (R,) int64
     targets: np.ndarray  # (R,) int64
     n_vars: int  # number of sigma variables = active pairs
@@ -37,20 +37,13 @@ class ConstraintSystem:
 
 
 def build_constraints(episodes: Episodes, table: PairTable) -> ConstraintSystem:
-    """One covering row per (episode, non-author user) over active-pair ids."""
+    """One covering row per (episode, non-author user) over active-pair ids:
+    the ``slot_ids`` of ``table``, which ``pair_counts(episodes)`` made."""
+    if table.slot_ids is None:
+        raise ValueError("the pair table has no slot ids: use pair_counts")
     slots = predecessor_slots(episodes)
-    row_ptr = slots.row_ptr
-    pair_ids = np.empty(int(row_ptr[-1]),
-                        dtype=np.int32 if table.n_pairs < 2**31 else np.int64)
-    at = 0
-    for blk in slots.blocks():
-        ids = table.ids_of_keys(blk.keys(table.n_users))
-        pair_ids[at:at + len(ids)] = ids
-        at += len(ids)
-    if len(pair_ids) and pair_ids.min() < 0:
-        raise ValueError("episodes hold a pair that is not in the pair table")
-    return ConstraintSystem(row_ptr, pair_ids, slots.episode_ids, slots.targets,
-                            table.n_pairs)
+    return ConstraintSystem(slots.row_ptr, table.slot_ids, slots.episode_ids,
+                            slots.targets, table.n_pairs)
 
 
 @dataclass(frozen=True)

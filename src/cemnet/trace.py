@@ -354,6 +354,7 @@ class Episodes:
     users: np.ndarray  # (U,) int32
     times: np.ndarray  # (U,) float64
     root_pids: tuple[str, ...]
+    _slot_pairs: dict = field(default_factory=dict, init=False, repr=False)  # per n_users
 
     def __len__(self) -> int:
         return len(self.ptr) - 1
@@ -385,7 +386,10 @@ def build_episodes(trace: Trace, *, retweeted_only: bool = True) -> Episodes:
     flat = flat[np.argsort(root[flat], kind="stable")]
     ptr = np.zeros(len(originals) + 1, dtype=np.int64)
     np.cumsum(n_shares + 1, out=ptr[1:])
-    return Episodes(ptr, uid[flat], t[flat], tuple(trace.pid[originals].tolist()))
+    arrays = ptr, uid[flat], t[flat]
+    for a in arrays:  # read-only, so the slot pairs kept on them never go stale
+        a.setflags(write=False)
+    return Episodes(*arrays, tuple(trace.pid[originals].tolist()))
 
 
 # slots per block: keeps the per-slot temporaries of one pass near 1 MB
@@ -429,8 +433,8 @@ class Slots:
         """The resharer's uid per row."""
         return self.users[self.stop].astype(np.int64)
 
-    def blocks(self) -> Iterator["Slots"]:
-        """The rows in order, in runs of at most ``BLOCK_SLOTS`` slots.
+    def blocks(self) -> Iterator[tuple[int, "Slots"]]:
+        """``(first slot, block)`` for the rows in order, in runs of at most ``BLOCK_SLOTS`` slots.
 
         A row longer than that is a block of its own; without rows there
         is one empty block.
@@ -440,8 +444,8 @@ class Slots:
         while True:
             hi = int(np.searchsorted(ptr, ptr[lo] + BLOCK_SLOTS, side="right")) - 1
             hi = min(max(hi, lo + 1), len(self.stop))
-            yield Slots(self.users, self.times, self.start[lo:hi],
-                        self.stop[lo:hi], self.episode_ids[lo:hi])
+            yield int(ptr[lo]), Slots(self.users, self.times, self.start[lo:hi],
+                                      self.stop[lo:hi], self.episode_ids[lo:hi])
             if hi >= len(self.stop):
                 return
             lo = hi
@@ -461,13 +465,11 @@ class Slots:
         """``src * n_users + dst`` per slot, as :func:`key_dtype` ``(n_users)``."""
         dtype = key_dtype(n_users)
         out = np.empty(int(self.row_len.sum()), dtype=dtype)
-        at = 0
-        for blk in self.blocks():
+        for at, blk in self.blocks():
             part = self.users[blk.gather()].astype(dtype, copy=False)
             part *= n_users
             part += np.repeat(self.users[blk.stop].astype(dtype), blk.row_len)
             out[at:at + len(part)] = part
-            at += len(part)
         return out
 
 
@@ -488,8 +490,9 @@ class PairTable:
 
     Rows are sorted lexicographically by ``(i, j)``.  ``m`` holds the
     episode counts; ``sigma``/``q`` are mutable slots used by the EM loop
-    and start at zero.  A table from :func:`pair_counts` may carry a dense
-    index, each key's row or -1 over all ``n_users**2`` keys, and then
+    and start at zero.  A table from :func:`pair_counts` has ``slot_ids``,
+    each predecessor slot's row in :meth:`Slots.keys` order, and may carry a
+    dense index, each key's row or -1 over all ``n_users**2`` keys: it then
     looks pairs up with one gather; any other table searches its sorted keys.
     """
 
@@ -499,6 +502,7 @@ class PairTable:
     sigma: np.ndarray = field(default=None, repr=False)
     q: np.ndarray = field(default=None, repr=False)
     _index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    slot_ids: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma is None:
@@ -566,38 +570,50 @@ def _dense_index(keys: np.ndarray, n_users: int) -> np.ndarray:
     return index
 
 
-def pair_counts(episodes: Episodes, n_users: int) -> PairTable:
-    """Count, per ordered user pair, the episodes where ``i`` precedes ``j``.
+def _slot_pairs(episodes: Episodes, n_users: int) -> tuple:
+    """``pairs``, ``m``, the dense index or None, and the slots' pair ids, read-only.
 
-    Where the trace has at least as many slots as there are keys, the keys
-    are counted into one array over all keys, and the table gets the dense
-    index; otherwise they are sorted in place, the only way that scales to
-    sparse traces over many users.
-    """
+    With at least as many slots as keys, the keys are counted into one array
+    over all keys, and the dense index overwrites them with their ids block
+    by block (``np.take(index, keys, out=keys)`` would copy them all first).
+    Otherwise ``np.unique`` counts them and returns their ids (its inverse),
+    the only way that scales to sparse traces over many users."""
     keys = predecessor_slots(episodes).keys(n_users)
-    dense = n_users * n_users <= len(keys)
-    if dense:
+    index = None
+    if n_users * n_users <= len(keys):
         # np.add.at reads the int32 keys as they are; np.bincount would
         # copy them to intp first
         counts = np.zeros(n_users * n_users, dtype=np.int64)
         np.add.at(counts, keys, 1)
-        del keys
-        keys = np.flatnonzero(counts)
-        counts = counts[keys]
+        pair_keys = np.flatnonzero(counts)
+        counts = counts[pair_keys]
+        index = _dense_index(pair_keys, n_users)
+        for lo in range(0, len(keys), BLOCK_SLOTS):
+            keys[lo:lo + BLOCK_SLOTS] = index[keys[lo:lo + BLOCK_SLOTS]]
     else:
-        # np.unique would sort a copy; sorting in place keeps one key array
-        keys.sort()
-        fresh = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        starts = np.flatnonzero(fresh)
-        del fresh
-        counts = np.diff(np.append(starts, len(keys)))
-        keys = keys[starts]
-    pairs = np.empty((len(keys), 2), dtype=np.int32)
-    pairs[:, 0], pairs[:, 1] = np.divmod(keys, n_users)
-    table = PairTable(n_users, pairs, counts.astype(np.float64))
-    if dense:
-        table._index = _dense_index(keys, n_users)
+        pair_keys, keys[:], counts = np.unique(keys, return_inverse=True,
+                                               return_counts=True)
+    pairs = np.empty((len(pair_keys), 2), dtype=np.int32)
+    pairs[:, 0], pairs[:, 1] = np.divmod(pair_keys, n_users)
+    out = pairs, counts.astype(np.float64), index, keys
+    for a in out:
+        if a is not None:
+            a.setflags(write=False)
+    return out
+
+
+def pair_counts(episodes: Episodes, n_users: int) -> PairTable:
+    """Count, per ordered user pair, the episodes where ``i`` precedes ``j``.
+
+    The counting pass (:func:`_slot_pairs`) runs once per ``episodes`` and
+    ``n_users`` and is kept on ``episodes``; each call returns a fresh table
+    over its read-only arrays, with its own ``sigma`` and ``q``.
+    """
+    if n_users not in episodes._slot_pairs:
+        episodes._slot_pairs[n_users] = _slot_pairs(episodes, n_users)
+    pairs, m, index, slot_ids = episodes._slot_pairs[n_users]
+    table = PairTable(n_users, pairs, m)
+    table._index, table.slot_ids = index, slot_ids
     return table
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from cemnet import baselines as bl
 from cemnet import em
-from cemnet.constraints import check_feasibility
+from cemnet import trace as trace_mod
+from cemnet.constraints import build_constraints, check_feasibility
 from cemnet.simulate import SimConfig, simulate
 from cemnet.trace import build_episodes, pair_counts, trace_from_string
 from conftest import episode_lists, make_episodes, random_episodes
@@ -199,12 +200,10 @@ def test_baselines_on_synthetic_trace():
 
 
 def test_slot_blocks_do_not_change_baselines(monkeypatch):
-    from cemnet import trace as trace_mod
-
     tr = simulate(SimConfig(n_users=30, n_blocks=2, n_events=4000, seed=2)).trace
-    eps = build_episodes(tr)
 
     def run():
+        eps = build_episodes(tr)  # fresh, so the slot pass runs again at each block size
         saito = bl.saito_em(eps, tr.n_users, seed=1)
         newman = bl.newman_em(eps, tr.n_users, seed=1)
         return saito.kappa, saito.graph.edges, newman.direct, newman.q, newman.graph.edges
@@ -214,3 +213,68 @@ def test_slot_blocks_do_not_change_baselines(monkeypatch):
     split = run()
     for a, b in zip(whole, split):
         assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b
+
+
+def _baseline_bytes(saito, newman) -> list[bytes]:
+    return [saito.kappa.tobytes(), saito.graph.src.tobytes(), saito.graph.dst.tobytes(),
+            newman.direct.tobytes(), newman.q.tobytes(), newman.graph.src.tobytes(),
+            newman.graph.dst.tobytes()]
+
+
+def _prep_bytes(table, system) -> list[bytes]:
+    return [table.pairs.tobytes(), table.m.tobytes(), system.row_ptr.tobytes(),
+            system.pair_ids.tobytes(), system.targets.tobytes()]
+
+
+def test_baselines_and_preprocess_agree_from_a_cold_or_warm_slot_pass():
+    """The slot pass kept on the episodes gives the bytes of a fresh one,
+    whichever of preprocess, Saito and Newman runs first."""
+    tr = simulate(SimConfig(n_users=30, n_blocks=2, n_events=4000, seed=3)).trace
+    n = tr.n_users
+
+    def cold(run):
+        return run(build_episodes(tr))
+
+    saito = lambda eps: bl.saito_em(eps, n, seed=1)
+    newman = lambda eps: bl.newman_em(eps, n, seed=1)
+    want = _baseline_bytes(cold(saito), cold(newman))
+    prep = em.preprocess(tr)  # cold: preprocess builds its own episodes
+    want_prep = _prep_bytes(prep.table, prep.constraints)
+    assert _baseline_bytes(saito(prep.episodes), newman(prep.episodes)) == want
+    eps = build_episodes(tr)
+    n_first = newman(eps)
+    assert _baseline_bytes(saito(eps), n_first) == want
+    eps = build_episodes(tr)
+    s_first = saito(eps)
+    assert _baseline_bytes(s_first, newman(eps)) == want
+    table = pair_counts(eps, n)  # warm, after both baselines
+    assert _prep_bytes(table, build_constraints(eps, table)) == want_prep
+
+
+def test_slot_keys_are_built_once_per_episodes(monkeypatch):
+    """preprocess, Saito and Newman on one Episodes share one slot pass."""
+    calls = []
+    keys = trace_mod.Slots.keys
+    monkeypatch.setattr(trace_mod.Slots, "keys",
+                        lambda self, n_users: calls.append(n_users) or keys(self, n_users))
+    tr = simulate(SimConfig(n_users=30, n_blocks=2, n_events=4000, seed=2)).trace
+    prep = em.preprocess(tr)
+    bl.saito_em(prep.episodes, tr.n_users, seed=1)
+    bl.newman_em(prep.episodes, tr.n_users, seed=1)
+    assert calls == [tr.n_users]
+    bl.newman_em(build_episodes(tr), tr.n_users, seed=1)
+    assert calls == [tr.n_users] * 2
+
+
+@pytest.mark.parametrize("high", [1, 2, 7, 300, 2**20])
+def test_newman_classes_match_the_row_unique(rng, high):
+    """One int64 key per pair gives np.unique(axis=0)'s classes and inverse."""
+    for size in (0, 1, 50, 2000):
+        m = rng.integers(1, high + 1, size=size).astype(np.float64)
+        direct = np.minimum(rng.integers(0, high + 1, size=size), m)
+        classes, key = np.unique(np.column_stack([m, direct]), axis=0, return_inverse=True)
+        m_class, direct_class, got_key = bl._classes(m, direct)
+        assert m_class.dtype == direct_class.dtype == np.float64
+        assert m_class.tobytes() == classes[:, 0].tobytes()
+        assert direct_class.tobytes() == classes[:, 1].tobytes()
+        assert got_key.tolist() == key.reshape(-1).tolist()

@@ -6,8 +6,9 @@ import pytest
 from cemnet import trace as trace_mod
 from cemnet.constraints import build_constraints, check_feasibility
 from cemnet.graph import InferredGraph
-from cemnet.trace import build_episodes, pair_counts
-from conftest import episode_lists, make_episodes, random_episodes
+from cemnet.trace import (PairTable, build_episodes, key_dtype, pair_counts,
+                          predecessor_slots, trace_from_string)
+from conftest import T1_CSV, episode_lists, make_episodes, random_episodes
 
 
 def _rows(system):
@@ -218,3 +219,60 @@ def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_s
             assert table.ids(src, dst).tolist() == list(range(len(pairs)))
             assert table.ids(dst[:1] + n_users, src[:1]).tolist() == [-1]
     assert n_dense > 0 if n_users == 10 else n_dense == 0
+
+
+def _slot_src_dst(eps):
+    """``(src, dst)`` of every predecessor slot, rows back to back."""
+    slots = predecessor_slots(eps)
+    return (slots.users[slots.gather()].astype(np.int64),
+            np.repeat(slots.targets, slots.row_len))
+
+
+@pytest.mark.parametrize("block_slots", [None, 3])
+@pytest.mark.parametrize("n_users", [10, 50_000])
+def test_slot_ids_are_the_table_ids_of_every_slot(rng, monkeypatch, n_users, block_slots):
+    """10 users take the dense index, 50,000 the sorted keys (int64 keys);
+    three slots per block split the block-by-block write into many blocks."""
+    if block_slots is not None:
+        monkeypatch.setattr(trace_mod, "BLOCK_SLOTS", block_slots)
+    for _ in range(10):
+        eps = _mixed_episodes(rng, n_users, int(rng.integers(30, 40)))
+        table = pair_counts(eps, n_users)
+        assert (table._index is not None) == (n_users == 10)
+        src, dst = _slot_src_dst(eps)
+        assert table.slot_ids.dtype == key_dtype(n_users)
+        assert table.slot_ids.tolist() == table.ids(src, dst).tolist()
+        system = build_constraints(eps, table)
+        assert system.pair_ids is table.slot_ids
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_pair_tables_share_read_only_arrays_but_not_sigma_or_q(t1, dense):
+    """t1 has 6 slots over 9 keys (sorted keys); four copies of it have 24."""
+    header, body = T1_CSV.split("\n", 1)
+    copies = "".join(body.replace("P", f"P{k}_") for k in range(4))
+    tr = trace_from_string(f"{header}\n{copies}") if dense else t1
+    eps = build_episodes(tr)
+    for a in (eps.ptr, eps.users, eps.times):
+        assert not a.flags.writeable
+    a, b = pair_counts(eps, tr.n_users), pair_counts(eps, tr.n_users)
+    assert a is not b and (a._index is not None) == dense
+    for name in ("pairs", "m", "slot_ids") + (("_index",) if dense else ()):
+        shared = getattr(a, name)
+        assert shared is getattr(b, name) and not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0
+    assert not np.shares_memory(a.sigma, b.sigma) and not np.shares_memory(a.q, b.q)
+    a.sigma[:], a.q[:] = 1.0, 1.0
+    assert not b.sigma.any() and not b.q.any()
+    # another n_users is a pass of its own, with keys over its own user range
+    wide = pair_counts(eps, 2 * tr.n_users)
+    assert wide.pairs.tolist() == a.pairs.tolist() and wide.slot_ids is not a.slot_ids
+    assert wide.slot_ids.tolist() == a.slot_ids.tolist()
+
+
+def test_constraints_need_a_table_from_pair_counts(t1):
+    eps = build_episodes(t1)
+    table = pair_counts(eps, t1.n_users)
+    with pytest.raises(ValueError, match="pair_counts"):
+        build_constraints(eps, PairTable(table.n_users, table.pairs, table.m))
