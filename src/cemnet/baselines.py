@@ -211,8 +211,9 @@ def newman_em(
                        / n_total)
         if rho_used_prev is not None:
             delta_sq = float(np.sum((q_new - q) ** 2))
-            delta_sq += em._delta_q_sq_inactive_er(n_users, table.n_pairs,
-                                                   rho_used_prev, rho_used)
+            delta_sq += em._delta_q_sq_inactive(n_users, table.pairs,
+                                                (em.PRIOR_ER, rho_used_prev),
+                                                (em.PRIOR_ER, rho_used))
             if math.sqrt(delta_sq) < epsilon:
                 q = q_new
                 converged = True

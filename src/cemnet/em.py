@@ -69,10 +69,12 @@ class ParamSet:
     lam: float = 1.0
     beta_fixed: float | None = None
 
-    def prior_values(self) -> tuple[float, ...]:
+    def prior_spec(self, groups: np.ndarray | None) -> tuple:
+        """The prior as ``threshold_graph`` takes it: ``("er", rho)``, or
+        ``("sbm", p, q, labels)`` with a copy of ``groups``."""
         if self.prior == PRIOR_ER:
-            return (self.rho,)
-        return (self.p_in, self.q_out)
+            return (PRIOR_ER, self.rho)
+        return (PRIOR_SBM, self.p_in, self.q_out, groups.copy())
 
 
 @dataclass
@@ -86,7 +88,7 @@ class EmState:
     converged: bool = False
     # prior values that generated the current Q (implicit posterior of M=0 pairs)
     q_prior_used: tuple[float, ...] = field(default=())
-    # full prior descriptor for the final Q, as threshold_graph/score_matrix take it
+    # the prior behind the current Q, as threshold_graph/score_matrix take it
     prior_spec: tuple = field(default=())
 
     def to_json(self) -> dict:
@@ -322,36 +324,30 @@ def threshold_graph(
     pairs — ``("er", rho)`` or ``("sbm", p, q, groups)``; those pairs join
     the graph only when that prior itself exceeds 0.5.  The edges come out
     in ascending key ``i * n_users + j`` order, so the graph takes them
-    without a sort.  Only a prior above 0.5 costs a pass over all n² keys;
-    otherwise the edges are the hot rows of the already sorted table.
+    without a sort.  Only a prior above 0.5 costs a pass over all n² keys,
+    the flat :func:`score_matrix`; otherwise the edges are the hot rows of
+    the already sorted table.
     """
-    hot = q > 0.5
     # the prior's values are (rho,) or (p, q)
     if prior_spec is None or max(prior_spec[1:3]) <= 0.5:
+        hot = q > 0.5
         return InferredGraph(n_users, table.pairs[hot], q[hot])
-    flat = _prior_matrix(n_users, prior_spec).ravel()
-    edge = flat > 0.5
-    edge[:: n_users + 1] = False
-    edge[table._keys] = hot
-    flat[table._keys] = q
-    keys = np.flatnonzero(edge)
+    flat = score_matrix(table, q, n_users, prior_spec).ravel()
+    keys = np.flatnonzero(flat > 0.5)
     return InferredGraph(n_users, np.column_stack(np.divmod(keys, n_users)), flat[keys])
-
-
-def _prior_matrix(n_users: int, prior_spec: tuple) -> np.ndarray:
-    """Dense (n, n) prior edge probability of every ordered pair."""
-    if prior_spec[0] == PRIOR_ER:
-        return np.full((n_users, n_users), prior_spec[1], dtype=np.float64)
-    _, p_in, q_out, groups = prior_spec
-    g = np.asarray(groups)
-    return np.where(g[:, None] == g[None, :], p_in, q_out)
 
 
 def score_matrix(
     table: PairTable, q: np.ndarray, n_users: int, prior_spec: tuple
 ) -> np.ndarray:
-    """Dense (n, n) score matrix: posterior for active pairs, prior elsewhere."""
-    out = _prior_matrix(n_users, prior_spec)
+    """Dense (n, n) score matrix: posterior for active pairs, prior elsewhere,
+    0 on the diagonal."""
+    if prior_spec[0] == PRIOR_ER:
+        out = np.full((n_users, n_users), prior_spec[1], dtype=np.float64)
+    else:
+        _, p_in, q_out, groups = prior_spec
+        g = np.asarray(groups)
+        out = np.where(g[:, None] == g[None, :], p_in, q_out)
     out[table.pairs[:, 0], table.pairs[:, 1]] = q
     np.fill_diagonal(out, 0.0)
     return out
@@ -361,27 +357,21 @@ def score_matrix(
 # convergence norm over the full pair matrix
 
 
-def _delta_q_sq_inactive_er(n_users: int, n_active: int,
-                            rho_prev: float, rho_curr: float) -> float:
-    inactive = n_users * (n_users - 1) - n_active
-    return inactive * (rho_curr - rho_prev) ** 2
-
-
-def _delta_q_sq_inactive_sbm(
-    n_users: int,
-    pairs: np.ndarray,
-    g_prev: np.ndarray,
-    g_curr: np.ndarray,
-    pq_prev: tuple[float, float],
-    pq_curr: tuple[float, float],
-) -> float:
+def _delta_q_sq_inactive(n_users: int, pairs: np.ndarray,
+                         prev_spec: tuple, curr_spec: tuple) -> float:
     """Exact inactive-pair mass of ||Q_t - Q_{t-1}||^2 without materializing.
 
-    Ordered pairs split into four classes by (same under previous labels,
-    same under current labels); class sizes come from label histograms and
-    the joint-label contingency, minus the directly counted active pairs.
+    The specs are the priors behind the two Qs, as :func:`threshold_graph`
+    takes them, both ER or both SBM.  Under the block model, ordered pairs
+    split into four classes by (same under previous labels, same under
+    current labels); class sizes come from label histograms and the
+    joint-label contingency, minus the directly counted active pairs.
     """
     total = n_users * (n_users - 1)
+    if prev_spec[0] == PRIOR_ER:
+        return (total - len(pairs)) * (curr_spec[1] - prev_spec[1]) ** 2
+    _, p0, q0, g_prev = prev_spec
+    _, p1, q1, g_curr = curr_spec
     same_prev_all = same_label_pairs(g_prev)
     same_curr_all = same_label_pairs(g_curr)
     joint = g_prev.astype(np.int64) * (int(g_curr.max()) + 1) + g_curr
@@ -400,8 +390,6 @@ def _delta_q_sq_inactive_sbm(
     cc = (total - same_prev_all - same_curr_all + same_both_all) - (
         n_active - act_sp - act_sc + act_ss
     )
-    p0, q0 = pq_prev
-    p1, q1 = pq_curr
     return (
         ss * (p1 - p0) ** 2
         + s_then_c * (q1 - p0) ** 2
@@ -504,29 +492,20 @@ def run_cem(
     state = EmState(params, table, groups, n)
 
     q_prev: np.ndarray | None = None
-    prior_used_prev: tuple[float, ...] | None = None
-    groups_used_prev: np.ndarray | None = None
     interim_prev: InferredGraph | None = None
     warm: lp.WarmStart | None = None
 
     for it in range(1, max_iters + 1):
-        prior_used = params.prior_values()
-        groups_used = None if groups is None else groups.copy()
-        state.q_prior_used = prior_used
+        # the prior behind this iteration's Q: its norm, interim graph and
+        # final scores all read this one value
+        state.prior_spec = spec = params.prior_spec(groups)
+        state.q_prior_used = spec[1:3]
         post = update_q_er(state) if prior == PRIOR_ER else update_q_sbm(state)
         q_new = post.q
 
         if q_prev is not None:
             acc = float(np.sum((q_new - q_prev) ** 2))
-            if prior == PRIOR_ER:
-                acc += _delta_q_sq_inactive_er(
-                    n, table.n_pairs, prior_used_prev[0], prior_used[0]
-                )
-            else:
-                acc += _delta_q_sq_inactive_sbm(
-                    n, table.pairs, groups_used_prev, groups_used,
-                    prior_used_prev, prior_used,
-                )
+            acc += _delta_q_sq_inactive(n, table.pairs, spec_prev, spec)
             state.delta_q = math.sqrt(acc)
 
         # LP objective uses the previous iteration's utilization rates
@@ -554,10 +533,7 @@ def run_cem(
         state.iteration = it
 
         if prior == PRIOR_SBM and fixed_groups is None:
-            interim = threshold_graph(
-                table, q_new, n,
-                (PRIOR_SBM, prior_used[0], prior_used[1], groups_used),
-            )
+            interim = threshold_graph(table, q_new, n, spec)
             # Louvain sees only the edge arrays and the fixed seed, so an
             # unchanged graph would return the labels it already gave
             reused = (interim_prev is not None
@@ -573,18 +549,11 @@ def run_cem(
         if q_prev is not None and state.delta_q < epsilon:
             state.converged = True
             break
-        q_prev = q_new
-        prior_used_prev = prior_used
-        groups_used_prev = groups_used
+        q_prev, spec_prev = q_new, spec
 
     if not state.converged:
         log.warning("EM stopped at iteration cap (%d); delta_q=%.3g",
                     state.iteration, state.delta_q)
 
-    state.prior_spec = (
-        (PRIOR_ER, state.q_prior_used[0])
-        if prior == PRIOR_ER
-        else (PRIOR_SBM, state.q_prior_used[0], state.q_prior_used[1], groups_used)
-    )
     graph = threshold_graph(table, table.q, n, state.prior_spec)
     return state, graph

@@ -250,6 +250,8 @@ def read_labels_csv(path: str | Path, users: Sequence[str]) -> list[int]:
                 community = -1
             if community < 0:
                 raise GraphFormatError(f"{path}: row {row}: bad community {lab!r}")
+            if out[uid_index[uid]] >= 0:
+                raise GraphFormatError(f"{path}: row {row}: uid {uid!r} is listed twice")
             out[uid_index[uid]] = community
     missing = [users[k] for k, lab in enumerate(out) if lab < 0]
     if missing:

@@ -75,7 +75,7 @@ class SimConfig:
         sizes = self.block_sizes
         if sizes is not None and not isinstance(sizes, (list, tuple)):
             raise ValueError(f"block_sizes must be a list, got {sizes!r}")
-        if sizes:
+        if sizes is not None:
             if not all(_is_count(k) and k >= 1 for k in sizes) or sum(sizes) != self.n_users:
                 raise ValueError(f"block sizes {sizes} do not partition {self.n_users} users")
         elif not 1 <= self.n_blocks <= self.n_users:
@@ -141,7 +141,9 @@ def generate_sbm_graph(
     """Directed block-model graph: ordered pairs connect with p inside a
     block and q across blocks."""
     n = config.n_users
-    sizes = config.block_sizes or _partition(n, config.n_blocks, rng)
+    sizes = config.block_sizes
+    if sizes is None:
+        sizes = _partition(n, config.n_blocks, rng)
     if sum(sizes) != n or any(s < 1 for s in sizes):
         raise ValueError(f"block sizes {sizes} do not partition {n} users")
     labels = np.repeat(np.arange(len(sizes)), sizes)

@@ -488,12 +488,12 @@ def predecessor_slots(episodes: Episodes) -> Slots:
 class PairTable:
     """Sparse per-ordered-pair storage for the active pairs of a trace.
 
-    Rows are sorted lexicographically by ``(i, j)``.  ``m`` holds the
-    episode counts; ``sigma``/``q`` are mutable slots used by the EM loop
-    and start at zero.  A table from :func:`pair_counts` has ``slot_ids``,
-    each predecessor slot's row in :meth:`Slots.keys` order, and may carry a
-    dense index, each key's row or -1 over all ``n_users**2`` keys: it then
-    looks pairs up with one gather; any other table searches its sorted keys.
+    Rows are sorted lexicographically by ``(i, j)``, so by key
+    ``i * n_users + j``, and :meth:`ids` looks pairs up by a binary search of
+    those keys.  ``m`` holds the episode counts; ``sigma``/``q`` are mutable
+    slots used by the EM loop and start at zero.  A table from
+    :func:`pair_counts` has ``slot_ids``, each predecessor slot's row in
+    :meth:`Slots.keys` order.
     """
 
     n_users: int
@@ -501,7 +501,6 @@ class PairTable:
     m: np.ndarray  # (P,) float64
     sigma: np.ndarray = field(default=None, repr=False)
     q: np.ndarray = field(default=None, repr=False)
-    _index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     slot_ids: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -516,11 +515,8 @@ class PairTable:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """The pairs' keys ``i * n_users + j``, ascending.
-
-        Built on first read: lookups read it only when the table has no
-        index, and ``em.threshold_graph`` only under a prior above 0.5.
-        """
+        """The pairs' keys ``i * n_users + j``, ascending; built on the first
+        lookup and kept."""
         return self.pairs[:, 0].astype(np.int64) * self.n_users + self.pairs[:, 1]
 
     @cached_property
@@ -541,17 +537,10 @@ class PairTable:
         dst = np.asarray(dst, dtype=np.int64)
         n = self.n_users
         inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-        return self.ids_of_keys(np.where(inside, src * n + dst, -1))
-
-    def ids_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`ids` for keys ``src * n_users + dst``, as :meth:`Slots.keys` makes them."""
+        keys = np.where(inside, src * n + dst, -1)
         if not self.n_pairs:
-            return np.full(np.shape(keys), -1, dtype=np.intp)
-        flat = np.ravel(keys)
-        if self._index is not None:
-            at = self._index.take(flat, mode="clip").astype(np.intp)
-            at[(flat < 0) | (flat >= len(self._index))] = -1
-            return at.reshape(np.shape(keys))
+            return np.full(keys.shape, -1, dtype=np.intp)
+        flat = keys.ravel()
         # numpy's binary search narrows from the previous hit, so sorted
         # queries run about twice as fast
         order = np.argsort(flat)
@@ -559,27 +548,19 @@ class PairTable:
         at[order] = np.searchsorted(self._keys, flat[order])
         np.minimum(at, len(self._keys) - 1, out=at)
         at[self._keys[at] != flat] = -1
-        return at.reshape(np.shape(keys))
-
-
-def _dense_index(keys: np.ndarray, n_users: int) -> np.ndarray:
-    """Row of each of the ``n_users**2`` keys in a table whose pairs have the
-    ascending ``keys``, -1 for every other key, as :func:`key_dtype`."""
-    index = np.full(n_users * n_users, -1, dtype=key_dtype(n_users))
-    index[keys] = np.arange(len(keys))
-    return index
+        return at.reshape(keys.shape)
 
 
 def _slot_pairs(episodes: Episodes, n_users: int) -> tuple:
-    """``pairs``, ``m``, the dense index or None, and the slots' pair ids, read-only.
+    """``pairs``, ``m`` and the slots' pair ids, read-only.
 
     With at least as many slots as keys, the keys are counted into one array
-    over all keys, and the dense index overwrites them with their ids block
-    by block (``np.take(index, keys, out=keys)`` would copy them all first).
-    Otherwise ``np.unique`` counts them and returns their ids (its inverse),
-    the only way that scales to sparse traces over many users."""
+    over all keys, and a dense index, each key's row or -1, overwrites them
+    with their ids block by block (``np.take(index, keys, out=keys)`` would
+    copy them all first); no table keeps the index.  Otherwise ``np.unique``
+    counts them and returns their ids (its inverse), the only way that
+    scales to sparse traces over many users."""
     keys = predecessor_slots(episodes).keys(n_users)
-    index = None
     if n_users * n_users <= len(keys):
         # np.add.at reads the int32 keys as they are; np.bincount would
         # copy them to intp first
@@ -587,7 +568,8 @@ def _slot_pairs(episodes: Episodes, n_users: int) -> tuple:
         np.add.at(counts, keys, 1)
         pair_keys = np.flatnonzero(counts)
         counts = counts[pair_keys]
-        index = _dense_index(pair_keys, n_users)
+        index = np.full(n_users * n_users, -1, dtype=keys.dtype)
+        index[pair_keys] = np.arange(len(pair_keys))
         for lo in range(0, len(keys), BLOCK_SLOTS):
             keys[lo:lo + BLOCK_SLOTS] = index[keys[lo:lo + BLOCK_SLOTS]]
     else:
@@ -595,10 +577,9 @@ def _slot_pairs(episodes: Episodes, n_users: int) -> tuple:
                                                return_counts=True)
     pairs = np.empty((len(pair_keys), 2), dtype=np.int32)
     pairs[:, 0], pairs[:, 1] = np.divmod(pair_keys, n_users)
-    out = pairs, counts.astype(np.float64), index, keys
+    out = pairs, counts.astype(np.float64), keys
     for a in out:
-        if a is not None:
-            a.setflags(write=False)
+        a.setflags(write=False)
     return out
 
 
@@ -611,9 +592,9 @@ def pair_counts(episodes: Episodes, n_users: int) -> PairTable:
     """
     if n_users not in episodes._slot_pairs:
         episodes._slot_pairs[n_users] = _slot_pairs(episodes, n_users)
-    pairs, m, index, slot_ids = episodes._slot_pairs[n_users]
+    pairs, m, slot_ids = episodes._slot_pairs[n_users]
     table = PairTable(n_users, pairs, m)
-    table._index, table.slot_ids = index, slot_ids
+    table.slot_ids = slot_ids
     return table
 
 

@@ -660,6 +660,24 @@ def test_malformed_labels_is_usage_error(workdir, tmp_path, capsys, row):
         assert str(bad) in err and f"row {line}:" in err
 
 
+def test_duplicated_label_uid_is_usage_error(workdir, tmp_path, capsys):
+    lines = (workdir / "labels.csv").read_text().splitlines()
+    bad = tmp_path / "dup_labels.csv"
+    bad.write_text("\n".join(lines + [lines[1]]) + "\n")  # the first uid again, last
+    rc = main([
+        "evaluate", "--inferred", str(workdir / "truth.csv"),
+        "--truth", str(workdir / "truth.csv"),
+        "--trace", str(workdir / "trace.csv"),
+        "--truth-labels", str(bad),
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    uid = lines[1].split(",")[0]
+    assert f"{bad}: row {len(lines) + 1}: uid {uid!r} is listed twice" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_stats_and_feascheck(workdir):
     rc = main([
         "stats", "--graph", str(workdir / "truth.csv"),

@@ -196,8 +196,8 @@ def _mixed_episodes(rng, n_users, n_episodes):
 def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_slots):
     """50_000 users push the pair keys past int32 (the int64 branch); four
     slots per block split rows across blocks and leave long rows alone.
-    10 users take the dense index wherever the slots reach the 100 keys,
-    and the larger pools keep to the sorted keys."""
+    10 users count over all keys wherever the slots reach the 100 keys,
+    and the larger pools count by np.unique."""
     if block_slots is not None:
         monkeypatch.setattr(trace_mod, "BLOCK_SLOTS", block_slots)
     n_dense = 0
@@ -205,8 +205,8 @@ def test_pair_counts_and_rows_match_reference(rng, monkeypatch, n_users, block_s
         eps = _mixed_episodes(rng, n_users, int(rng.integers(0, 30)))
         pairs, m, rows = _reference_counts_and_rows(eps)
         table = pair_counts(eps, n_users)
-        dense = table._index is not None
-        assert dense == (n_users * n_users <= sum(len(ids) for _, _, ids in rows))
+        assert len(table.slot_ids) == sum(len(ids) for _, _, ids in rows)
+        dense = n_users * n_users <= len(table.slot_ids)
         n_dense += dense
         assert table.pairs.dtype == np.int32 and table.pairs.shape == (len(pairs), 2)
         assert [tuple(p) for p in table.pairs.tolist()] == pairs
@@ -231,14 +231,14 @@ def _slot_src_dst(eps):
 @pytest.mark.parametrize("block_slots", [None, 3])
 @pytest.mark.parametrize("n_users", [10, 50_000])
 def test_slot_ids_are_the_table_ids_of_every_slot(rng, monkeypatch, n_users, block_slots):
-    """10 users take the dense index, 50,000 the sorted keys (int64 keys);
+    """10 users count over all keys, 50,000 by np.unique (int64 keys);
     three slots per block split the block-by-block write into many blocks."""
     if block_slots is not None:
         monkeypatch.setattr(trace_mod, "BLOCK_SLOTS", block_slots)
     for _ in range(10):
         eps = _mixed_episodes(rng, n_users, int(rng.integers(30, 40)))
         table = pair_counts(eps, n_users)
-        assert (table._index is not None) == (n_users == 10)
+        assert (n_users ** 2 <= len(table.slot_ids)) == (n_users == 10)
         src, dst = _slot_src_dst(eps)
         assert table.slot_ids.dtype == key_dtype(n_users)
         assert table.slot_ids.tolist() == table.ids(src, dst).tolist()
@@ -248,7 +248,7 @@ def test_slot_ids_are_the_table_ids_of_every_slot(rng, monkeypatch, n_users, blo
 
 @pytest.mark.parametrize("dense", [False, True])
 def test_pair_tables_share_read_only_arrays_but_not_sigma_or_q(t1, dense):
-    """t1 has 6 slots over 9 keys (sorted keys); four copies of it have 24."""
+    """t1 has 6 slots over 9 keys (counted by np.unique); four copies of it have 24."""
     header, body = T1_CSV.split("\n", 1)
     copies = "".join(body.replace("P", f"P{k}_") for k in range(4))
     tr = trace_from_string(f"{header}\n{copies}") if dense else t1
@@ -256,8 +256,8 @@ def test_pair_tables_share_read_only_arrays_but_not_sigma_or_q(t1, dense):
     for a in (eps.ptr, eps.users, eps.times):
         assert not a.flags.writeable
     a, b = pair_counts(eps, tr.n_users), pair_counts(eps, tr.n_users)
-    assert a is not b and (a._index is not None) == dense
-    for name in ("pairs", "m", "slot_ids") + (("_index",) if dense else ()):
+    assert a is not b and (tr.n_users ** 2 <= len(a.slot_ids)) == dense
+    for name in ("pairs", "m", "slot_ids"):
         shared = getattr(a, name)
         assert shared is getattr(b, name) and not shared.flags.writeable
         with pytest.raises(ValueError):

@@ -437,11 +437,11 @@ def test_inactive_delta_norm_matches_bruteforce(rng):
         g1 = rng.integers(0, 4, size=n)
         pq0 = (float(rng.uniform()), float(rng.uniform()))
         pq1 = (float(rng.uniform()), float(rng.uniform()))
-        got = em._delta_q_sq_inactive_sbm(n, pairs, g0, g1, pq0, pq1)
+        got = em._delta_q_sq_inactive(n, pairs, ("sbm", *pq0, g0), ("sbm", *pq1, g1))
         want = _dense_inactive_delta(n, pairs, g0, g1, pq0, pq1)
         assert got == pytest.approx(want, abs=1e-10)
         # the flat-prior case reduces to the same bookkeeping
-        got_er = em._delta_q_sq_inactive_er(n, len(pairs), pq0[0], pq1[0])
+        got_er = em._delta_q_sq_inactive(n, pairs, ("er", pq0[0]), ("er", pq1[0]))
         want_er = _dense_inactive_delta(
             n, pairs, np.zeros(n, int), np.zeros(n, int),
             (pq0[0], 0.0), (pq1[0], 0.0),
@@ -549,6 +549,33 @@ def test_louvain_reruns_when_either_edge_array_changes(t1, monkeypatch):
     state, _ = em.run_cem(t1, "sbm", 1.0, seed=3, max_iters=5, epsilon=0.0)
     assert state.iteration == 5 and not script
     assert calls == [a, b, c]
+
+
+def test_prior_spec_holds_the_labels_of_the_last_e_step(t1, monkeypatch):
+    """The final scores use the labels behind the final Q, not the labels
+    Louvain returned after it."""
+    from cemnet.community import CommunityResult
+    from cemnet.graph import InferredGraph
+
+    n = t1.n_users
+    script = [InferredGraph(n, [e]) for e in [(0, 1), (0, 2), (1, 2)]]
+    threshold_graph = em.threshold_graph
+    labels = []
+
+    def scripted_threshold(*args):
+        return script.pop(0) if script else threshold_graph(*args)
+
+    def fresh_labels(graph, seed):
+        labels.append(np.full(n, len(labels), dtype=np.int64))
+        return CommunityResult(labels[-1], 0.0, ())
+
+    monkeypatch.setattr(em, "threshold_graph", scripted_threshold)
+    monkeypatch.setattr(em, "louvain_graph", fresh_labels)
+    state, _ = em.run_cem(t1, "sbm", 1.0, seed=3, max_iters=3, epsilon=0.0)
+    assert state.iteration == 3 and len(labels) == 3 and not script
+    assert np.array_equal(state.groups, labels[2])
+    assert np.array_equal(state.prior_spec[3], labels[1])
+    assert state.prior_spec[1:3] == state.q_prior_used
 
 
 def test_run_cem_rejects_unknown_prior(t1):

@@ -21,6 +21,24 @@ def test_config_validation():
         sim.SimConfig(n_users=sim.MAX_USERS + 1)
 
 
+def test_empty_block_sizes_are_no_partition(tmp_path, capsys):
+    """``[]`` is refused like any other non-partition, not read as unset."""
+    from cemnet.cli import main
+
+    with pytest.raises(ValueError, match=r"block sizes \[\] do not partition 100 users"):
+        sim.SimConfig(block_sizes=[])
+    config = tmp_path / "config.json"
+    config.write_text('{"block_sizes": []}\n')
+    rc = main(["simulate", "--config", str(config),
+               "--out-trace", str(tmp_path / "t.csv"),
+               "--out-truth", str(tmp_path / "g.csv"),
+               "--out-labels", str(tmp_path / "l.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "block sizes [] do not partition" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = sim.SimConfig(seed=9, n_events=123, post_rate=(0.01, 0.02))
     path = tmp_path / "sim.json"

@@ -12,12 +12,12 @@ from cemnet.trace import (
     TraceFormatError,
     TraceRecord,
     _bulk_columns,
-    _dense_index,
     _row_columns,
     _trace,
     build_episodes,
     pair_counts,
     parse_trace,
+    predecessor_slots,
     read_utf8,
     trace_from_string,
     trace_to_csv,
@@ -441,68 +441,76 @@ def test_pair_counts_order_insensitive(rng):
     assert np.array_equal(t_fwd.m, t_rev.m)
 
 
-def _indexed(table: PairTable) -> PairTable:
-    """A copy of ``table`` that looks pairs up through the dense index."""
-    out = PairTable(table.n_users, table.pairs, table.m)
-    out._index = _dense_index(table._keys, table.n_users)
-    return out
-
-
-def _assert_same_ids(indexed: PairTable, plain: PairTable, rng) -> None:
-    n_keys = indexed.n_users ** 2
+def _assert_ids_match_a_pair_dict(table: PairTable, rng) -> None:
+    """Absent pairs, users out of range, scalar, 2-D, broadcast and empty
+    queries of ``table.ids`` against a dict of its pairs' rows."""
+    n = table.n_users
+    row = {p: k for k, p in enumerate(map(tuple, table.pairs.tolist()))}
+    span = (-3, n + 3)
     queries = [
-        rng.integers(0, max(n_keys, 1), size=200),
-        rng.integers(-3 * n_keys - 5, 0, size=50),
-        rng.integers(n_keys, 3 * n_keys + 5, size=50),
-        rng.integers(-5, n_keys + 5, size=(4, 7)),
-        np.int64(n_keys // 2), np.array(-1), np.array(n_keys), 0,
-        np.zeros(0, dtype=np.int32),
+        (rng.integers(*span, size=300), rng.integers(*span, size=300)),
+        (rng.integers(*span, size=(4, 7)), rng.integers(*span, size=(4, 7))),
+        (rng.integers(*span, size=(4, 1)), rng.integers(*span, size=5)),
+        (np.int64(n // 2), 0), (-1, n), (n, -1),
+        (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)),
     ]
-    for keys in queries:
-        got, want = indexed.ids_of_keys(keys), plain.ids_of_keys(keys)
-        assert got.shape == want.shape == np.shape(keys)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    n = indexed.n_users
-    src = rng.integers(-2, n + 2, size=300)
-    dst = rng.integers(-2, n + 2, size=300)
-    assert np.array_equal(indexed.ids(src, dst), plain.ids(src, dst))
-    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-    assert (plain.ids(src, dst)[outside] == -1).all()
+    for src, dst in queries:
+        got = table.ids(src, dst)
+        src, dst = np.broadcast_arrays(src, dst)
+        assert got.dtype == np.intp and got.shape == src.shape
+        want = [row.get(p, -1) for p in zip(src.ravel().tolist(), dst.ravel().tolist())]
+        assert got.ravel().tolist() == want
+
+
+def _assert_slot_ids_are_the_searched_ids(eps: Episodes, table: PairTable) -> None:
+    """The slot ids the counting pass wrote are ``table.ids`` of each slot's pair."""
+    src, dst = np.divmod(predecessor_slots(eps).keys(table.n_users).astype(np.int64),
+                         max(table.n_users, 1))
+    assert np.array_equal(table.slot_ids, table.ids(src, dst))
+    assert (table.slot_ids >= 0).all()
+
+
+@pytest.mark.parametrize("n_users", [0, 1, 2, 3, 5, 6, 8])
+def test_ids_match_a_pair_dict(rng, n_users):
+    for density in rng.uniform(size=10).tolist():
+        keys = np.flatnonzero(rng.uniform(size=n_users ** 2) < density)
+        pairs = np.column_stack(np.divmod(keys, max(n_users, 1))).astype(np.int32)
+        _assert_ids_match_a_pair_dict(PairTable(n_users, pairs, np.ones(len(pairs))), rng)
 
 
 @pytest.mark.parametrize("n_users", [2, 3, 5, 8])
 def test_dense_index_and_sorted_keys_give_the_same_ids(rng, n_users):
-    """A table from pair_counts carries the dense index when the trace has
-    at least one slot per key; one built from its pairs and counts does not."""
+    """With at least one slot per key the counting pass maps slots to pair
+    ids through its dense index; a table's lookup searches its sorted keys."""
     for _ in range(20):
         # every episode has a slot, so N**2 episodes reach the dense path
         eps = random_episodes(rng, n_users=n_users,
                               n_episodes=int(rng.integers(n_users ** 2, 2 * n_users ** 2)),
                               max_len=int(rng.integers(2, n_users + 1)))
         table = pair_counts(eps, n_users)
-        assert table._index is not None and table._index.shape == (n_users ** 2,)
-        plain = PairTable(n_users, table.pairs, table.m)
-        assert plain._index is None
-        _assert_same_ids(table, plain, rng)
-        assert "_keys" not in vars(table)  # a dense table never builds its key copy
+        assert n_users ** 2 <= len(table.slot_ids)
+        _assert_slot_ids_are_the_searched_ids(eps, table)
+        _assert_ids_match_a_pair_dict(table, rng)
 
 
 @pytest.mark.parametrize("n_users", [0, 1, 2, 6])
 def test_lookup_paths_agree_without_pairs(rng, n_users):
+    """A table built without pairs and one counted from no episodes find none."""
     plain = PairTable(n_users, np.zeros((0, 2), dtype=np.int32), np.zeros(0))
-    _assert_same_ids(_indexed(plain), plain, rng)
-    if n_users == 0:  # zero keys and zero slots: pair_counts takes the dense path
-        table = pair_counts(make_episodes([]), 0)
-        assert table._index is not None and len(table._index) == 0
-        _assert_same_ids(table, plain, rng)
+    counted = pair_counts(make_episodes([]), n_users)
+    assert counted.n_pairs == 0 and len(counted.slot_ids) == 0
+    for table in (plain, counted):
+        _assert_ids_match_a_pair_dict(table, rng)
 
 
-@pytest.mark.parametrize("indexed", [False, True])
-def test_users_out_of_range_are_in_no_pair(indexed):
-    table = PairTable(4, np.array([[1, 2], [2, 3]], dtype=np.int32), np.ones(2))
-    if indexed:
-        table = _indexed(table)
+@pytest.mark.parametrize("counted", [False, True])
+def test_users_out_of_range_are_in_no_pair(counted):
+    if counted:
+        eps = make_episodes([((1, 2), (1.0, 2.0)), ((2, 3), (1.0, 2.0))])
+        table = pair_counts(eps, 4)
+        assert table.pairs.tolist() == [[1, 2], [2, 3]]
+    else:
+        table = PairTable(4, np.array([[1, 2], [2, 3]], dtype=np.int32), np.ones(2))
     assert int(table.ids(1, 2)) == 0 and int(table.ids(2, 3)) == 1
     # 0 * 4 + 6 and 3 * 4 - 1 are the keys of (1, 2) and (2, 3)
     assert int(table.ids(0, 6)) == -1
@@ -511,12 +519,15 @@ def test_users_out_of_range_are_in_no_pair(indexed):
 
 
 def test_simulated_trace_gets_the_dense_index():
+    """The default simulated trace has a slot per key, so its counting pass
+    takes the dense path; every slot's id is its pair's row."""
     trace = simulate(SimConfig(seed=3)).trace
     assert trace.n_users == 100
-    table = pair_counts(build_episodes(trace), trace.n_users)
-    assert table._index is not None
-    assert np.array_equal(table._index[table._keys], np.arange(table.n_pairs))
-    assert (np.delete(table._index, table._keys) == -1).all()
+    eps = build_episodes(trace)
+    table = pair_counts(eps, trace.n_users)
+    assert trace.n_users ** 2 <= len(table.slot_ids)
+    _assert_slot_ids_are_the_searched_ids(eps, table)
+    assert np.array_equal(np.bincount(table.slot_ids, minlength=table.n_pairs), table.m)
 
 
 def test_episode_is_permutation_with_author_first(t1):
