@@ -21,7 +21,6 @@ from .trace import (  # noqa: F401
     Episodes,
     PairTable,
     Trace,
-    TraceRecord,
     build_episodes,
     pair_counts,
     parse_trace,

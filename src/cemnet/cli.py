@@ -135,7 +135,10 @@ def _load_trace(args: argparse.Namespace):
         trace = parse_trace(args.trace, drop_orphans=getattr(args, "drop_orphans", False))
     except TraceFormatError as exc:
         raise UsageError(f"bad trace {args.trace}: {exc}") from exc
-    return trace.head(args.head) if args.head else trace
+    try:
+        return trace.head(args.head) if args.head else trace
+    except TraceFormatError as exc:
+        raise UsageError(f"bad trace {args.trace} cut by --head {args.head}: {exc}") from exc
 
 
 def _require_two_users(args: argparse.Namespace, trace) -> None:

@@ -61,6 +61,17 @@ class FeasibilityReport:
         }
 
 
+def _in_sets(graph: InferredGraph) -> dict[int, set[int]]:
+    """``{j: {i, ...}}`` over the nodes with at least one in-edge."""
+    order = np.argsort(graph.dst, kind="stable")
+    dst = graph.dst[order]
+    src = graph.src[order].tolist()
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    bounds = np.r_[starts, len(dst)].tolist()
+    return {j: set(src[lo:hi])
+            for j, lo, hi in zip(dst[starts].tolist(), bounds[:-1], bounds[1:])}
+
+
 def _episode_feasible(ins: dict[int, set[int]], users: list[int]) -> bool:
     seen = {users[0]}
     for j in users[1:]:
@@ -73,7 +84,7 @@ def _episode_feasible(ins: dict[int, set[int]], users: list[int]) -> bool:
 
 def check_feasibility(graph: InferredGraph, episodes: Episodes) -> FeasibilityReport:
     """Fraction of episodes the graph can explain (local predecessor test)."""
-    ins = graph.in_sets
+    ins = _in_sets(graph)
     users, ptr = episodes.users.tolist(), episodes.ptr.tolist()
     flags = tuple(_episode_feasible(ins, users[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
     n_ok = sum(flags)

@@ -86,9 +86,8 @@ class EmState:
     iteration: int = 0
     delta_q: float = math.inf
     converged: bool = False
-    # prior values that generated the current Q (implicit posterior of M=0 pairs)
-    q_prior_used: tuple[float, ...] = field(default=())
-    # the prior behind the current Q, as threshold_graph/score_matrix take it
+    # the prior behind the current Q, as threshold_graph/score_matrix take it;
+    # the prior updates fold its values in for the inactive pairs
     prior_spec: tuple = field(default=())
 
     def to_json(self) -> dict:
@@ -250,7 +249,7 @@ def update_prior_er(state: EmState, q: np.ndarray) -> float:
         raise ValueError("need at least two users for an edge prior")
     total = n * (n - 1)
     inactive = total - state.table.n_pairs
-    rho_used = state.q_prior_used[0] if state.q_prior_used else state.params.rho
+    rho_used = state.prior_spec[1] if state.prior_spec else state.params.rho
     return clamp((float(q.sum()) + inactive * rho_used) / total)
 
 
@@ -266,8 +265,8 @@ def update_prior_sbm(state: EmState, q: np.ndarray) -> tuple[float, float]:
     same = g[state.table.pairs[:, 0]] == g[state.table.pairs[:, 1]]
     same_active = int(same.sum())
     cross_active = state.table.n_pairs - same_active
-    if state.q_prior_used:
-        p_used, q_used = state.q_prior_used
+    if state.prior_spec:
+        p_used, q_used = state.prior_spec[1:3]
     else:
         p_used, q_used = state.params.p_in, state.params.q_out
 
@@ -499,7 +498,6 @@ def run_cem(
         # the prior behind this iteration's Q: its norm, interim graph and
         # final scores all read this one value
         state.prior_spec = spec = params.prior_spec(groups)
-        state.q_prior_used = spec[1:3]
         post = update_q_er(state) if prior == PRIOR_ER else update_q_sbm(state)
         q_new = post.q
 

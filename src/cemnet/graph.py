@@ -1,11 +1,10 @@
-"""Directed graph over the trace's user indices, with CSV round-tripping."""
+"""Directed graph over the trace's user indices, held as sorted edge-key
+arrays, with CSV round-tripping."""
 
 from __future__ import annotations
 
 import csv as _csv
 import math
-import operator
-from collections.abc import Set
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,13 +20,14 @@ class GraphFormatError(ValueError):
 class InferredGraph:
     """Immutable directed edge set over ``n_users`` nodes, no self-loops.
 
-    The edges are held as ``src``/``dst`` int64 arrays sorted by the key
-    ``src * n_users + dst``, one entry per edge.  ``score`` optionally
-    attaches a per-edge score aligned with them (posterior probability for
-    EM methods; heuristics carry none and write 1.0 to CSV).  ``edges`` is
-    a read-only set view over the arrays that builds no tuples until
-    iterated; ``in_sets`` and ``out_adj`` are dict/list views built on
-    first read.
+    The graph is its arrays: ``keys`` (``src * n_users + dst``), ``src`` and
+    ``dst``, int64, sorted by key with one entry per edge, and read-only.
+    ``score`` optionally attaches a per-edge score aligned with them
+    (posterior probability for EM methods; heuristics carry none and write
+    1.0 to CSV).  ``edges`` is a plain tuple of ``(i, j)`` pairs in key
+    order, built on each read for the benchmark's digest; nothing in the
+    package reads it.  ``out_adj`` is built on each read, for its one
+    reader per graph.
 
     ``edges`` is an (E, 2) integer array or an iterable of ``(i, j)``
     pairs; ``scores`` is aligned with it.  A repeated edge keeps the score
@@ -68,89 +68,26 @@ class InferredGraph:
             keys, src, dst = keys[order], src[order], dst[order]
             if score is not None:
                 score = score[order]
-        self._keys, self.src, self.dst, self.score = keys, src, dst, score
-        for arr in (self._keys, self.src, self.dst, self.score):
+        self.keys, self.src, self.dst, self.score = keys, src, dst, score
+        for arr in (self.keys, self.src, self.dst, self.score):
             if arr is not None:
                 arr.flags.writeable = False
-        self._in_sets: dict[int, set[int]] | None = None
-        self._out_adj: list[list[int]] | None = None
 
     @property
     def n_edges(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, edge: object) -> bool:
-        return edge in self.edges
-
-    def _find(self, i: int, j: int) -> int:
-        """Position of edge (i, j) in the arrays, or -1."""
-        if not (0 <= i < self.n_users and 0 <= j < self.n_users):
-            return -1
-        key = i * self.n_users + j
-        k = int(np.searchsorted(self._keys, key))
-        return k if k < len(self._keys) and self._keys[k] == key else -1
+        return len(self.keys)
 
     @property
-    def edges(self) -> EdgeView:
-        return EdgeView(self)
-
-    @property
-    def in_sets(self) -> dict[int, set[int]]:
-        """``{j: {i, ...}}`` over the nodes with at least one in-edge."""
-        if self._in_sets is None:
-            order = np.argsort(self.dst, kind="stable")
-            dst = self.dst[order]
-            src = self.src[order].tolist()
-            starts = np.flatnonzero(np.diff(dst, prepend=-1))
-            bounds = np.r_[starts, len(dst)].tolist()
-            self._in_sets = {
-                j: set(src[lo:hi])
-                for j, lo, hi in zip(dst[starts].tolist(), bounds[:-1], bounds[1:])
-            }
-        return self._in_sets
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The ``(i, j)`` pairs in key order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist()))
 
     @property
     def out_adj(self) -> list[list[int]]:
         """Out-neighbours of every node, ascending."""
-        if self._out_adj is None:
-            ptr = np.searchsorted(self.src, np.arange(self.n_users + 1)).tolist()
-            dst = self.dst.tolist()
-            self._out_adj = [dst[ptr[i]:ptr[i + 1]] for i in range(self.n_users)]
-        return self._out_adj
-
-
-class EdgeView(Set):
-    """The graph's edges as a read-only set of ``(i, j)`` tuples.
-
-    Iteration runs in ascending ``(i, j)`` order, membership is a binary
-    search in the graph's arrays (anything but a pair of integers is not a
-    member), and set operators that build a new set return a ``frozenset``.
-    """
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: InferredGraph):
-        self._graph = graph
-
-    @classmethod
-    def _from_iterable(cls, it: Iterable) -> frozenset:
-        return frozenset(it)
-
-    def __len__(self) -> int:
-        return self._graph.n_edges
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self._graph.src.tolist(), self._graph.dst.tolist())
-
-    def __contains__(self, edge: object) -> bool:
-        try:
-            i, j = map(operator.index, edge)
-        except (TypeError, ValueError):
-            return False
-        return self._graph._find(i, j) >= 0
-
-    def __repr__(self) -> str:
-        return f"EdgeView({set(self)!r})"
+        ptr = np.searchsorted(self.src, np.arange(self.n_users + 1)).tolist()
+        dst = self.dst.tolist()
+        return [dst[ptr[i]:ptr[i + 1]] for i in range(self.n_users)]
 
 
 def write_graph_csv(

@@ -1,6 +1,10 @@
 """Edge-prediction scoring against a ground truth, and network statistics.
 
-The classification universe is all N(N-1) ordered pairs.  AUC ranks every
+The classification universe is all N(N-1) ordered pairs, each named by its
+key ``i*N + j`` as ``InferredGraph.keys`` holds them.  The confusion counts
+read one flat N*N indicator of the true keys at the inferred keys; fp, fn
+and tn follow by arithmetic.  AUC reads the off-diagonal entries of that
+indicator and of the scores, in key order.  AUC ranks every
 pair by its score (posterior where available, the prior for pairs the trace
 never ordered, 1/0 indicators for score-free heuristics) and uses midranks
 for ties, which coincides with trapezoidal integration of the ROC curve.
@@ -44,10 +48,10 @@ class EvalReport:
         return out
 
 
-def _adjacency(graph: InferredGraph) -> np.ndarray:
-    a = np.zeros((graph.n_users, graph.n_users), dtype=bool)
-    a[graph.src, graph.dst] = True
-    return a
+def _off_diagonal(flat: np.ndarray, n: int) -> np.ndarray:
+    """The entries at keys ``i*n + j``, ``i != j``, of a flat n*n array, in
+    key order: past key 0, each diagonal key closes a row of n + 1 entries."""
+    return flat[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
 
 
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -102,13 +106,16 @@ def classification_scores(
             f"user sets differ: {inferred.n_users} vs {truth.n_users} users"
         )
     n = truth.n_users
-    pred = _adjacency(inferred)
-    pos = _adjacency(truth)
-    off = ~np.eye(n, dtype=bool)
-    tp = int(np.sum(pred & pos))
-    fp = int(np.sum(pred & ~pos & off))
-    fn = int(np.sum(~pred & pos))
-    tn = int(np.sum(~pred & ~pos & off))
+    if scores is not None:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (n, n):
+            raise ValueError(f"scores must be ({n}, {n})")
+    pos = np.zeros(n * n, dtype=bool)
+    pos[truth.keys] = True
+    tp = int(np.count_nonzero(pos[inferred.keys]))
+    fp = inferred.n_edges - tp
+    fn = truth.n_edges - tp
+    tn = n * (n - 1) - tp - fp - fn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (
@@ -117,12 +124,11 @@ def classification_scores(
         else 0.0
     )
     if scores is None:
-        score_mat = pred.astype(np.float64)
+        flat = np.zeros(n * n)
+        flat[inferred.keys] = 1.0
     else:
-        score_mat = np.asarray(scores, dtype=np.float64)
-        if score_mat.shape != (n, n):
-            raise ValueError(f"scores must be ({n}, {n})")
-    auc = roc_auc(pos[off], score_mat[off])
+        flat = scores.reshape(-1)
+    auc = roc_auc(_off_diagonal(pos, n), _off_diagonal(flat, n))
     return EvalReport(precision, recall, f1, auc, tp, fp, fn, tn, feasibility)
 
 

@@ -287,7 +287,7 @@ def rewire_edges(graph: InferredGraph, fraction: float, seed: int = 0) -> Inferr
     dropped = rng.choice(graph.n_edges, size=int(round(fraction * graph.n_edges)),
                          replace=False)
     # edge keys i*n + j; a self-loop or a key already taken adds nothing, so draw again
-    taken = set(np.delete(graph.src * n + graph.dst, dropped).tolist())
+    taken = set(np.delete(graph.keys, dropped).tolist())
     while len(taken) < graph.n_edges:
         i, j = int(rng.integers(n)), int(rng.integers(n))
         if i != j:

@@ -38,14 +38,6 @@ class TraceFormatError(ValueError):
     """Malformed or inconsistent trace input (bad row, duplicate pid, ...)."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    pid: str
-    t: float
-    uid: str
-    rid: str | None  # None for original posts
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A validated trace, one array per column.
@@ -54,7 +46,9 @@ class Trace:
     reshares row ``parent[r]``, or is an original post where that is -1, and
     ``root[r]`` is the row of the original post behind it.  uids are interned
     in first-seen order.  :meth:`from_columns` and :func:`parse_trace`
-    validate; the constructor takes the arrays as they are.
+    validate; the constructor takes the arrays as they are.  The columns are
+    the trace: no object per row is kept, and :attr:`records` builds plain
+    row tuples only when read.
     """
 
     pid: np.ndarray  # (n,) object, str
@@ -108,11 +102,12 @@ class Trace:
     def n_users(self) -> int:
         return len(self.users)
 
-    @cached_property
-    def records(self) -> tuple[TraceRecord, ...]:
-        """The rows as :class:`TraceRecord` tuples, built on first read."""
+    @property
+    def records(self) -> tuple[tuple[str, float, str, str | None], ...]:
+        """The rows as ``(pid, t, uid, rid)`` tuples, rid None for an
+        original, built on each read for the benchmark's row count."""
         rid = np.where(self.parent < 0, None, self.pid[self.parent]).tolist()
-        return tuple(map(TraceRecord, self.pid.tolist(), self.t.tolist(), self.uid_tokens(), rid))
+        return tuple(zip(self.pid.tolist(), self.t.tolist(), self.uid_tokens(), rid))
 
     def uid_tokens(self) -> list[str]:
         return np.array(self.users, dtype=object)[self.uid].tolist()
@@ -122,10 +117,13 @@ class Trace:
         return np.where(self.parent < 0, ORIGINAL_RID, self.pid[self.parent]).tolist()
 
     def head(self, n_rows: int) -> "Trace":
-        """First ``n_rows`` rows as a new trace.
+        """First ``n_rows`` rows as a new trace, validated as
+        :meth:`from_columns` validates.
 
-        Rows are time-ordered and reposts always point backwards, so any
-        prefix is closed under rid resolution.
+        Nothing orders the rows by time or puts a parent before its
+        reposts, so a repost in the prefix may name a parent outside it;
+        that raises :class:`TraceFormatError` naming row ``r`` as line
+        ``r + 2``.
         """
         if n_rows >= len(self.pid):
             return self

@@ -246,11 +246,11 @@ def test_c09_closed_form_fixed_points():
     state = em.EmState(em.ParamSet("er", 0.8, 0.2, rho=0.5), table, None, 2)
     alpha, beta = em.update_alpha_beta(state, np.array([1.0, 0.0]))
     assert alpha == em.clamp(1.0) and beta == em.clamp(0.0)
-    state.q_prior_used = (0.0,)
+    state.prior_spec = ("er", 0.0)
     assert em.update_prior_er(state, np.array([1.0, 1.0])) == pytest.approx(1.0)
     sbm_state = em.EmState(
         em.ParamSet("sbm", 0.8, 0.2, p_in=0.5, q_out=0.5),
-        table, np.array([0, 1]), 2, q_prior_used=(0.5, 0.5),
+        table, np.array([0, 1]), 2, prior_spec=("sbm", 0.5, 0.5, np.array([0, 1])),
     )
     p_new, q_new = em.update_prior_sbm(sbm_state, np.array([0.9, 0.7]))
     assert p_new == 0.5  # no intra pairs: retains previous value

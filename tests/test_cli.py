@@ -270,6 +270,22 @@ def test_negative_head_is_usage_error(workdir, tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_head_cutting_off_a_parent_names_file_row_and_cut(tmp_path, capsys):
+    # a valid trace whose repost row comes before its parent's row
+    trace = tmp_path / "t.csv"
+    trace.write_text("pid,t,uid,rid\nP2,6,U2,P1\nP1,5,U1,-1\n")
+    graph = tmp_path / "g.csv"
+    graph.write_text("src,dst\n")
+    out = tmp_path / "r.json"
+    assert main(["feascheck", "--trace", str(trace), "--graph", str(graph),
+                 "--out", str(out)]) == 0
+    rc = main(["feascheck", "--trace", str(trace), "--graph", str(graph),
+               "--head", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"bad trace {trace} cut by --head 1: row 2: rid 'P1' does not match" in err
+
+
 def _required_args(command, workdir, out):
     """The file arguments each subcommand needs, writing under ``out``."""
     trace, truth = str(workdir / "trace.csv"), str(workdir / "truth.csv")

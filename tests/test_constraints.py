@@ -88,6 +88,7 @@ def test_feasibility_complete_graph(rng):
 def _feasible_bfs_oracle(graph, users):
     """Reachability from the author over time-respecting edges only."""
     users = list(users)
+    edges = set(graph.edges)
     pos = {u: k for k, u in enumerate(users)}
     reached = {users[0]}
     frontier = [users[0]]
@@ -96,7 +97,7 @@ def _feasible_bfs_oracle(graph, users):
         for i in frontier:
             for k in range(pos[i] + 1, len(users)):
                 j = users[k]
-                if j not in reached and (i, j) in graph.edges:
+                if j not in reached and (i, j) in edges:
                     reached.add(j)
                     nxt.append(j)
         frontier = nxt

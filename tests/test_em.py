@@ -11,7 +11,7 @@ from cemnet.trace import PairTable, build_episodes
 
 def make_state(pairs, m, sigma, *, prior="er", alpha=0.8, beta=0.2,
                rho=0.3, p_in=None, q_out=None, groups=None, n_users=None,
-               lam=1.0, beta_fixed=None, q_prior_used=()):
+               lam=1.0, beta_fixed=None, prior_spec=()):
     pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
     n = n_users or int(pairs.max()) + 1 if len(pairs) else (n_users or 2)
     zeros = np.zeros(len(pairs))
@@ -20,7 +20,7 @@ def make_state(pairs, m, sigma, *, prior="er", alpha=0.8, beta=0.2,
     params = em.ParamSet(prior=prior, alpha=alpha, beta=beta, rho=rho,
                          p_in=p_in, q_out=q_out, lam=lam, beta_fixed=beta_fixed)
     groups = None if groups is None else np.asarray(groups)
-    return em.EmState(params, table, groups, n, q_prior_used=tuple(q_prior_used))
+    return em.EmState(params, table, groups, n, prior_spec=tuple(prior_spec))
 
 
 def _per_pair(st, q):
@@ -222,14 +222,14 @@ def test_update_alpha_beta_fixed_beta():
 def test_update_prior_er_mean_of_constant():
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     st = make_state(pairs, [1.0] * 6, [0.5] * 6, n_users=3,
-                    q_prior_used=(0.9,))
+                    prior_spec=("er", 0.9))
     rho = em.update_prior_er(st, np.full(6, 0.5))
     assert rho == pytest.approx(0.5, abs=1e-15)
 
 
 def test_update_prior_er_closed_form_inactive():
     st = make_state([(0, 1), (1, 2)], [1.0, 1.0], [0.5, 0.5], n_users=3,
-                    q_prior_used=(0.0,))
+                    prior_spec=("er", 0.0))
     rho = em.update_prior_er(st, np.array([1.0, 1.0]))
     assert rho == pytest.approx(2.0 / 6.0, abs=1e-15)
 
@@ -237,7 +237,7 @@ def test_update_prior_er_closed_form_inactive():
 def test_update_prior_er_fixed_point():
     pairs = [(0, 1), (1, 0)]
     st = make_state(pairs, [1.0, 1.0], [0.5, 0.5], n_users=2,
-                    q_prior_used=(0.37,))
+                    prior_spec=("er", 0.37))
     rho = em.update_prior_er(st, np.array([0.37, 0.37]))
     assert rho == pytest.approx(0.37, abs=1e-15)
 
@@ -251,7 +251,7 @@ def test_update_prior_er_rejects_single_user():
 def test_update_prior_sbm_single_community(caplog):
     st = make_state([(0, 1), (1, 2)], [1.0, 1.0], [0.5, 0.5], prior="sbm",
                     p_in=0.2, q_out=0.456, groups=[0, 0, 0], n_users=3,
-                    q_prior_used=(0.1, 0.456))
+                    prior_spec=("sbm", 0.1, 0.456, np.array([0, 0, 0])))
     with caplog.at_level("WARNING"):
         p, q = em.update_prior_sbm(st, np.array([0.8, 0.6]))
     assert p == pytest.approx((0.8 + 0.6 + 4 * 0.1) / 6.0)
@@ -262,7 +262,7 @@ def test_update_prior_sbm_single_community(caplog):
 def test_update_prior_sbm_two_singletons():
     st = make_state([(0, 1)], [1.0], [0.5], prior="sbm", p_in=0.321,
                     q_out=0.9, groups=[0, 1], n_users=2,
-                    q_prior_used=(0.321, 0.5))
+                    prior_spec=("sbm", 0.321, 0.5, np.array([0, 1])))
     p, q = em.update_prior_sbm(st, np.array([0.8]))
     assert p == 0.321  # retained, no intra pairs
     assert q == pytest.approx((0.8 + 0.5) / 2.0)
@@ -272,7 +272,7 @@ def test_update_prior_sbm_indicator_case():
     pairs = [(0, 1), (1, 0), (0, 2), (2, 0)]
     st = make_state(pairs, [1.0] * 4, [0.5] * 4, prior="sbm", p_in=0.5,
                     q_out=0.5, groups=[0, 0, 1], n_users=3,
-                    q_prior_used=(1.0, 0.0))
+                    prior_spec=("sbm", 1.0, 0.0, np.array([0, 0, 1])))
     q_arr = np.array([1.0, 1.0, 0.0, 0.0])
     p, q = em.update_prior_sbm(st, q_arr)
     assert p == em.clamp(1.0)
@@ -325,7 +325,7 @@ def test_q_monotone_in_sigma_and_mass(rng):
 def test_threshold_graph_strictness():
     st = make_state([(0, 1), (1, 2)], [1.0, 1.0], [0.5, 0.5], n_users=3)
     g = em.threshold_graph(st.table, np.array([0.49, 0.51]), 3)
-    assert g.edges == {(1, 2)}
+    assert g.edges == ((1, 2),)
     g2 = em.threshold_graph(st.table, np.array([0.5, 0.5]), 3)
     assert g2.n_edges == 0
 
@@ -368,7 +368,7 @@ def test_threshold_graph_sbm_prior_hot_mixed_groups():
     spec = ("sbm", 0.7, 0.2, np.array([0, 0, 1, 1]))
     g = em.threshold_graph(st.table, np.array([0.1, 0.9, 0.3]), 4, spec)
     # (0, 1) is active with a low posterior, so the hot prior must not add it
-    assert g.edges == {(1, 0), (2, 3), (3, 2), (2, 0)}
+    assert g.edges == ((1, 0), (2, 0), (2, 3), (3, 2))
     assert all(i != j for i, j in g.edges)
     scores = dict(zip(g.edges, g.score.tolist()))
     assert scores[1, 0] == 0.7 and scores[2, 3] == 0.7
@@ -379,7 +379,7 @@ def test_threshold_graph_cold_prior_adds_nothing():
     st = make_state([(0, 1)], [1.0], [0.5], n_users=3)
     spec = ("sbm", 0.5, 0.3, np.array([0, 0, 0]))
     g = em.threshold_graph(st.table, np.array([0.8]), 3, spec)
-    assert g.edges == {(0, 1)}
+    assert g.edges == ((0, 1),)
 
 
 def test_threshold_graph_matches_pairwise_reference(rng):
@@ -401,7 +401,7 @@ def test_threshold_graph_matches_pairwise_reference(rng):
                     rng.integers(0, 3, size=n))
         g = em.threshold_graph(st.table, q, n, spec)
         want = _threshold_reference(st.table, q, n, spec)
-        assert g.edges == set(want)
+        assert g.edges == tuple(sorted(want))
         assert dict(zip(g.edges, g.score.tolist())) == want
 
 
@@ -569,13 +569,22 @@ def test_prior_spec_holds_the_labels_of_the_last_e_step(t1, monkeypatch):
         labels.append(np.full(n, len(labels), dtype=np.int64))
         return CommunityResult(labels[-1], 0.0, ())
 
+    update_prior_sbm = em.update_prior_sbm
+    folded = []
+
+    def recorded_update(state, q):
+        folded.append(state.prior_spec[1:3])
+        return update_prior_sbm(state, q)
+
     monkeypatch.setattr(em, "threshold_graph", scripted_threshold)
     monkeypatch.setattr(em, "louvain_graph", fresh_labels)
+    monkeypatch.setattr(em, "update_prior_sbm", recorded_update)
     state, _ = em.run_cem(t1, "sbm", 1.0, seed=3, max_iters=3, epsilon=0.0)
     assert state.iteration == 3 and len(labels) == 3 and not script
     assert np.array_equal(state.groups, labels[2])
     assert np.array_equal(state.prior_spec[3], labels[1])
-    assert state.prior_spec[1:3] == state.q_prior_used
+    # the last M-step folded in the values of the prior behind the final Q
+    assert state.prior_spec[1:3] == folded[-1]
 
 
 def test_run_cem_rejects_unknown_prior(t1):

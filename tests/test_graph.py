@@ -9,15 +9,13 @@ def _score_map(g):
 
 
 def _reference_views(n, pairs, scores):
-    """Edges, scores, in-sets and out-lists as the tuple/dict graph built them."""
+    """Edges, scores and out-lists as the tuple/dict graph built them."""
     edges = set(pairs)
     score_of = dict(zip(pairs, scores))  # a repeated edge keeps its last score
-    ins: dict[int, set[int]] = {}
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in sorted(edges):
-        ins.setdefault(j, set()).add(i)
         adj[i].append(j)
-    return edges, score_of, ins, adj
+    return edges, score_of, adj
 
 
 def test_array_and_tuple_construction_agree(rng):
@@ -32,27 +30,25 @@ def test_array_and_tuple_construction_agree(rng):
             arr = arr.astype(np.int32)
         pairs = [tuple(p) for p in arr.tolist()]
         vals = rng.uniform(size=len(pairs))
-        edges, score_of, ins, adj = _reference_views(n, pairs, vals.tolist())
+        edges, score_of, adj = _reference_views(n, pairs, vals.tolist())
         for g in (InferredGraph(n, arr, vals), InferredGraph(n, pairs, vals.tolist()),
                   InferredGraph(n, iter(pairs), list(vals))):
-            assert g.edges == edges
+            assert g.edges == tuple(sorted(edges))
             assert _score_map(g) == score_of
             assert g.n_edges == len(edges)
-            assert g.in_sets == ins
             assert g.out_adj == adj
-            assert list(zip(g.src.tolist(), g.dst.tolist())) == sorted(edges)
-            assert all(e in g for e in edges)
+            assert g.keys.tolist() == [i * n + j for i, j in sorted(edges)]
         plain = InferredGraph(n, arr)
-        assert plain.edges == edges and plain.score is None
+        assert plain.edges == tuple(sorted(edges)) and plain.score is None
 
 
 def test_non_edges():
     g = InferredGraph(3, np.array([[0, 1]]), np.array([0.25]))
-    assert (0, 1) in g and (1, 0) not in g and (5, 0) not in g and (0, -1) not in g
+    assert g.edges == ((0, 1),) and g.keys.tolist() == [1]
     assert g.score.tolist() == [0.25]
     empty = InferredGraph(4, [])
-    assert empty.n_edges == 0 and empty.edges == frozenset()
-    assert empty.in_sets == {} and empty.out_adj == [[], [], [], []]
+    assert empty.n_edges == 0 and empty.edges == () and empty.keys.tolist() == []
+    assert empty.out_adj == [[], [], [], []]
 
 
 @pytest.mark.parametrize("edges,message", [
@@ -82,7 +78,7 @@ def test_duplicate_edge_keeps_last_score():
 
 
 def _graph_arrays(g):
-    return g.src, g.dst, g.score
+    return g.keys, g.src, g.dst, g.score
 
 
 def test_ascending_shuffled_and_repeated_edges_build_one_graph(rng):
@@ -100,7 +96,7 @@ def test_ascending_shuffled_and_repeated_edges_build_one_graph(rng):
     adjacent = InferredGraph(n, np.repeat(edges, 2, axis=0),
                              np.column_stack([scores + 1.0, scores]).ravel())
     for g in (ascending, shuffled, repeated, adjacent):
-        for got, want in zip(_graph_arrays(g), (keys // n, keys % n, scores)):
+        for got, want in zip(_graph_arrays(g), (keys, keys // n, keys % n, scores)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert not got.flags.writeable
             with pytest.raises(ValueError):
@@ -118,9 +114,8 @@ def test_graph_keeps_no_reference_to_caller_arrays(order):
         assert not np.shares_memory(arr, edges) and not np.shares_memory(arr, scores)
     edges[:] = [[1, 0], [2, 1], [0, 2]]
     scores[:] = 0.0
-    assert g.edges == {(0, 1), (1, 2), (2, 0)}
+    assert g.edges == ((0, 1), (1, 2), (2, 0))
     assert _score_map(g) == {(0, 1): 0.6, (1, 2): 0.7, (2, 0): 0.8}
-    assert (1, 0) not in g
 
 
 def test_csv_repeated_row_keeps_last_given_score(tmp_path):
@@ -134,22 +129,10 @@ def test_csv_repeated_row_keeps_last_given_score(tmp_path):
     assert read_graph_csv(unscored, ["a", "b"]).score is None
 
 
-def test_edge_view_is_a_set():
-    g = InferredGraph(5, [(3, 1), (0, 4), (0, 2), (2, 0)])
-    want = frozenset({(0, 2), (0, 4), (2, 0), (3, 1)})
-    view = g.edges
-    assert view == want and want == view
-    assert view != want | {(1, 2)} and want | {(1, 2)} != view
-    assert len(view) == 4 and list(view) == sorted(want)
-    assert view <= want and view < want | {(1, 2)} and not view < want
-    assert view & {(0, 2), (1, 1)} == {(0, 2)} == {(1, 1), (0, 2)} & view
-    assert type(view & want) is frozenset and type(view | {(1, 2)}) is frozenset
-    assert view | {(1, 2)} == want | {(1, 2)}
-    assert all(e in view for e in want) and (1, 0) not in view
-    assert (np.int64(0), np.int32(2)) in view
-    for bad in [(5, 0), (0, 5), (-1, 2), (2, -5), (0, 2, 1), (0,), "ab", 3, None, ("0", "2")]:
-        assert bad not in view and bad not in g
-    assert InferredGraph(5, []).edges == frozenset()
+def test_edges_are_int_pairs_in_key_order():
+    g = InferredGraph(5, np.array([(3, 1), (0, 4), (0, 2), (2, 0)], dtype=np.int32))
+    assert g.edges == ((0, 2), (0, 4), (2, 0), (3, 1))
+    assert all(type(x) is int for e in g.edges for x in e)
 
 
 @pytest.mark.parametrize("row,message", [

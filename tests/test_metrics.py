@@ -1,10 +1,13 @@
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemnet.graph import InferredGraph
-from cemnet.metrics import classification_scores, graph_stats, roc_auc
+from cemnet.metrics import EvalReport, classification_scores, graph_stats, roc_auc
 
 
 def _random_graph(rng, n, density):
@@ -187,6 +190,57 @@ def test_confusion_counts_consistent(rng):
     assert rep.tp + rep.fp + rep.fn + rep.tn == n * (n - 1)
     if rep.tp + rep.fp:
         assert rep.precision == pytest.approx(rep.tp / (rep.tp + rep.fp))
+
+
+def _adjacency(graph):
+    a = np.zeros((graph.n_users, graph.n_users), dtype=bool)
+    a[graph.src, graph.dst] = True
+    return a
+
+
+def _dense_report(inferred, truth, scores):
+    """The report from dense N x N indicators, an off-diagonal mask and four
+    masked sums: the computation the key-based scoring replaced."""
+    n = truth.n_users
+    pred, pos = _adjacency(inferred), _adjacency(truth)
+    off = ~np.eye(n, dtype=bool)
+    tp = int(np.sum(pred & pos))
+    fp = int(np.sum(pred & ~pos & off))
+    fn = int(np.sum(~pred & pos))
+    tn = int(np.sum(~pred & ~pos & off))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    score_mat = pred.astype(np.float64) if scores is None else scores
+    auc = roc_auc(pos[off], score_mat[off])
+    return EvalReport(precision, recall, f1, auc, tp, fp, fn, tn)
+
+
+def _bits(report):
+    """Each field of a report, floats as their IEEE bytes (NaN equals NaN)."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v
+            for v in vars(report).values()]
+
+
+@st.composite
+def _scored_graphs(draw):
+    n = draw(st.integers(1, 12))
+    off = [k for k in range(n * n) if k // n != k % n]
+    keys = st.lists(st.sampled_from(off), unique=True) if off else st.just([])
+    inferred, truth = (InferredGraph(n, np.column_stack(np.divmod(
+        np.array(draw(keys), dtype=np.int64), n))) for _ in range(2))
+    scores = draw(st.none() | st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, float("nan")]) | st.floats(0.0, 1.0),
+        min_size=n * n, max_size=n * n))
+    return inferred, truth, None if scores is None else np.reshape(scores, (n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scored_graphs())
+def test_key_scoring_matches_dense_oracle_bitwise(case):
+    inferred, truth, scores = case
+    got = classification_scores(inferred, truth, scores=scores)
+    assert _bits(got) == _bits(_dense_report(inferred, truth, scores))
 
 
 def test_scores_shape_validation():

@@ -59,7 +59,7 @@ def test_sbm_graph_complete_blocks():
         for j in range(6)
         if i != j and labels[i] == labels[j]
     }
-    assert g.edges == expected
+    assert g.edges == tuple(sorted(expected))
 
 
 def test_sbm_graph_flat_prior_density():
@@ -119,13 +119,13 @@ def test_two_user_forced_repost():
     )
     out = sim.run_diffusion(graph, labels, events, cfg, np.random.default_rng(0))
     assert out.n_posts == 1 and out.n_reposts == 1
-    reposts = [r for r in out.trace.records if r.rid is not None]
+    reposts = [rid for _, _, _, rid in out.trace.records if rid is not None]
     assert len(reposts) == 1
     # the repost's root is u0000's post, so u0000 heads its episode
     eps = build_episodes(out.trace)
     assert len(eps) == 1 and out.trace.users[eps.users[0]] == "u0000"
-    assert eps.root_pids[0] == reposts[0].rid
-    assert out.trace.pid[out.trace.root].tolist() == [reposts[0].rid] * 2
+    assert eps.root_pids[0] == reposts[0]
+    assert out.trace.pid[out.trace.root].tolist() == [reposts[0]] * 2
 
 
 def test_trace_fully_feasible_against_truth():
@@ -171,6 +171,6 @@ def test_rewire_edges_preserves_count():
     g = out.truth_graph
     rewired = sim.rewire_edges(g, 0.5, seed=7)
     assert rewired.n_edges == g.n_edges
-    overlap = len(rewired.edges & g.edges)
+    overlap = len(set(rewired.edges) & set(g.edges))
     assert overlap <= g.n_edges - int(0.5 * g.n_edges) + 2
     assert all(i != j for i, j in rewired.edges)

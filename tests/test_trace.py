@@ -1,5 +1,6 @@
 import io
 import logging
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cemnet.trace import (
     PairTable,
     Trace,
     TraceFormatError,
-    TraceRecord,
     _bulk_columns,
     _row_columns,
     _trace,
@@ -55,9 +55,9 @@ def test_from_columns_matches_parse(t1):
 
 def test_records_view_is_a_read_only_tuple(t1):
     recs = t1.records
-    assert isinstance(recs, tuple) and recs is t1.records
-    assert recs[0] == TraceRecord("P1", 920.0, "U1", None)
-    assert recs[3] == TraceRecord("P4", 940.0, "U3", "P2")
+    assert isinstance(recs, tuple) and recs == t1.records and len(recs) == 6
+    assert recs[0] == ("P1", 920.0, "U1", None)
+    assert recs[3] == ("P4", 940.0, "U3", "P2")
     with pytest.raises(AttributeError):
         t1.pid = None
 
@@ -577,6 +577,9 @@ def test_trace_to_csv_round_trips(tmp_path, stamps):
     assert len(styles) == 1
 
 
+Row = namedtuple("Row", "pid t uid rid")
+
+
 def resolve_root(by_pid, pid, memo):
     """Follow the rid chain from ``pid`` to the original post it reshares."""
     path: list[str] = []
@@ -601,10 +604,11 @@ def _reference_episodes(trace, retweeted_only=True):
 
     ``(root_pid, users, times)`` per episode.
     """
-    by_pid = {rec.pid: rec for rec in trace.records}
+    records = [Row(*rec) for rec in trace.records]
+    by_pid = {rec.pid: rec for rec in records}
     memo: dict = {}
     resharers: dict = {}
-    for row, rec in enumerate(trace.records):
+    for row, rec in enumerate(records):
         if rec.rid is None:
             continue
         entry = resharers.setdefault(resolve_root(by_pid, rec.pid, memo), {})
@@ -612,7 +616,7 @@ def _reference_episodes(trace, retweeted_only=True):
         if uid not in entry or key < entry[uid]:
             entry[uid] = key
     out = []
-    for root in trace.records:
+    for root in records:
         if root.rid is not None:
             continue
         author = trace.uid_index[root.uid]
