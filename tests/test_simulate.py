@@ -1,9 +1,36 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from cemnet import simulate as sim
 from cemnet.constraints import check_feasibility
-from cemnet.trace import build_episodes, pair_counts
+from cemnet.graph import write_graph_csv, write_labels_csv
+from cemnet.trace import build_episodes, pair_counts, trace_to_csv
+
+# the N=500 shape of the benchmark's sweep workload (perfbench/inputs.py)
+SWEEP_SHAPE = {"n_users": 500, "block_sizes": [72, 72, 71, 71, 71, 71, 72],
+               "p_intra": 0.012, "q_inter": 0.0014,
+               "post_rate": (0.0035, 0.0035), "repost_rate": (0.09, 0.09)}
+
+# sha256[:32] of the trace, truth and labels CSVs, recorded from the
+# simulator that drew each feed pick by its own ``Generator.integers`` call
+EDGE_CONFIG_GOLDEN = {
+    # every pick is integers(1), which consumes no draw
+    "capacity1": ({"feed_capacity": 1, "n_events": 20_000, "seed": 3},
+                  ("5fce8d976808beb3f0f12725a7746ba1", "a44fd279831e9c688de8945d1a1ed84f",
+                   "a4f7dc5b95fee2ff331a9b1824f5f7c3")),
+    "capacity3": ({"feed_capacity": 3, "n_events": 20_000, "seed": 3},
+                  ("fe3e604826ca9fe44dbff17c8a0bf0a4", "a44fd279831e9c688de8945d1a1ed84f",
+                   "a4f7dc5b95fee2ff331a9b1824f5f7c3")),
+    "sweep20k": ({**SWEEP_SHAPE, "n_events": 20_000, "seed": 3},
+                 ("77b4ac35517e84bbf92ecf16645a7f55", "a057de2aa5d363d29c04015f0e5fb070",
+                  "2dc32ef66b01cbf65976dbe15d348395")),
+    # CI's sparse many-user config
+    "sparse2000": ({"n_users": 2000, "n_blocks": 7, "n_events": 4000, "seed": 5},
+                   ("49df0654d3b62fe458b61e4f13b2b509", "bb254b522ee8420887d46261964e8687",
+                    "e9f3c1666e2f5615d87719f9e983995f")),
+}
 
 
 def test_config_validation():
@@ -174,3 +201,15 @@ def test_rewire_edges_preserves_count():
     overlap = len(set(rewired.edges) & set(g.edges))
     assert overlap <= g.n_edges - int(0.5 * g.n_edges) + 2
     assert all(i != j for i, j in rewired.edges)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CONFIG_GOLDEN))
+def test_edge_configs_match_recorded_digests(tmp_path, name):
+    """Configs the CLI golden's seed-5 default does not reach, byte for byte."""
+    kwargs, expected = EDGE_CONFIG_GOLDEN[name]
+    out = sim.simulate(sim.SimConfig(**kwargs))
+    files = [tmp_path / f for f in ("trace.csv", "truth.csv", "labels.csv")]
+    trace_to_csv(out.trace, files[0])
+    write_graph_csv(out.truth_graph, out.trace.users, files[1])
+    write_labels_csv(out.truth_labels, out.trace.users, files[2])
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:32] for f in files) == expected
