@@ -161,7 +161,15 @@ def _cmd_simulate(args: argparse.Namespace, files: _Outputs) -> list[str]:
                 config = dataclasses.replace(config, **{name: getattr(args, name)})
             except ValueError as exc:
                 raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
-    out = simulate(config)
+    try:
+        out = simulate(config)
+    except ConfigError as exc:
+        source = f"config {args.config}" if args.config else "the default config"
+        flags = [f"--{name.replace('_', '-')} {getattr(args, name)}"
+                 for name in ("seed", "n_events") if getattr(args, name) is not None]
+        if flags:
+            source += " with " + " ".join(flags)
+        raise UsageError(f"{source}: {exc}") from exc
     files.write(args.out_trace, trace_to_csv, out.trace)
     files.write(args.out_truth, write_graph_csv, out.truth_graph, out.trace.users)
     files.write(args.out_labels, write_labels_csv, out.truth_labels, out.trace.users)

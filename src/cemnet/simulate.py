@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -28,13 +29,17 @@ log = logging.getLogger("cemnet.simulate")
 POST = 0
 REPOST = 1
 
+# uint32 words the diffusion reads from its generator at a time
+_BLOCK = 1024
+
 # generate_sbm_graph draws a dense n x n matrix: at this bound it holds two
 # 800 MB float64 matrices at once
 MAX_USERS = 10_000
 
 
 class ConfigError(ValueError):
-    """A simulation config file with unknown keys or invalid values."""
+    """A simulation config file with unknown keys or invalid values, or a
+    config whose events hold no post, so that it simulates an empty trace."""
 
 
 @dataclass
@@ -70,8 +75,9 @@ class SimConfig:
             raise ValueError(f"n_users must be at most {MAX_USERS}, got {self.n_users}")
         if min(*self.post_rate, *self.repost_rate) < 0:
             raise ValueError("activity rates cannot be negative")
-        if max(self.post_rate) + max(self.repost_rate) <= 0:
-            raise ValueError("at least one activity rate must be positive")
+        if max(self.post_rate) <= 0:
+            raise ValueError("post_rate must allow a positive rate: without posts "
+                             "nothing is reposted and the trace is empty")
         sizes = self.block_sizes
         if sizes is not None and not isinstance(sizes, (list, tuple)):
             raise ValueError(f"block_sizes must be a list, got {sizes!r}")
@@ -178,6 +184,39 @@ def generate_events(
     return times, uids.astype(np.int64), kinds.astype(np.int64)
 
 
+def _bounded_integers(rng: np.random.Generator) -> Callable[[int], int]:
+    """``integers(n)``: what ``rng.integers(n)`` would return, call for call.
+
+    numpy draws a bound up to 2**32 by Lemire's multiply-and-reject step over
+    the generator's uint32 stream (D. Lemire, "Fast Random Integer Generation
+    in an Interval", ACM TOMACS 2019).  The same stream is read here in
+    blocks of ``_BLOCK`` words through ``rng.integers(0, 2**32, dtype=uint32)``
+    and the step is applied to each word: the values match, but the
+    generator is left up to a block ahead of where per-call draws leave it.
+    """
+    def words():
+        while True:
+            yield from rng.integers(0, 2**32, size=_BLOCK, dtype=np.uint32).tolist()
+
+    draw = words().__next__
+
+    def integers(n: int) -> int:
+        if n == 1:
+            return 0  # numpy draws nothing for a single value
+        if not 1 < n < 2**32:
+            if n == 2**32:
+                return draw()
+            raise ValueError(f"bound {n} is outside 1..2**32")
+        m = draw() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = draw() * n
+        return m >> 32
+
+    return integers
+
+
 def run_diffusion(
     graph: InferredGraph,
     labels: np.ndarray,
@@ -185,63 +224,65 @@ def run_diffusion(
     config: SimConfig,
     rng: np.random.Generator,
 ) -> SimOutput:
-    """Replay the event stream through per-user newsfeeds into a trace."""
+    """Replay the event stream through per-user newsfeeds into a trace.
+
+    Feed picks take the values of per-pick ``rng.integers`` calls but read
+    the generator in blocks (see ``_bounded_integers``), so the generator's
+    state after the call is not the one per-call draws would leave.  Raises
+    ``ConfigError`` when no event is a post: the trace would be empty.
+    """
     n = config.n_users
     cap = config.feed_capacity
     followers = graph.out_adj
+    integers = _bounded_integers(rng)
 
-    feeds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    feeds: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (row, root row)
     reposted_roots: list[set[int]] = [set() for _ in range(n)]
-    rows: list[tuple[int, int, int]] = []  # (tick, user, parent row or -1)
-    uid_tok = [f"u{i:04d}" for i in range(n)]
-
-    def push(target: int, entry: tuple[int, int]) -> None:
-        feed = feeds[target]
-        if len(feed) < cap:
-            feed.append(entry)
-        else:
-            feed[int(rng.integers(cap))] = entry
-
-    next_pid = 0
-    n_posts = n_reposts = n_skipped = 0
+    ticks: list[int] = []
+    posters: list[int] = []
+    parents: list[int] = []  # parent row, -1 for a post
+    n_skipped = 0
     times, uids, kinds = events
-    for idx in range(len(times)):
-        u = int(uids[idx])
-        tick = int(math.floor(times[idx]))
-        if kinds[idx] == POST:
-            pid = next_pid
-            next_pid += 1
-            rows.append((tick, u, -1))
-            reposted_roots[u].add(pid)
-            for v in followers[u]:
-                push(v, (pid, pid))
-            n_posts += 1
+    for tick, u, kind in zip(np.floor(times).astype(np.int64).tolist(), uids.tolist(),
+                             kinds.tolist()):
+        pid = len(ticks)
+        if kind == POST:
+            parent, root = -1, pid
         else:
             feed = feeds[u]
             if not feed:
                 n_skipped += 1
                 continue
-            epid, eroot = feed[int(rng.integers(len(feed)))]
-            if eroot in reposted_roots[u]:
-                epid, eroot = feed[int(rng.integers(len(feed)))]
-                if eroot in reposted_roots[u]:
+            parent, root = feed[integers(len(feed))]
+            if root in reposted_roots[u]:
+                parent, root = feed[integers(len(feed))]
+                if root in reposted_roots[u]:
                     n_skipped += 1
                     continue
-            pid = next_pid
-            next_pid += 1
-            rows.append((tick, u, epid))
-            reposted_roots[u].add(eroot)
-            for v in followers[u]:
-                push(v, (pid, eroot))
-            n_reposts += 1
+        ticks.append(tick)
+        posters.append(u)
+        parents.append(parent)
+        reposted_roots[u].add(root)
+        entry = (pid, root)
+        for v in followers[u]:
+            feed = feeds[v]
+            if len(feed) < cap:
+                feed.append(entry)
+            else:
+                feed[integers(cap)] = entry
 
+    if not ticks:
+        raise ConfigError(f"none of the {len(times)} events is a post, so nothing "
+                          "could be reposted and the trace is empty")
+    n_posts = parents.count(-1)
+    n_reposts = len(parents) - n_posts
+    uid_tok = [f"u{i:04d}" for i in range(n)]
     log.info(
         "diffusion: %d posts, %d reposts, %d skipped repost events",
         n_posts, n_reposts, n_skipped,
     )
     # a post's number is its row
-    ticks, posters, parents = np.array(rows, dtype=np.int64).reshape(-1, 3).T.tolist()
-    pids = [f"p{k:07d}" for k in range(len(rows))]
+    pids = [f"p{k:07d}" for k in range(len(ticks))]
     trace = Trace.from_columns(pids, ticks, [uid_tok[u] for u in posters],
                                [ORIGINAL_RID if k < 0 else pids[k] for k in parents])
     # align graph/label indices with the trace's interning so in-memory

@@ -779,6 +779,30 @@ def test_simulate_too_many_users_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("config, flags, source, cause", [
+    # no user can post: the config itself is refused
+    ('{"post_rate": [0.0, 0.0], "n_events": 50}', [], "{path}", "post_rate must allow"),
+    # the one event is a repost, with nothing in any feed to repost
+    ('{"n_users": 3, "n_blocks": 1, "n_events": 1, "seed": 0}', [], "config {path}",
+     "none of the 1 events is a post"),
+    (None, ["--seed", "3", "--n-events", "1"], "the default config with --seed 3 --n-events 1",
+     "none of the 1 events is a post"),
+])
+def test_simulate_without_a_post_names_the_config(tmp_path, capsys, config, flags, source,
+                                                   cause):
+    """A config that simulates no row exits 2 naming the config and the cause."""
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+        flags = ["--config", str(path)] + flags
+    rc = main(["simulate", *flags, "--out-trace", str(tmp_path / "t.csv"),
+               "--out-truth", str(tmp_path / "g.csv"), "--out-labels", str(tmp_path / "l.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert source.format(path=path) in err and cause in err, err
+    assert not (tmp_path / "t.csv").exists()
+
+
 # every value small, so that a config the loader accepts simulates in moments
 CONFIG_VALUES = {
     "n_users": st.sampled_from([1, 2, 3, 12, 30]),

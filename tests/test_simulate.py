@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemnet import simulate as sim
 from cemnet.constraints import check_feasibility
@@ -42,6 +44,9 @@ def test_config_validation():
         sim.SimConfig(post_rate=(-0.1, 0.2))
     with pytest.raises(ValueError):
         sim.SimConfig(post_rate=(0.0, 0.0), repost_rate=(0.0, 0.0))
+    # reposts alone never start: nothing is in any feed
+    with pytest.raises(ValueError, match="post_rate must allow a positive rate"):
+        sim.SimConfig(post_rate=(0.0, 0.0))
     # the bound is checked before anything is drawn; only the config is built
     assert sim.SimConfig(n_users=sim.MAX_USERS).n_users == sim.MAX_USERS
     with pytest.raises(ValueError, match="n_users must be at most"):
@@ -213,3 +218,50 @@ def test_edge_configs_match_recorded_digests(tmp_path, name):
     write_graph_csv(out.truth_graph, out.trace.users, files[1])
     write_labels_csv(out.truth_labels, out.trace.users, files[2])
     assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:32] for f in files) == expected
+
+
+def test_bounded_integers_match_numpy_draw_for_draw():
+    """The block-read picks equal ``Generator.integers(n)``, call for call."""
+    bounds = [1, 2, 3, 10, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32]
+    ns = [bounds[k] for k in np.random.default_rng(2024).integers(len(bounds),
+                                                                 size=5 * sim._BLOCK)]
+    # only n == 1 draws no word, so these calls read at least four blocks
+    assert sum(n > 1 for n in ns) >= 4 * sim._BLOCK
+    ours, numpys = np.random.default_rng(77), np.random.default_rng(77)
+    for rng in (ours, numpys):
+        # an odd number of uint32 draws leaves half a 64-bit output buffered
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    integers = sim._bounded_integers(ours)
+    assert [integers(n) for n in ns] == [int(numpys.integers(n)) for n in ns]
+    # numpy draws a wider bound from 64-bit outputs: a stream this does not read
+    for n in (0, 2**32 + 1):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            integers(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_users=st.integers(1, 30), feed_capacity=st.sampled_from([1, 2, 4]),
+       n_events=st.integers(1, 2_000), p_intra=st.sampled_from([0.0, 0.2, 1.0]),
+       post_rate=st.sampled_from([(0.001, 0.006), (0.05, 0.05)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_diffusion_counts_add_up(n_users, feed_capacity, n_events, p_intra, post_rate, seed):
+    """Every event is a row or a skip, a repost follows its parent, and the
+    truth explains every episode: the trace is feasible by construction."""
+    cfg = sim.SimConfig(n_users=n_users, n_blocks=min(n_users, 3), p_intra=p_intra,
+                        q_inter=0.05, feed_capacity=feed_capacity, n_events=n_events,
+                        post_rate=post_rate, seed=seed)
+    try:
+        out = sim.simulate(cfg)
+    except sim.ConfigError:
+        # refused only when the event stream holds no post
+        events = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+        assert not np.any(sim.generate_events(cfg, events)[2] == sim.POST)
+        return
+    trace = out.trace
+    assert out.n_posts + out.n_reposts == len(trace.pid)
+    assert out.n_posts + out.n_reposts + out.n_skipped == n_events
+    reposts = np.flatnonzero(trace.parent >= 0)
+    assert len(reposts) == out.n_reposts
+    assert np.all(trace.parent[reposts] < reposts)
+    assert check_feasibility(out.truth_graph, build_episodes(trace)).fraction == 1.0
